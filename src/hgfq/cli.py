@@ -42,6 +42,7 @@ from .sums import (
     pochhammer_circ,
 )
 from .varieties import (
+    FAMILIES,
     ASStar,
     FermatStar,
     GeneralXDz,
@@ -387,13 +388,9 @@ def _parse_sigma(text, arity):
     raise click.UsageError("--sigma must be a transposition 'i j' or a full permutation")
 
 
-_ISO_ARITY = {"gauss": 4, "kummer": 2, "fd": None, "phi1": 3, "phi3": 2, "fa": None}
-
-
 @main.command("iso")
 @field_options
-@click.option("--family", required=True,
-              type=click.Choice(["gauss", "kummer", "fd", "phi1", "phi3", "fa"]))
+@click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
 @click.option("--lam", type=int, default=None)
 @click.option("--lams", default=None)
 @click.option("--lam1", type=int, default=None)
@@ -410,24 +407,16 @@ def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
             check, sample, seed):
     """Build a variety isomorphism for a symmetry element and verify it."""
     f = _get_field(q, p, e, cap)
-    kwargs = {}
-    if family in ("gauss", "kummer"):
-        kwargs["lam"] = lam
-    elif family in ("fd", "fa"):
-        kwargs["lams"] = _parse_ints(lams)
-    else:
-        kwargs["lam1"], kwargs["lam2"] = lam1, lam2
-    ctx = make_context(family, f, **kwargs)
-    arity = _ISO_ARITY[family]
-    if arity is None:
-        arity = len(ctx.symmetries()[0])
-    perm = _parse_sigma(sigma, arity) if sigma else tuple(range(arity))
-    if family in ("kummer", "phi1"):
-        sym = (perm, f.from_int(c))
-    elif family == "phi3":
-        sym = (perm, (f.from_int(c1), f.from_int(c2)))
-    else:
-        sym = perm
+    given = {"lam": lam, "lams": _parse_ints(lams), "lam1": lam1, "lam2": lam2}
+    ctx = make_context(family, f, **{k: given[k] for k in FAMILIES[family].params})
+    perm = _parse_sigma(sigma, ctx.arity) if sigma else tuple(range(ctx.arity))
+    n_twists = len(ctx.as_cols)
+    twists = (c,) if n_twists == 1 else (c1, c2)[:n_twists]
+    non_units = [t for t in twists if t not in f.dlog]
+    if non_units:
+        _echo_json({"error": f"unit part {non_units[0]} is not a unit of F_{f.q}"})
+        sys.exit(2)
+    sym = ctx.symmetry(perm, twists)
     iso = ctx.build(sym)
     out = {
         "q": f.q,
@@ -435,10 +424,8 @@ def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
         "symmetry": repr(sym),
         "Q": iso.transport.Q,
         "d_elem": list(iso.transport.d_elem),
+        "target_params": iso.target_ctx.param_values(),
     }
-    for attr in ("lam", "lams", "lam1", "lam2"):
-        if hasattr(iso.target_ctx, attr):
-            out.setdefault("target_params", {})[attr] = getattr(iso.target_ctx, attr)
     src = iso.transport.source
     rng = random.Random(seed)
     chars = list(enumerate_groupchars(src))

@@ -246,10 +246,6 @@ ZERO = Cyclo.zero()
 ONE = Cyclo.integer(1)
 
 
-def _degree_ok(m: int, deg: int) -> bool:
-    return deg < _phi_degree(m)
-
-
 @lru_cache(maxsize=None)
 def _phi_degree(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1

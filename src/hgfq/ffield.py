@@ -19,6 +19,7 @@ variety isomorphisms.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 DEFAULT_CAP = 1 << 20
 
@@ -173,7 +174,6 @@ class Field:
         self.generator = 0
         self.exp: list[int] = []
         self.dlog: dict[int, int] = {}
-        self._add_table: list[int] | None = None
         self._build_tables()
 
     # -- construction -----------------------------------------------------
@@ -243,13 +243,10 @@ class Field:
             exp[i] = self._mul_poly_codes(exp[i - 1], gen)
         other.exp = exp
         other.dlog = {c: i for i, c in enumerate(exp)}
-        other._add_table = self._add_table
         return other
 
     def generators(self) -> list[int]:
         """All multiplicative generators, by ascending code."""
-        from math import gcd
-
         g = self.generator
         return sorted(self.exp[i] for i in range(1, self.N) if gcd(i, self.N) == 1) if self.N > 1 else [1]
 
@@ -354,8 +351,28 @@ class ExtensionField:
         self.base = base
         self.r = r
         self.field = base if r == 1 else Field(base.p, base.e * r, cap=cap)
-        # embed: base generator -> gen'^((q^r-1)/(q-1))
-        self._embed_stride = (self.field.q - 1) // base.N if base.N else 0
+        self._embed_stride = 1 if r == 1 else self._find_embed_stride()
+
+    def _find_embed_stride(self) -> int:
+        """The exponent s with embed(base generator) = gen'^s.
+
+        s = k (q^r - 1)/(q - 1) for the least k prime to q - 1 that makes the
+        map additive.  Every such power generates the subfield's unit group,
+        but only a conjugate of the base generator gives a field embedding
+        (k = 1 alone is not additive over F_5, for one).  A multiplicative
+        map with embed(a + 1) = embed(a) + 1 for every a is additive.
+        """
+        base, fld = self.base, self.field
+        stride = (fld.q - 1) // base.N
+        for k in range(1, base.N + 1):
+            if gcd(k, base.N) != 1:
+                continue
+            s = stride * k
+            self._embed_stride = s
+            if all(self.embed(base.add(a, 1)) == fld.add(self.embed(a), 1)
+                   for a in base.elements()):
+                return s
+        raise RuntimeError("no field embedding found")  # pragma: no cover
 
     def embed(self, x: int) -> int:
         if self.r == 1:

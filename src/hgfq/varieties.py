@@ -1343,11 +1343,6 @@ def _d_twist(fb: Field, d_x, d_xw, Q):
     return tuple(fb.div(a, b) for a, b in zip(d_xw, den))
 
 
-def _field_perm_cols(fb: Field, A, sigma):
-    """A . P_sigma over the field: new column j = old column sigma(j)."""
-    return [[row[sigma[j]] for j in range(len(sigma))] for row in A]
-
-
 def _normalize(fb: Field, A, pivot_cols):
     """Left-multiply by the inverse of the pivot-column submatrix."""
     g = [[row[c] for c in pivot_cols] for row in A]
@@ -1359,187 +1354,265 @@ def _require_units(fb: Field, values):
         raise ValueError("general position violated")
 
 
-# -- family symmetry contexts ------------------------------------------------
+# -- the isomorphism template ------------------------------------------------
 
 
-class GaussContext:
-    """2x2-determinant family: 4 unit coordinates, symmetries sigma in S_4."""
+class SymmetryContext:
+    """A family member X(x) with its symmetry group, and the one template that
+    builds the isomorphism X(x) -> X(x . w) for every symmetry w.
 
-    def __init__(self, field: Field, lam: int | None = None, x=None):
+    z is x with identity columns inserted at the pivot columns.  A symmetry
+    (sigma, c_1..c_a) acts on z from the right: sigma permutes the column
+    blocks and c_k scales the k-th Artin-Schreier column.  Reducing the pivot
+    columns of z . w back to the identity gives the target's x.  A symmetry
+    is written sigma alone without Artin-Schreier columns, (sigma, c) with
+    one, and (sigma, (c_1, .., c_a)) with more.
+
+    A family is data on a subclass:
+      params      keyword names of its parameters, also their attribute names
+      seed_x      x from those parameters
+      _parse      sets the parameters from x, checks general position and
+                  returns d_x, the unit coordinates the scalars are rooted at
+      variety_of  the variety, from the field and the parameters
+      pivots      pivot columns of z (None: the identity follows x)
+      blocks      the column blocks of z that sigma permutes (None: every column)
+      perm_group  the permutations sigma, by m (None: all of them)
+      as_cols     the Artin-Schreier columns of z
+      shift_row   the row of x whose Artin-Schreier entries give the additive
+                  shifts (None: the map has no shifts)
+      matrices    (theta0, Ts, rhos, M) by m, for the exponent matrix
+                  Q = sum_k (theta0 . pad(P_sigma) . M + T_k) . rho_k
+      q_recipe    sigma -> Q, for a family whose Q is not of that form
+    """
+
+    params: tuple = ()
+    variety_of = None
+    pivots: tuple | None = None
+    blocks: tuple | None = None
+    perm_group = None
+    as_cols: tuple = ()
+    shift_row: int | None = None
+    matrices = None
+    q_recipe = None
+
+    def __init__(self, field: Field, *, x=None, **params):
+        unknown = set(params) - set(self.params)
+        if unknown:
+            raise TypeError(f"unexpected parameters {sorted(unknown)}")
         if x is None:
-            if lam is None:
-                raise ValueError("need lam or x")
-            x = [[1, 1], [field.neg(1), field.neg(lam)]]
+            if any(params.get(k) is None for k in self.params):
+                raise ValueError(f"need {' and '.join(self.params)} or x")
+            x = self.seed_x(field, **params)
         self.field = field
         self.x = [list(row) for row in x]
-        x11, x12 = self.x[0]
-        x21, x22 = self.x[1]
-        _require_units(field, (x11, x12, x21, x22))
-        self.lam = field.div(field.mul(x11, x22), field.mul(x21, x12))
-        if self.lam == 1:
-            raise ValueError("general position violated")
-        self.d_x = (x21, x12, x11, x22)
-        self.z = [[x11, x12, 1, 0], [x21, x22, 0, 1]]
+        self.m = len(self.x[0]) - 1
+        self.d_x = self._parse()
+        rows, width = len(self.x), len(self.x[0]) + len(self.x)
+        self._pivots = self.pivots or tuple(range(width - rows, width))
+        self._xcols = tuple(c for c in range(width) if c not in self._pivots)
+        self._blocks = self.blocks or tuple((c,) for c in range(width))
+        self.z = [[0] * width for _ in range(rows)]
+        for i, row in enumerate(self.x):
+            for c, v in zip(self._xcols, row):
+                self.z[i][c] = v
+            self.z[i][self._pivots[i]] = 1
 
-    def variety(self) -> MXnLambda:
-        return MXnLambda(self.field, 2, 2, self.lam)
+    def param_values(self) -> dict:
+        return {k: getattr(self, k) for k in self.params}
 
-    def ext_degree(self) -> int:
-        return self.field.N
-
-    @staticmethod
-    def symmetries():
-        return [tuple(p) for p in itertools.permutations(range(4))]
-
-    @staticmethod
-    def compose_sym(s1, s2):
-        return compose_perms(s1, s2)
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _matrices():
-        theta0 = [[-1, 0, -1, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]]
-        T = imat_zero(4, 4)
-        for i, v in enumerate((1, 1, -1, -1)):
-            T[i][3] = v
-        M = _gauge_last_matrix(4)
-        theta_inv = imat_inverse(imat_add(theta0, T))
-        return theta0, T, M, theta_inv
-
-    def q_matrix(self, sigma):
-        theta0, T, M, theta_inv = self._matrices()
-        P = perm_matrix(sigma)
-        return imat_mul(imat_add(imat_mul(imat_mul(theta0, P), M), T), theta_inv)
-
-    def transformed(self, sigma):
-        fb = self.field
-        A = _field_perm_cols(fb, self.z, sigma)
-        zs = _normalize(fb, A, (2, 3))
-        return [[zs[0][0], zs[0][1]], [zs[1][0], zs[1][1]]]
-
-    def build(self, sigma) -> Isomorphism:
-        fb = self.field
-        tgt = GaussContext(fb, x=self.transformed(sigma))
-        Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        src_v, tgt_v = self.variety(), tgt.variety()
-        transport = CharTransport(source=src_v, target=tgt_v, Q=Q, d_elem=dtw)
-        pm = None
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=4,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-            )
-        return Isomorphism(self, tgt, sigma, pm, transport)
-
-
-class KummerContext:
-    """3 unit + 1 Artin-Schreier coordinates; symmetries (sigma in S_2, c in k*)."""
-
-    def __init__(self, field: Field, lam: int | None = None, x=None):
-        if x is None:
-            if lam is None:
-                raise ValueError("need lam or x")
-            x = [[1, lam], [1, 1]]
-        self.field = field
-        self.x = [list(row) for row in x]
-        x11, x12 = self.x[0]
-        x21, x22 = self.x[1]
-        _require_units(field, (x11, x21, x12))
-        self.lam = field.div(field.mul(x21, x12), x11)
-        self.d_x = (x11, x21, x12)
-        self.z = [[x11, 1, 0, x12], [x21, 0, 1, x22]]
-
-    def variety(self) -> MXnLambda:
-        return MXnLambda(self.field, 1, 2, self.lam)
+    def variety(self) -> Variety:
+        return self.variety_of(self.field, **self.param_values())
 
     def ext_degree(self) -> int:
-        return self.field.p * self.field.N
+        # Artin-Schreier coordinates need the extension of degree p N; even
+        # where the map needs only N-th roots (no additive shifts), the
+        # variety tends to be empty before the additive equations split
+        return self.field.N * (self.field.p if self.as_cols else 1)
+
+    @property
+    def arity(self) -> int:
+        """The length of the permutation part of a symmetry."""
+        return len(self._blocks)
+
+    def symmetry(self, sigma, cs=()):
+        """The family's way of writing (sigma, c_1..c_a)."""
+        if not self.as_cols:
+            return tuple(sigma)
+        return (tuple(sigma), cs[0] if len(self.as_cols) == 1 else tuple(cs))
+
+    def _split(self, sym):
+        if not self.as_cols:
+            return tuple(sym), ()
+        sigma, cs = sym
+        cs = (cs,) if len(self.as_cols) == 1 else tuple(cs)
+        if any(c not in self.field.dlog for c in cs):
+            raise ValueError("symmetry twists must be units")
+        return tuple(sigma), cs
 
     def symmetries(self):
+        perms = (self.perm_group(self.m) if self.perm_group
+                 else itertools.permutations(range(self.arity)))
+        units = list(self.field.units())
         return [
-            (sigma, c)
-            for sigma in ((0, 1), (1, 0))
-            for c in self.field.units()
+            self.symmetry(sigma, cs)
+            for sigma in perms
+            for cs in itertools.product(units, repeat=len(self.as_cols))
         ]
 
-    def compose_sym(self, s1, s2):
-        (p1, c1), (p2, c2) = s1, s2
-        return (compose_perms(p1, p2), self.field.mul(c1, c2))
+    def _column_perm(self, sigma):
+        """New column j of z . w is old column perm[j]."""
+        perm = list(range(len(self.z[0])))
+        for j, block in enumerate(self._blocks):
+            for new, old in zip(block, self._blocks[sigma[j]]):
+                perm[new] = old
+        return perm
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _matrices():
-        theta0 = [[0, 1, 0], [-1, -1, 0], [0, 0, 0]]
-        theta = [[0, 1, 1], [-1, -1, -1], [0, 0, -1]]
-        T = imat_add(theta, [[-v for v in row] for row in theta0])
-        M = _gauge_last_matrix(3)
-        return theta0, T, M, imat_inverse(theta)
+    def _slot_perm(self, sigma):
+        """Target Artin-Schreier slot j comes from source slot perm[j]."""
+        if not self.as_cols:
+            return ()
+        cols = self._column_perm(sigma)
+        return tuple(self.as_cols.index(cols[c]) for c in self.as_cols)
+
+    def compose_sym(self, s1, s2):
+        (p1, c1), (p2, c2) = self._split(s1), self._split(s2)
+        inv = invert_perm(self._slot_perm(p1))
+        cs = tuple(self.field.mul(c1[j], c2[inv[j]]) for j in range(len(c1)))
+        return self.symmetry(compose_perms(p1, p2), cs)
 
     def q_matrix(self, sigma):
-        theta0, T, M, theta_inv = self._matrices()
-        P3 = imat_identity(3)
-        P2 = perm_matrix(sigma)
-        for i in range(2):
-            for j in range(2):
-                P3[i][j] = P2[i][j]
-        return imat_mul(imat_add(imat_mul(imat_mul(theta0, P3), M), T), theta_inv)
+        if self.q_recipe is not None:
+            return self.q_recipe(sigma)
+        theta0, Ts, rhos, M = self.matrices(self.m)
+        P = imat_identity(len(M))
+        for i, row in enumerate(perm_matrix(sigma)):
+            P[i][: len(row)] = row
+        base = imat_mul(imat_mul(theta0, P), M)
+        Q = imat_zero(len(theta0), len(theta0))
+        for T, rho in zip(Ts, rhos):
+            Q = imat_add(Q, imat_mul(imat_add(base, T), rho))
+        return Q
 
     def transformed(self, sym):
         fb = self.field
-        sigma, c = sym
-        w = imat_identity(4)
-        P2 = perm_matrix(sigma)
-        for i in range(2):
-            for j in range(2):
-                w[i][j] = P2[i][j]
-        w[3][3] = c
-        A = mat_mul(fb, self.z, w)
-        zs = _normalize(fb, A, (1, 2))
-        return [[zs[0][0], zs[0][3]], [zs[1][0], zs[1][3]]]
+        sigma, cs = self._split(sym)
+        cols = self._column_perm(sigma)
+        A = [[row[c] for c in cols] for row in self.z]
+        for col, c in zip(self.as_cols, cs):
+            j = cols.index(col)
+            for row in A:
+                row[j] = fb.mul(row[j], c)
+        zs = _normalize(fb, A, self._pivots)
+        return [[row[c] for c in self._xcols] for row in zs]
 
     def build(self, sym) -> Isomorphism:
         fb = self.field
-        sigma, c = sym
-        tgt = KummerContext(fb, x=self.transformed(sym))
+        sigma, cs = self._split(sym)
+        tgt = type(self)(fb, x=self.transformed(sym))
         Q = self.q_matrix(sigma)
         dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        shift_elem = fb.sub(fb.mul(c, self.x[1][1]), tgt.x[1][1])
+        slots = self._slot_perm(sigma)
+        if self.shift_row is None:
+            shifts = (0,) * len(cs)
+        else:
+            row, tgt_row = self.x[self.shift_row], tgt.x[self.shift_row]
+            cols = [self._xcols.index(c) for c in self.as_cols]
+            shifts = tuple(fb.sub(fb.mul(c, row[j]), tgt_row[j]) for c, j in zip(cs, cols))
         src_v, tgt_v = self.variety(), tgt.variety()
         transport = CharTransport(
             source=src_v,
             target=tgt_v,
             Q=Q,
-            d_elem=dtw + (shift_elem,),
-            add_perm=(0,),
-            add_twists=(c,),
+            d_elem=dtw + shifts,
+            add_perm=invert_perm(slots),
+            add_twists=cs,
         )
-        pm = None
         try:
             ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=3,
-                n_add=1,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-                add_mat=[[c]],
-                add_shifts=(artin_schreier_root(ext, shift_elem),),
-            )
+        except ValueError:  # the extension exceeds the cap: transport only
+            return Isomorphism(self, tgt, sym, None, transport)
+        add_mat = None
+        if cs:
+            add_mat = imat_zero(len(cs), len(cs))
+            for j, s in enumerate(slots):
+                add_mat[s][j] = cs[s]
+        pm = PointMap(
+            source=src_v,
+            target=tgt_v,
+            ext_r=ext.r,
+            n_mult=len(self.d_x),
+            n_add=len(cs),
+            Q=Q,
+            scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
+            add_mat=add_mat,
+            add_shifts=None if self.shift_row is None
+            else tuple(artin_schreier_root(ext, s) for s in shifts),
+        )
         return Isomorphism(self, tgt, sym, pm, transport)
+
+
+# -- the six families --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _gauss_matrices():
+    theta0 = [[-1, 0, -1, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]]
+    T = imat_zero(4, 4)
+    for i, v in enumerate((1, 1, -1, -1)):
+        T[i][3] = v
+    return theta0, [T], [imat_inverse(imat_add(theta0, T))], _gauge_last_matrix(4)
+
+
+class GaussContext(SymmetryContext):
+    """2x2-determinant family: 4 unit coordinates, symmetries sigma in S_4."""
+
+    params = ("lam",)
+    variety_of = staticmethod(lambda field, lam: MXnLambda(field, 2, 2, lam))
+    matrices = staticmethod(lambda m: _gauss_matrices())
+
+    @staticmethod
+    def seed_x(field, lam):
+        return [[1, 1], [field.neg(1), field.neg(lam)]]
+
+    def _parse(self):
+        fb = self.field
+        (x11, x12), (x21, x22) = self.x
+        _require_units(fb, (x11, x12, x21, x22))
+        self.lam = fb.div(fb.mul(x11, x22), fb.mul(x21, x12))
+        if self.lam == 1:
+            raise ValueError("general position violated")
+        return (x21, x12, x11, x22)
+
+
+@lru_cache(maxsize=None)
+def _kummer_matrices():
+    theta0 = [[0, 1, 0], [-1, -1, 0], [0, 0, 0]]
+    theta = [[0, 1, 1], [-1, -1, -1], [0, 0, -1]]
+    T = imat_add(theta, [[-v for v in row] for row in theta0])
+    return theta0, [T], [imat_inverse(theta)], _gauge_last_matrix(3)
+
+
+class KummerContext(SymmetryContext):
+    """3 unit + 1 Artin-Schreier coordinates; symmetries (sigma in S_2, c in k*)."""
+
+    params = ("lam",)
+    variety_of = staticmethod(lambda field, lam: MXnLambda(field, 1, 2, lam))
+    pivots = (1, 2)
+    blocks = ((0,), (1,))
+    as_cols = (3,)
+    shift_row = 1
+    matrices = staticmethod(lambda m: _kummer_matrices())
+
+    @staticmethod
+    def seed_x(field, lam):
+        return [[1, lam], [1, 1]]
+
+    def _parse(self):
+        fb = self.field
+        (x11, x12), (x21, x22) = self.x
+        _require_units(fb, (x11, x21, x12))
+        self.lam = fb.div(fb.mul(x21, x12), x11)
+        return (x11, x21, x12)
 
 
 @lru_cache(maxsize=None)
@@ -1582,91 +1655,27 @@ def _fd_matrices(m: int):
     return theta0, Ts, rhos, _gauge_last_matrix(cols)
 
 
-class FDContext:
+class FDContext(SymmetryContext):
     """2n+2 unit coordinates in n+1 Fermat pairs; symmetries sigma in S_{n+3}."""
 
-    def __init__(self, field: Field, lams=None, x=None):
-        self.field = field
-        if x is None:
-            if lams is None:
-                raise ValueError("need lams or x")
-            lams = tuple(lams)
-            x = [
-                [1] * (len(lams) + 1),
-                [field.neg(1)] + [field.neg(lam) for lam in lams],
-            ]
-        self.x = [list(row) for row in x]
-        self.m = len(self.x[0]) - 1
-        _require_units(field, [v for row in self.x for v in row])
-        self.lams = tuple(
-            field.div(
-                field.mul(self.x[0][0], self.x[1][i]),
-                field.mul(self.x[1][0], self.x[0][i]),
-            )
-            for i in range(1, self.m + 1)
-        )
-        if any(lam == 1 for lam in self.lams):
-            raise ValueError("general position violated")
-        if len(set(self.lams)) != self.m:
-            raise ValueError("general position violated")
-        self.d_x = (
-            (self.x[1][0],)
-            + tuple(self.x[0][1:])
-            + (self.x[0][0],)
-            + tuple(self.x[1][1:])
-        )
-        self.z = [row + ident for row, ident in zip(self.x, ([1, 0], [0, 1]))]
-
-    def variety(self) -> LauricellaD:
-        return LauricellaD(self.field, self.m, self.lams)
-
-    def ext_degree(self) -> int:
-        return self.field.N
-
-    def symmetries(self):
-        return [tuple(p) for p in itertools.permutations(range(self.m + 3))]
+    params = ("lams",)
+    variety_of = staticmethod(lambda field, lams: LauricellaD(field, len(lams), lams))
+    matrices = staticmethod(_fd_matrices)
 
     @staticmethod
-    def compose_sym(s1, s2):
-        return compose_perms(s1, s2)
+    def seed_x(field, lams):
+        return [[1] * (len(lams) + 1), [field.neg(1)] + [field.neg(lam) for lam in lams]]
 
-    def q_matrix(self, sigma):
-        theta0, Ts, rhos, M = _fd_matrices(self.m)
-        P = perm_matrix(sigma)
-        base = imat_mul(imat_mul(theta0, P), M)
-        Q = imat_zero(2 * self.m + 2, 2 * self.m + 2)
-        for T, rho in zip(Ts, rhos):
-            Q = imat_add(Q, imat_mul(imat_add(base, T), rho))
-        return Q
-
-    def transformed(self, sigma):
-        fb = self.field
-        A = _field_perm_cols(fb, self.z, sigma)
-        zs = _normalize(fb, A, (self.m + 1, self.m + 2))
-        return [row[: self.m + 1] for row in zs]
-
-    def build(self, sigma) -> Isomorphism:
-        fb = self.field
-        tgt = FDContext(fb, x=self.transformed(sigma))
-        Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        src_v, tgt_v = self.variety(), tgt.variety()
-        transport = CharTransport(source=src_v, target=tgt_v, Q=Q, d_elem=dtw)
-        pm = None
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=2 * self.m + 2,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-            )
-        return Isomorphism(self, tgt, sigma, pm, transport)
+    def _parse(self):
+        fb, x, m = self.field, self.x, self.m
+        _require_units(fb, [v for row in x for v in row])
+        self.lams = tuple(
+            fb.div(fb.mul(x[0][0], x[1][i]), fb.mul(x[1][0], x[0][i]))
+            for i in range(1, m + 1)
+        )
+        if any(lam == 1 for lam in self.lams) or len(set(self.lams)) != m:
+            raise ValueError("general position violated")
+        return (x[1][0],) + tuple(x[0][1:]) + (x[0][0],) + tuple(x[1][1:])
 
 
 @lru_cache(maxsize=None)
@@ -1706,204 +1715,67 @@ def _phi1_matrices():
     return theta0, Ts, rhos, _gauge_last_matrix(4)
 
 
-class Phi1Context:
+class Phi1Context(SymmetryContext):
     """5 unit + 1 Artin-Schreier coordinates; symmetries (sigma in S_3, c in k*)."""
 
-    def __init__(self, field: Field, lam1=None, lam2=None, x=None):
-        self.field = field
-        if x is None:
-            if lam1 is None or lam2 is None:
-                raise ValueError("need (lam1, lam2) or x")
-            x = [[1, lam1, lam2], [1, 1, 1]]
-        self.x = [list(row) for row in x]
-        (x11, x12, x13), (x21, x22, x23) = self.x
-        _require_units(field, (x11, x12, x21, x22, x13))
-        self.lam1 = field.div(field.mul(x21, x12), field.mul(x11, x22))
-        self.lam2 = field.div(field.mul(x21, x13), x11)
-        if self.lam1 == 1:
-            raise ValueError("general position violated")
-        self.d_x = (x11, x22, x21, x12, x13)
-        self.z = [[x11, x12, 1, 0, x13], [x21, x22, 0, 1, x23]]
-
-    def variety(self) -> Humbert1:
-        return Humbert1(self.field, self.lam1, self.lam2)
-
-    def ext_degree(self) -> int:
-        return self.field.p * self.field.N
-
-    def symmetries(self):
-        return [
-            (tuple(p), c)
-            for p in itertools.permutations(range(3))
-            for c in self.field.units()
-        ]
-
-    def compose_sym(self, s1, s2):
-        (p1, c1), (p2, c2) = s1, s2
-        return (compose_perms(p1, p2), self.field.mul(c1, c2))
-
-    def q_matrix(self, sigma):
-        theta0, Ts, rhos, M = _phi1_matrices()
-        P4 = imat_identity(4)
-        P3 = perm_matrix(sigma)
-        for i in range(3):
-            for j in range(3):
-                P4[i][j] = P3[i][j]
-        base = imat_mul(imat_mul(theta0, P4), M)
-        Q = imat_zero(5, 5)
-        for T, rho in zip(Ts, rhos):
-            Q = imat_add(Q, imat_mul(imat_add(base, T), rho))
-        return Q
-
-    def transformed(self, sym):
-        fb = self.field
-        sigma, c = sym
-        w = imat_identity(5)
-        P3 = perm_matrix(sigma)
-        for i in range(3):
-            for j in range(3):
-                w[i][j] = P3[i][j]
-        w[4][4] = c
-        A = mat_mul(fb, self.z, w)
-        zs = _normalize(fb, A, (2, 3))
-        return [[zs[0][0], zs[0][1], zs[0][4]], [zs[1][0], zs[1][1], zs[1][4]]]
-
-    def build(self, sym) -> Isomorphism:
-        fb = self.field
-        sigma, c = sym
-        tgt = Phi1Context(fb, x=self.transformed(sym))
-        Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        shift_elem = fb.sub(fb.mul(c, self.x[1][2]), tgt.x[1][2])
-        src_v, tgt_v = self.variety(), tgt.variety()
-        transport = CharTransport(
-            source=src_v,
-            target=tgt_v,
-            Q=Q,
-            d_elem=dtw + (shift_elem,),
-            add_perm=(0,),
-            add_twists=(c,),
-        )
-        pm = None
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=5,
-                n_add=1,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-                add_mat=[[c]],
-                add_shifts=(artin_schreier_root(ext, shift_elem),),
-            )
-        return Isomorphism(self, tgt, sym, pm, transport)
-
-
-class Phi3Context:
-    """4 unit + 2 Artin-Schreier coordinates; symmetries (sigma in S_2, c1, c2)."""
-
-    def __init__(self, field: Field, lam1=None, lam2=None, x=None):
-        self.field = field
-        if x is None:
-            if lam1 is None or lam2 is None:
-                raise ValueError("need (lam1, lam2) or x")
-            x = [[1, 1, field.div(lam2, lam1)], [1, lam1, 1]]
-        self.x = [list(row) for row in x]
-        (x11, x12, x13), (x21, x22, x23) = self.x
-        _require_units(field, (x21, x11, x22, x13))
-        self.lam1 = field.div(field.mul(x11, x22), x21)
-        self.lam2 = field.mul(x22, x13)
-        self.d_x = (x21, x11, x22, x13)
-        self.z = [[x11, 1, x12, 0, x13], [x21, 0, x22, 1, x23]]
-
-    def variety(self) -> Humbert3:
-        return Humbert3(self.field, self.lam1, self.lam2)
-
-    def ext_degree(self) -> int:
-        # the map needs only the n-th roots (no additive shifts), but the
-        # variety tends to be empty before the additive equations split
-        return self.field.p * self.field.N
-
-    def symmetries(self):
-        units = list(self.field.units())
-        return [
-            (sigma, (c1, c2))
-            for sigma in ((0, 1), (1, 0))
-            for c1 in units
-            for c2 in units
-        ]
-
-    def compose_sym(self, s1, s2):
-        (p1, c), (p2, cp) = s1, s2
-        inv = invert_perm(p1)
-        new_c = tuple(self.field.mul(c[j], cp[inv[j]]) for j in range(2))
-        return (compose_perms(p1, p2), new_c)
+    params = ("lam1", "lam2")
+    variety_of = Humbert1
+    pivots = (2, 3)
+    blocks = ((0,), (1,), (2,))
+    as_cols = (4,)
+    shift_row = 1
+    matrices = staticmethod(lambda m: _phi1_matrices())
 
     @staticmethod
-    def q_matrix(sigma):
-        P = perm_matrix(sigma)
-        Q = imat_zero(4, 4)
-        for i in range(2):
-            for j in range(2):
-                Q[i][j] = P[i][j]
-                Q[2 + i][2 + j] = P[i][j]
-        return Q
+    def seed_x(field, lam1, lam2):
+        return [[1, lam1, lam2], [1, 1, 1]]
 
-    def transformed(self, sym):
+    def _parse(self):
         fb = self.field
-        sigma, (c1, c2) = sym
-        w = w_to_matrix(
-            fb,
-            WDeltaElem(Partition((1, 2, 2)), ((0,), tuple(sigma)), (((),), ((c1,), (c2,)))),
-        )
-        A = mat_mul(fb, self.z, w)
-        if sigma == (1, 0):
-            A = [A[1], A[0]]
-        zs = _normalize(fb, A, (1, 3))
-        return [[zs[0][0], zs[0][2], zs[0][4]], [zs[1][0], zs[1][2], zs[1][4]]]
+        (x11, x12, x13), (x21, x22, x23) = self.x
+        _require_units(fb, (x11, x12, x21, x22, x13))
+        self.lam1 = fb.div(fb.mul(x21, x12), fb.mul(x11, x22))
+        self.lam2 = fb.div(fb.mul(x21, x13), x11)
+        if self.lam1 == 1:
+            raise ValueError("general position violated")
+        return (x11, x22, x21, x12, x13)
 
-    def build(self, sym) -> Isomorphism:
+
+def _pair_perm_q(sigma):
+    """diag(P_sigma, P_sigma): sigma swaps both pairs of unit coordinates."""
+    P = perm_matrix(sigma)
+    n = len(P)
+    Q = imat_zero(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            Q[i][j] = Q[n + i][n + j] = P[i][j]
+    return Q
+
+
+class Phi3Context(SymmetryContext):
+    """4 unit + 2 Artin-Schreier coordinates; symmetries (sigma in S_2, c1, c2).
+
+    sigma swaps the two column pairs of z; c_k scales the second column of
+    pair k."""
+
+    params = ("lam1", "lam2")
+    variety_of = Humbert3
+    pivots = (1, 3)
+    blocks = ((1, 2), (3, 4))
+    as_cols = (2, 4)
+    q_recipe = staticmethod(_pair_perm_q)
+
+    @staticmethod
+    def seed_x(field, lam1, lam2):
+        return [[1, 1, field.div(lam2, lam1)], [1, lam1, 1]]
+
+    def _parse(self):
         fb = self.field
-        sigma, (c1, c2) = sym
-        tgt = Phi3Context(fb, x=self.transformed(sym))
-        Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        src_v, tgt_v = self.variety(), tgt.variety()
-        inv = invert_perm(sigma)
-        transport = CharTransport(
-            source=src_v,
-            target=tgt_v,
-            Q=Q,
-            d_elem=dtw + (0, 0),
-            add_perm=inv,
-            add_twists=(c1, c2),
-        )
-        pm = None
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            cs = (c1, c2)
-            add_mat = [[0, 0], [0, 0]]
-            for j in range(2):
-                add_mat[sigma[j]][j] = cs[sigma[j]]
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=4,
-                n_add=2,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-                add_mat=add_mat,
-            )
-        return Isomorphism(self, tgt, sym, pm, transport)
+        (x11, x12, x13), (x21, x22, x23) = self.x
+        _require_units(fb, (x21, x11, x22, x13))
+        self.lam1 = fb.div(fb.mul(x11, x22), x21)
+        self.lam2 = fb.mul(x22, x13)
+        return (x21, x11, x22, x13)
 
 
 @lru_cache(maxsize=None)
@@ -1970,41 +1842,53 @@ def _fa_matrices(m: int):
     return theta0, Ts, rhos, _gauge_last_matrix(cols)
 
 
-class FAContext:
+def _fa_swaps(m: int):
+    """The 2^n column swaps u_j <-> v_j."""
+    out = []
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(1, m + 1), size) for size in range(m + 1)
+    ):
+        sigma = list(range(2 * m + 2))
+        for j in subset:
+            sigma[j], sigma[m + 1 + j] = sigma[m + 1 + j], sigma[j]
+        out.append(tuple(sigma))
+    return out
+
+
+class FAContext(SymmetryContext):
     """3n+1 unit coordinates; symmetries: the 2^n column swaps u_j <-> v_j."""
 
-    def __init__(self, field: Field, lams=None, x=None):
-        self.field = field
-        if x is None:
-            if lams is None:
-                raise ValueError("need lams or x")
-            lams = tuple(lams)
-            m = len(lams)
-            x = imat_zero(m + 1, m + 1)
-            x[0][0] = 1
-            for i in range(1, m + 1):
-                x[i][i] = 1
-                x[i][0] = 1
-                x[0][i] = lams[i - 1]
-        self.x = [list(row) for row in x]
-        self.m = len(self.x) - 1
-        m, fb = self.m, field
+    params = ("lams",)
+    variety_of = staticmethod(lambda field, lams: LauricellaA(field, len(lams), lams))
+    perm_group = staticmethod(_fa_swaps)
+    matrices = staticmethod(_fa_matrices)
+
+    @staticmethod
+    def seed_x(field, lams):
+        m = len(lams)
+        x = imat_zero(m + 1, m + 1)
+        x[0][0] = 1
+        for i in range(1, m + 1):
+            x[i][i] = 1
+            x[i][0] = 1
+            x[0][i] = lams[i - 1]
+        return x
+
+    def _parse(self):
+        fb, x, m = self.field, self.x, self.m
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                if i != j and self.x[i][j] != 0:
+                if i != j and x[i][j] != 0:
                     raise ValueError("general position violated")
         _require_units(
             fb,
-            [self.x[0][0]]
-            + [self.x[i][i] for i in range(1, m + 1)]
-            + [self.x[i][0] for i in range(1, m + 1)]
-            + [self.x[0][i] for i in range(1, m + 1)],
+            [x[0][0]]
+            + [x[i][i] for i in range(1, m + 1)]
+            + [x[i][0] for i in range(1, m + 1)]
+            + [x[0][i] for i in range(1, m + 1)],
         )
         self.lams = tuple(
-            fb.div(
-                fb.mul(self.x[0][i], self.x[i][0]),
-                fb.mul(self.x[0][0], self.x[i][i]),
-            )
+            fb.div(fb.mul(x[0][i], x[i][0]), fb.mul(x[0][0], x[i][i]))
             for i in range(1, m + 1)
         )
         for size in range(1, m + 1):
@@ -2014,78 +1898,22 @@ class FAContext:
                     s = fb.add(s, lam)
                 if s == 1:
                     raise ValueError("general position violated")
-        self.d_x = (
-            (self.x[0][0],)
-            + tuple(self.x[i][0] for i in range(1, m + 1))
-            + tuple(self.x[i][i] for i in range(1, m + 1))
-            + tuple(self.x[0][i] for i in range(1, m + 1))
+        return (
+            (x[0][0],)
+            + tuple(x[i][0] for i in range(1, m + 1))
+            + tuple(x[i][i] for i in range(1, m + 1))
+            + tuple(x[0][i] for i in range(1, m + 1))
         )
-        self.z = [
-            row + [1 if i == j else 0 for j in range(m + 1)]
-            for i, row in enumerate(self.x)
-        ]
 
-    def variety(self) -> LauricellaA:
-        return LauricellaA(self.field, self.m, self.lams)
 
-    def ext_degree(self) -> int:
-        return self.field.N
-
-    def symmetries(self):
-        m = self.m
-        out = []
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(1, m + 1), size) for size in range(m + 1)
-        ):
-            sigma = list(range(2 * m + 2))
-            for j in subset:
-                sigma[j], sigma[m + 1 + j] = sigma[m + 1 + j], sigma[j]
-            out.append(tuple(sigma))
-        return out
-
-    @staticmethod
-    def compose_sym(s1, s2):
-        return compose_perms(s1, s2)
-
-    def q_matrix(self, sigma):
-        theta0, Ts, rhos, M = _fa_matrices(self.m)
-        P = perm_matrix(sigma)
-        base = imat_mul(imat_mul(theta0, P), M)
-        Q = imat_zero(3 * self.m + 1, 3 * self.m + 1)
-        for T, rho in zip(Ts, rhos):
-            Q = imat_add(Q, imat_mul(imat_add(base, T), rho))
-        return Q
-
-    def transformed(self, sigma):
-        fb = self.field
-        m = self.m
-        A = _field_perm_cols(fb, self.z, sigma)
-        zs = _normalize(fb, A, tuple(range(m + 1, 2 * m + 2)))
-        return [row[: m + 1] for row in zs]
-
-    def build(self, sigma) -> Isomorphism:
-        fb = self.field
-        m = self.m
-        tgt = FAContext(fb, x=self.transformed(sigma))
-        Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        src_v, tgt_v = self.variety(), tgt.variety()
-        transport = CharTransport(source=src_v, target=tgt_v, Q=Q, d_elem=dtw)
-        pm = None
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:
-            ext = None
-        if ext is not None:
-            pm = PointMap(
-                source=src_v,
-                target=tgt_v,
-                ext_r=self.ext_degree(),
-                n_mult=3 * m + 1,
-                Q=Q,
-                scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-            )
-        return Isomorphism(self, tgt, sigma, pm, transport)
+FAMILIES = {
+    "gauss": GaussContext,
+    "kummer": KummerContext,
+    "fd": FDContext,
+    "phi1": Phi1Context,
+    "phi3": Phi3Context,
+    "fa": FAContext,
+}
 
 
 def build_iso(family: str, field: Field, symmetry, **params) -> Isomorphism:
@@ -2095,24 +1923,12 @@ def build_iso(family: str, field: Field, symmetry, **params) -> Isomorphism:
 
 
 def make_context(family: str, field: Field, **params):
-    table = {
-        "gauss": GaussContext,
-        "kummer": KummerContext,
-        "fd": FDContext,
-        "phi1": Phi1Context,
-        "phi3": Phi3Context,
-        "fa": FAContext,
-    }
-    if family not in table:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return table[family](field, **params)
+    return FAMILIES[family](field, **params)
 
 
 # -- general-family isomorphisms --------------------------------------------
-
-
-def _neutral_element(v: Variety):
-    return v.identity_element()
 
 
 def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
@@ -2131,7 +1947,7 @@ def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
         n_s=v.d,
         s_mat=ginv,
     )
-    transport = CharTransport(source=v, target=target, d_elem=_neutral_element(target))
+    transport = CharTransport(source=v, target=target, d_elem=target.identity_element())
     return Isomorphism(v, target, ("Lg", tuple(map(tuple, g))), pm, transport)
 
 
@@ -2228,7 +2044,7 @@ def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
             w_action_on_char(groupchar_to_hdelta(v.delta, chi, psi), w)
         )
 
-    transport = CharTransport(source=v, target=target, d_elem=_neutral_element(target))
+    transport = CharTransport(source=v, target=target, d_elem=target.identity_element())
     transport.chi_map = chi_map
     return Isomorphism(v, target, ("fw", w), pm, transport)
 

@@ -152,6 +152,24 @@ def test_iso_kummer_full_check(runner):
     assert data["verify"]["checked"] > 0
 
 
+def test_iso_unit_part_is_a_field_code(runner):
+    # over F_4 the code 2 is a unit, not the integer 2 = 0
+    data = _json(runner.invoke(main, [
+        "iso", "--family", "kummer", "--q", "4", "--lam", "2",
+        "--c", "2", "--sample", "6", "--no-check"]))
+    assert data["symmetry"] == "((0, 1), 2)"
+    assert data["transport"]["pass"] is True
+
+
+def test_iso_rejects_non_unit_part(runner):
+    for args in (["--family", "kummer", "--q", "4", "--lam", "2", "--c", "0"],
+                 ["--family", "phi3", "--q", "3", "--lam1", "2", "--lam2", "2",
+                  "--c2", "3"]):
+        result = runner.invoke(main, ["iso", *args])
+        assert result.exit_code == 2, result.output
+        assert "not a unit" in json.loads(result.output)["error"]
+
+
 def test_verify_suite_passes(runner):
     result = runner.invoke(main, ["verify", "--suite", "gauss-sums"])
     assert result.exit_code == 0, result.output

@@ -93,17 +93,18 @@ def test_trace_additive_and_surjective():
     assert traces == {0, 1, 2}
 
 
-def test_extension_embed_is_homomorphism():
-    f = build_field(3)
-    ext = extend(f, 2)
-    assert ext.field.q == 9
+@pytest.mark.parametrize("q,r", [(3, 2), (5, 2), (5, 4), (7, 2), (8, 2), (9, 2)])
+def test_extension_embed_is_homomorphism(q, r):
+    f = build_field_q(q)
+    ext = extend(f, r)
+    assert ext.field.q == q**r
     for a in f.elements():
         for b in f.elements():
             assert ext.embed(f.mul(a, b)) == ext.field.mul(ext.embed(a), ext.embed(b))
             assert ext.embed(f.add(a, b)) == ext.field.add(ext.embed(a), ext.embed(b))
     # embedded generator keeps its order
-    d = ext.field.dlog[ext.embed(2)]
-    assert (2 * d) % ext.field.N == 0 and d != 0
+    d = ext.field.dlog[ext.embed(f.generator)]
+    assert (f.N * d) % ext.field.N == 0 and d != 0
 
 
 def test_trivial_extension_is_identity():

@@ -389,6 +389,23 @@ def test_fd_m2_transports_and_verify():
     assert rep["checked"] == 4096
 
 
+@pytest.mark.parametrize(
+    "family,params,sym,checked",
+    [
+        ("gauss", dict(lam=2), (0, 2, 1, 3), 2560),
+        ("fd", dict(lams=(2, 3)), (0, 1, 3, 2, 4), 4096),
+        ("fa", dict(lams=(2,)), (0, 3, 2, 1), 2560),
+    ],
+)
+def test_point_maps_across_fermat_pairs_q5(family, params, sym, checked):
+    # these symmetries move a coordinate between Fermat pairs; over F_5 their
+    # points only land on the target when the base field embeds additively
+    iso = make_context(family, build_field_q(5), **params).build(sym)
+    rep = verify_iso(iso)
+    assert rep["pass"], rep["failures"]
+    assert rep["checked"] == checked > 0
+
+
 def test_fd_general_position_validation():
     f = build_field(3)
     with pytest.raises(ValueError, match="general position"):

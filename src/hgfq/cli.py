@@ -375,16 +375,22 @@ def count_cmd(q, p, e, cap, family, m, n, lam, lams, lam1, lam2, delta, z_text,
 
 
 def _parse_sigma(text, arity):
-    vals = _parse_ints(text)
+    try:
+        vals = _parse_ints(text)
+    except ValueError:
+        raise click.UsageError("--sigma takes integers") from None
+    # two values are always a 1-based transposition, also when arity is 2
+    if len(vals) == 2:
+        i, j = (x - 1 for x in vals)
+        if not (0 <= i < arity and 0 <= j < arity):
+            raise click.UsageError(f"--sigma indices must lie in 1..{arity}")
+        sigma = list(range(arity))
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+        return tuple(sigma)
     if len(vals) == arity and sorted(vals) == list(range(arity)):
         return tuple(vals)
     if len(vals) == arity and sorted(vals) == list(range(1, arity + 1)):
         return tuple(x - 1 for x in vals)
-    if len(vals) == 2:
-        i, j = (x - 1 for x in vals)
-        sigma = list(range(arity))
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-        return tuple(sigma)
     raise click.UsageError("--sigma must be a transposition 'i j' or a full permutation")
 
 
@@ -395,7 +401,8 @@ def _parse_sigma(text, arity):
 @click.option("--lams", default=None)
 @click.option("--lam1", type=int, default=None)
 @click.option("--lam2", type=int, default=None)
-@click.option("--sigma", default=None, help="permutation part of the symmetry")
+@click.option("--sigma", default=None,
+              help="permutation part of the symmetry: a 1-based transposition 'i j' or a full permutation")
 @click.option("--c", type=int, default=1, help="unit part (kummer/phi1)")
 @click.option("--c1", type=int, default=1, help="first unit part (phi3)")
 @click.option("--c2", type=int, default=1, help="second unit part (phi3)")

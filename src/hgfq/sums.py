@@ -11,6 +11,12 @@ Jacobi sums of up to three characters are computed by direct enumeration
 (and the product formula is cross-checked in tests); longer tuples use the
 product formula to avoid a q^(n-1) blowup.  Gauss sums are memoized per
 (field, psi, character).
+
+Both enumerations sum exponent histograms: every term is a root of unity,
+so a sum is one integer vector indexed by the term's exponent, reduced to
+canonical form once.  For g(eta) with eta = chi_j and psi = psi_a over F_q
+(q = p^e, N = q - 1) the term at x is zeta_(pN)^(Tr(a x) N + j dlog(x) p);
+for a Jacobi sum the term at (x_1..x_n) is zeta_N^(sum j_i dlog(x_i)).
 """
 
 from __future__ import annotations
@@ -29,10 +35,13 @@ def gauss(eta: MulChar, psi: AddChar) -> Cyclo:
     if eta.field != psi.field:
         raise ValueError("characters over different fields")
     f = eta.field
-    total = Cyclo.zero()
+    p, N = f.p, max(f.N, 1)
+    M = p * N
+    a, jp, dlog = psi.a, eta.j * p, f.dlog
+    hist = [0] * M
     for x in f.units():
-        total = total + psi.eval(x) * eta.eval(x)
-    return -total
+        hist[(f.trace_to_prime(f.mul(a, x)) * N + jp * dlog[x]) % M] -= 1
+    return Cyclo(M, hist)
 
 
 def gauss_circ(eta: MulChar, psi: AddChar) -> Cyclo:
@@ -62,20 +71,21 @@ def jacobi_direct(*etas: MulChar) -> Cyclo:
     f = etas[0].field
     if any(e.field != f for e in etas):
         raise ValueError("characters over different fields")
-    total = Cyclo.zero()
+    N = max(f.N, 1)
+    js, dlog, units = [e.j for e in etas], f.dlog, list(f.units())
+    sign = 1 if n % 2 else -1
+    hist = [0] * N
 
-    def rec(i: int, remaining: int, acc: Cyclo):
-        nonlocal total
+    def rec(i: int, remaining: int, exp: int):
         if i == n - 1:
             if remaining != 0:
-                total = total + acc * etas[i].eval(remaining)
+                hist[(exp + js[i] * dlog[remaining]) % N] += sign
             return
-        for x in f.units():
-            rest = f.sub(remaining, x)
-            rec(i + 1, rest, acc * etas[i].eval(x))
+        for x in units:
+            rec(i + 1, f.sub(remaining, x), exp + js[i] * dlog[x])
 
-    rec(0, 1, Cyclo.integer(1))
-    return total if n % 2 else -total
+    rec(0, 1, 0)
+    return Cyclo(N, hist)
 
 
 def jacobi_product_formula(*etas: MulChar, psi: AddChar | None = None) -> Cyclo:

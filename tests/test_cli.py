@@ -152,6 +152,18 @@ def test_iso_kummer_full_check(runner):
     assert data["verify"]["checked"] > 0
 
 
+def test_iso_two_values_are_a_transposition_at_arity_two(runner):
+    for family, params in (("kummer", ["--lam", "2"]), ("phi3", ["--lam1", "2", "--lam2", "2"])):
+        data = _json(runner.invoke(main, [
+            "iso", "--family", family, "--q", "3", *params, "--sigma", "1 2", "--no-check"]))
+        assert data["symmetry"].startswith("((1, 0), ")
+    for sigma in ("1 3", "0 1", "a b"):
+        result = runner.invoke(main, [
+            "iso", "--family", "kummer", "--q", "3", "--lam", "2", "--sigma", sigma])
+        assert result.exit_code == 2, result.output
+        assert "--sigma" in result.output and "Traceback" not in result.output
+
+
 def test_iso_unit_part_is_a_field_code(runner):
     # over F_4 the code 2 is a unit, not the integer 2 = 0
     data = _json(runner.invoke(main, [

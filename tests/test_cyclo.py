@@ -2,10 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgfq.cyclo import Cyclo, cyclotomic_poly, zeta
+from hgfq import cyclo
+from hgfq.cyclo import _SPARSE_TERMS, Cyclo, _canonicalize, _mul_packed, cyclotomic_poly, zeta
 
 
 def test_cyclotomic_polys():
@@ -15,6 +20,13 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polys_match_sympy():
+    x = sympy.Symbol("x")
+    for m in [*range(1, 106), 272, 342, 506, 812, 930, 1155]:
+        expect = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_poly(m) == tuple(int(c) for c in reversed(expect)), m
 
 
 def test_primitive_cube_roots_sum():
@@ -119,3 +131,144 @@ def test_json_shape():
     js = (zeta(3, 2) - zeta(3)).to_json()
     assert js["m"] == 3 and js["den"] == 1
     assert len(js["num"]) == 3
+
+
+# -- the packed product and the sparse reduction against schoolbook code ------
+
+# small conductors, and the conductors p(q-1) of the prime fields q = 17..31
+CONDUCTORS = [1, 2, 3, 4, 7, 12, 30, 42, 110, 272, 342, 506, 812, 930]
+
+
+def schoolbook_mul(a, b):
+    """a * b mod x^m - 1, one term pair at a time."""
+    m = len(a)
+    v = [0] * m
+    for i in range(m):
+        for j in range(m):
+            v[(i + j) % m] += a[i] * b[j]
+    return v
+
+
+def schoolbook_canonical(m, num, den):
+    """Remainder mod Phi_m over every coefficient of Phi_m, then the gcd out."""
+    phi = cyclotomic_poly(m)
+    d = len(phi) - 1
+    num = list(num)
+    for i in range(m - 1, d - 1, -1):
+        c = num[i]
+        num[i] = 0
+        for j in range(d):
+            num[i - d + j] -= c * phi[j]
+    f = [Fraction(c, den) for c in num]
+    den = lcm(*(c.denominator for c in f))
+    return [int(c * den) for c in f], den
+
+
+@st.composite
+def vectors(draw, m, shape=None):
+    """A coefficient vector of length m: zero, a monomial, sparse or dense,
+    with entries of either sign up to 2^bits (bits up to 130)."""
+    shape = shape or draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
+    bits = draw(st.sampled_from([1, 8, 30, 66, 130]))
+    rnd = draw(st.randoms(use_true_random=False))
+    nonzero = {"zero": 0, "monomial": 1, "sparse": min(m, _SPARSE_TERMS),
+               "dense": m}[shape]
+    if shape == "sparse":
+        nonzero = draw(st.integers(min(m, 2), nonzero))
+    elif shape == "dense":
+        nonzero = draw(st.integers(min(m, _SPARSE_TERMS + 1), m))
+    v = [0] * m
+    for i in rnd.sample(range(m), nonzero):
+        v[i] = rnd.choice((-1, 1)) * rnd.randrange(1, 1 << bits)
+    return v
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_packed_product_matches_schoolbook(data):
+    m = data.draw(st.sampled_from(CONDUCTORS))
+    a, b = data.draw(vectors(m)), data.draw(vectors(m))
+    terms = min(m - a.count(0), m - b.count(0))
+    assert _mul_packed(a, b, terms) == schoolbook_mul(a, b)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_product_matches_schoolbook_on_both_paths(data):
+    m = data.draw(st.sampled_from(CONDUCTORS))
+    sa = data.draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
+    sb = data.draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
+    a = Cyclo(m, data.draw(vectors(m, sa)), data.draw(st.integers(1, 1 << 70)))
+    b = Cyclo(m, data.draw(vectors(m, sb)), data.draw(st.integers(1, 1 << 70)))
+    num, den = schoolbook_canonical(m, schoolbook_mul(list(a.num), list(b.num)), a.den * b.den)
+    for prod in (a * b, b * a):
+        assert (prod.m, list(prod.num), prod.den) == (m, num, den)
+
+
+@pytest.mark.parametrize("word_packing", [True, False])
+@pytest.mark.parametrize("m", [30, 272])
+def test_packed_product_every_slot_width(monkeypatch, m, word_packing):
+    # slots of 2 to 11 bytes, packed through machine words (up to 8 bytes)
+    # or one to_bytes/from_bytes per coefficient
+    monkeypatch.setattr(cyclo, "_WORD_PACKING", word_packing and cyclo._WORD_PACKING)
+    rng = random.Random(m)
+    for kb in range(1, 12):
+        bits = (8 * kb - 2 - m.bit_length()) // 2
+        if bits < 1:
+            continue
+        a = [rng.choice((-1, 1)) * rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(m)]
+        b = [rng.choice((-1, 1)) * rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(m)]
+        assert _mul_packed(a, b, m) == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("m", [42, 272, 930])
+def test_product_dispatch_boundary(m):
+    # reduced operands with _SPARSE_TERMS and _SPARSE_TERMS + 1 nonzero terms
+    rng = random.Random(m)
+    dense = Cyclo(m, [rng.randrange(-9, 10) for _ in range(m)])
+    for terms in (_SPARSE_TERMS, _SPARSE_TERMS + 1):
+        v = [0] * m
+        for i in rng.sample(range(len(cyclotomic_poly(m)) - 1), terms):
+            v[i] = rng.randrange(1, 1 << 65)
+        a = Cyclo(m, v)
+        assert m - a.num.count(0) == terms
+        num, den = schoolbook_canonical(m, schoolbook_mul(list(a.num), list(dense.num)), 1)
+        prod = a * dense
+        assert (list(prod.num), prod.den) == (num, den)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_canonical_form_matches_sympy_remainder(data):
+    m = data.draw(st.sampled_from(CONDUCTORS))
+    v = data.draw(vectors(m))
+    num, den = _canonicalize(m, list(v), 1)
+    x = sympy.Symbol("x")
+    rem = sympy.rem(sympy.Poly(list(reversed(v)), x), sympy.Poly(sympy.cyclotomic_poly(m, x), x))
+    expect = [int(c) for c in reversed(rem.all_coeffs())]
+    assert den == 1
+    assert num == expect + [0] * (m - len(expect))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_canonical_form_matches_schoolbook(data):
+    m = data.draw(st.sampled_from(CONDUCTORS))
+    v = data.draw(vectors(m))
+    den = data.draw(st.integers(1, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
+    assert _canonicalize(m, list(v), den) == schoolbook_canonical(m, v, den)
+
+
+def test_equality_fast_paths(monkeypatch):
+    a = Cyclo(12, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], 6)
+    assert a == Cyclo(12, list(a.num), a.den)
+    assert a != Cyclo(12, list(a.num), a.den + 1)
+    assert a == a.lift(60) and a.lift(60) == a
+    assert a != a.lift(60) + Cyclo.integer(1)
+    five, zero, z3 = Cyclo.integer(5, 12), Cyclo.zero(30), zeta(3)
+    # comparing with an int builds no Cyclo
+    monkeypatch.setattr(Cyclo, "__init__", None)
+    assert five == 5 and 5 == five
+    assert five != 4 and five != -5
+    assert zero == 0 and zero != 1
+    assert a != 0 and z3 != 1

@@ -1,10 +1,11 @@
 """Oracle tests for Gauss/Jacobi sums and the Pochhammer-style ratios."""
 
 import itertools
+import random
 
 import pytest
 
-from hgfq.chars import MulChar, enumerate_mulchars, standard_psi, trivial_char
+from hgfq.chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from hgfq.cyclo import Cyclo, zeta
 from hgfq.ffield import build_field, build_field_q
 from hgfq.sums import (
@@ -145,3 +146,55 @@ def test_jacobi_arity_validation():
     f = build_field(3)
     with pytest.raises(ValueError):
         jacobi(MulChar(f, 1))
+
+
+# -- the histogram sums against their defining sums ---------------------------
+
+
+def _gauss_by_definition(eta, psi):
+    total = Cyclo.zero()
+    for x in eta.field.units():
+        total = total + psi.eval(x) * eta.eval(x)
+    return -total
+
+
+def _jacobi_by_definition(*etas):
+    f, n = etas[0].field, len(etas)
+    total = Cyclo.zero()
+    for xs in itertools.product(list(f.units()), repeat=n - 1):
+        last = 1
+        for x in xs:
+            last = f.sub(last, x)
+        if last:
+            term = Cyclo.integer(1)
+            for e, x in zip(etas, xs + (last,)):
+                term = term * e.eval(x)
+            total = total + term
+    return total if n % 2 else -total
+
+
+def _same(a, b):
+    return (a.m, a.num, a.den) == (b.m, b.num, b.den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_gauss_histogram_matches_definition(q):
+    f = build_field_q(q)
+    units = list(f.units())
+    for a in dict.fromkeys([1, units[len(units) // 2], units[-1]]):
+        psi = AddChar(f, a)
+        for eta in enumerate_mulchars(f):
+            assert _same(gauss(eta, psi), _gauss_by_definition(eta, psi)), (q, a, eta)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_jacobi_histogram_matches_definition(q):
+    f = build_field_q(q)
+    chars = enumerate_mulchars(f)
+    for pair in itertools.product(chars, repeat=2):
+        assert _same(jacobi_direct(*pair), _jacobi_by_definition(*pair)), pair
+    triples = list(itertools.product(chars, repeat=3))
+    if len(triples) > 125:
+        triples = random.Random(q).sample(triples, 125)
+    for triple in triples:
+        assert _same(jacobi_direct(*triple), _jacobi_by_definition(*triple)), triple

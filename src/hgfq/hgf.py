@@ -1,16 +1,35 @@
 """
 Hypergeometric character sums over a finite field.
 
-Evaluators for the one-variable series F(upper; lower; lambda), the
-Appell-Lauricella families F_A/F_B/F_C/F_D, and the Humbert confluent
-families Phi_1/Phi_2/Phi_3, all as exact normalized character sums:
+Every series here is one Horn-type character sum in Greene's normalisation.
+It is described by a list of terms (a, c, upper) over n summed characters
+nu_1..nu_n and the arguments lambda_1..lambda_n:
 
-    F(a_1..a_m; b_1..b_(n+1); lambda) =
-        1/(1-q) * sum over nu of
-            prod (a_i)_nu / prod (b_j)_nu-circ * nu(lambda).
+    sum over nu_1..nu_n of  prod over upper terms (a)_(nu^c)
+                          * prod over lower terms 1/(a)°_(nu^c)
+                          * prod nu_i(lambda_i),
+
+where c is an integer vector and nu^c = nu_1^c_1 ... nu_n^c_n.  With
+nu_i = chi_(j_i), nu^c is chi_(c.j), so the evaluator groups the terms by c
+(nu_i(lambda_i) joins the group of the unit vector e_i), tabulates each
+group's product once over Z/N, and sums prod over groups table_c[c.j] over
+j in (Z/N)^n, skipping every j at which an entry is zero.
+
+The callers only build term lists and normalize:
+
+ - the one-variable series F(a_1..a_m; b_1..b_(n+1); lambda): every a_i
+   upper and every b_j lower at c = (1,), times 1/(1-q);
+ - the Appell-Lauricella families F_A/F_B/F_C/F_D in n variables: each
+   parameter is one character at c = (1..1) or n characters at e_1..e_n
+   (`_LAURICELLA`), times 1/(1-q)^n;
+ - the Humbert confluent families Phi_1/Phi_2/Phi_3 over (mu, nu): the upper
+   characters as in `_HUMBERT`, gamma at (1, 1) and delta at e_1, e_2,
+   times 1/(1-q)^2;
+ - the four convolution ("iteration") transforms, whose sum also carries
+   the Fourier coefficient f-hat of each character tuple.
 
 Also here: the discrete Fourier transform on (k*)^n with its inversion,
-four convolution ("iteration") transforms, shift of parameters into
+the right-hand sides of the iteration transforms, shift of parameters into
 classical notation, and the upper/lower inverse relation.
 """
 
@@ -18,11 +37,64 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from .cyclo import Cyclo
 from .ffield import Field
 from .sums import gauss, jacobi, pochhammer
+
+
+def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
+    """(a)_nu for an upper term, 1/(a)°_nu for a lower one."""
+    if upper:
+        return pochhammer(a, nu, psi)
+    # division-free: 1/(a)°_nu = (a-bar)_(nu-bar) nu(-1) by the reflection identity
+    return pochhammer(a.inverse(), nu.inverse(), psi) * nu.eval(a.field.neg(1))
+
+
+def _unit_vectors(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+
+def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
+    """The Horn sum of the module docstring, unnormalized.
+
+    terms: (character, combination vector c, upper) triples; weights, if
+    given, maps each tuple j of character indices to a coefficient.
+    """
+    f = psi.field
+    if not all(lam in f.elements() for lam in lams):
+        raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {tuple(lams)}")
+    N, n = max(f.N, 1), len(lams)
+    args = dict(zip(_unit_vectors(n), lams))
+    groups = {c: [] for c in args}
+    for a, c, upper in terms:
+        groups.setdefault(tuple(c), []).append((a, upper))
+    tables = [(c, _table(members, args.get(c), psi)) for c, members in groups.items()]
+    total = Cyclo.zero()
+    for js in itertools.product(range(N), repeat=n):
+        entries = [table[sum(map(mul, c, js)) % N] for c, table in tables]
+        if weights is not None:
+            w = weights[js]
+            entries.append(None if w.is_zero() else w)
+        if all(x is not None for x in entries):
+            total = total + reduce(mul, entries)
+    return total
+
+
+def _table(members, lam, psi: AddChar) -> list:
+    """One group's product at each character chi_0..chi_(N-1); None where it is zero."""
+    table = []
+    for nu in enumerate_mulchars(psi.field):
+        factors = [] if lam is None else [nu.eval(lam)]
+        if factors and factors[0].is_zero():
+            table.append(None)
+            continue
+        factors += [_factor(a, nu, upper, psi) for a, upper in members]
+        table.append(reduce(mul, factors))
+    return table
 
 
 @dataclass(frozen=True)
@@ -52,33 +124,10 @@ def params(upper, lower, psi=None, classical=False) -> HgfParams:
     return HgfParams(tuple(upper), lower, psi)
 
 
-def _term(p: HgfParams, nu: MulChar) -> Cyclo:
-    t = Cyclo.integer(1)
-    for a in p.upper:
-        t = t * pochhammer(a, nu, p.psi)
-    # division-free: multiply by the exact reciprocal computed via the
-    # reflection identity rather than generic inversion
-    for b in p.lower:
-        t = t * _poch_circ_reciprocal(b, nu, p.psi)
-    return t
-
-
-def _poch_circ_reciprocal(b: MulChar, nu: MulChar, psi: AddChar) -> Cyclo:
-    # 1/(b)_nu-circ = (b-bar)_(nu-bar) * nu(-1)  by the reflection identity
-    f = b.field
-    return pochhammer(b.inverse(), nu.inverse(), psi) * nu.eval(f.neg(1))
-
-
 def hgf_eval(p: HgfParams, lam: int) -> Cyclo:
     """The one-variable hypergeometric sum at lambda (field element code)."""
-    f = p.field
-    total = Cyclo.zero()
-    for nu in enumerate_mulchars(f):
-        v = nu.eval(lam)
-        if v.is_zero():
-            continue
-        total = total + _term(p, nu) * v
-    return total / (1 - f.q)
+    terms = [(a, (1,), True) for a in p.upper] + [(b, (1,), False) for b in p.lower]
+    return _horn(terms, (lam,), p.psi) / (1 - p.field.q)
 
 
 def mfn(upper, lower, lam, psi=None) -> Cyclo:
@@ -86,12 +135,22 @@ def mfn(upper, lower, lam, psi=None) -> Cyclo:
     return hgf_eval(params(upper, lower, psi, classical=True), lam)
 
 
+# Per kind, whether alpha, beta (upper) and gamma, delta (lower) are one
+# character at c = (1..1) ("1") or n characters at c = e_1..e_n ("n").
+_LAURICELLA = {
+    "A": ("1", "n", "n", "n"),
+    "B": ("n", "n", "1", "n"),
+    "C": ("1", "1", "n", "n"),
+    "D": ("1", "n", "1", "n"),
+}
+
+
 @dataclass(frozen=True)
 class LauricellaParams:
-    kind: str  # 'A' | 'B' | 'C' | 'D'
-    alpha: tuple[MulChar, ...]  # one char for A/C/D; n chars for B
-    beta: tuple[MulChar, ...]  # n chars for A/B/D; one char for C
-    gamma: tuple[MulChar, ...]  # n for A/C; one for B/D
+    kind: str  # 'A' | 'B' | 'C' | 'D'; the character counts are in _LAURICELLA
+    alpha: tuple[MulChar, ...]
+    beta: tuple[MulChar, ...]
+    gamma: tuple[MulChar, ...]
     delta: tuple[MulChar, ...]  # n chars
     psi: AddChar
 
@@ -104,63 +163,43 @@ class LauricellaParams:
         return self.psi.field
 
 
+def _lauricella_terms(p: LauricellaParams) -> list:
+    if p.kind not in _LAURICELLA:
+        raise ValueError(f"unknown kind {p.kind!r}")
+    shape, n = _LAURICELLA[p.kind], p.n
+    chars = (p.alpha, p.beta, p.gamma, p.delta)
+    counts = [len(c) for c in chars]
+    if n < 1 or counts != [1 if s == "1" else n for s in shape]:
+        names = ("alpha", "beta", "gamma", "delta")
+        want = ", ".join(f"{s} {x}" for s, x in zip(shape, names))
+        got = ", ".join(f"{k} {x}" for k, x in zip(counts, names))
+        raise ValueError(f"F_{p.kind} takes {want} characters with n = len(delta) >= 1; got {got}")
+    terms = []
+    for group, s, upper in zip(chars, shape, (True, True, False, False)):
+        cs = [(1,) * n] if s == "1" else _unit_vectors(n)
+        terms += [(a, c, upper) for a, c in zip(group, cs)]
+    return terms
+
+
 def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...]) -> Cyclo:
-    n = p.n
-    if len(lams) != n:
+    terms = _lauricella_terms(p)
+    if len(lams) != p.n:
         raise ValueError("wrong number of arguments")
-    f = p.field
-    psi = p.psi
-    total = Cyclo.zero()
-    for nus in itertools.product(enumerate_mulchars(f), repeat=n):
-        lamval = Cyclo.integer(1)
-        zero = False
-        for nu, lam in zip(nus, lams):
-            v = nu.eval(lam)
-            if v.is_zero():
-                zero = True
-                break
-            lamval = lamval * v
-        if zero:
-            continue
-        nu_prod = nus[0]
-        for nu in nus[1:]:
-            nu_prod = nu_prod * nu
-        t = lamval
-        if p.kind == "A":
-            t = t * pochhammer(p.alpha[0], nu_prod, psi)
-            for b, nu in zip(p.beta, nus):
-                t = t * pochhammer(b, nu, psi)
-            for g, nu in zip(p.gamma, nus):
-                t = t * _poch_circ_reciprocal(g, nu, psi)
-        elif p.kind == "B":
-            for a, nu in zip(p.alpha, nus):
-                t = t * pochhammer(a, nu, psi)
-            for b, nu in zip(p.beta, nus):
-                t = t * pochhammer(b, nu, psi)
-            t = t * _poch_circ_reciprocal(p.gamma[0], nu_prod, psi)
-        elif p.kind == "C":
-            t = t * pochhammer(p.alpha[0], nu_prod, psi)
-            t = t * pochhammer(p.beta[0], nu_prod, psi)
-            for g, nu in zip(p.gamma, nus):
-                t = t * _poch_circ_reciprocal(g, nu, psi)
-        elif p.kind == "D":
-            t = t * pochhammer(p.alpha[0], nu_prod, psi)
-            for b, nu in zip(p.beta, nus):
-                t = t * pochhammer(b, nu, psi)
-            t = t * _poch_circ_reciprocal(p.gamma[0], nu_prod, psi)
-        else:
-            raise ValueError(f"unknown kind {p.kind!r}")
-        for d, nu in zip(p.delta, nus):
-            t = t * _poch_circ_reciprocal(d, nu, psi)
-        total = total + t
-    return total / (1 - f.q) ** n
+    return _horn(terms, lams, p.psi) / (1 - p.field.q) ** p.n
 
 
 def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
     chars = list(alpha) + list(beta) + list(gamma) + list(delta)
+    if not chars:
+        raise ValueError("no characters given")
     psi = psi or standard_psi(chars[0].field)
     p = LauricellaParams(kind, tuple(alpha), tuple(beta), tuple(gamma), tuple(delta), psi)
     return lauricella_eval(p, tuple(lams))
+
+
+# Per kind, the combinations of (mu, nu) of the upper characters; gamma sits
+# at (1, 1) and delta_1, delta_2 at (1, 0), (0, 1) in every kind.
+_HUMBERT = {1: ((1, 1), (1, 0)), 2: ((1, 0), (0, 1)), 3: ((1, 0),)}
 
 
 @dataclass(frozen=True)
@@ -176,39 +215,24 @@ class HumbertParams:
         return self.psi.field
 
 
+def _humbert_terms(p: HumbertParams) -> list:
+    if p.kind not in _HUMBERT:
+        raise ValueError(f"unknown kind {p.kind}")
+    cs = _HUMBERT[p.kind]
+    if len(p.upper) != len(cs) or len(p.delta) != 2:
+        raise ValueError(f"Phi_{p.kind} takes {len(cs)} upper and 2 delta characters; "
+                         f"got {len(p.upper)} and {len(p.delta)}")
+    return ([(a, c, True) for a, c in zip(p.upper, cs)] + [(p.gamma, (1, 1), False)]
+            + [(d, c, False) for d, c in zip(p.delta, _unit_vectors(2))])
+
+
 def humbert_eval(p: HumbertParams, lam1: int, lam2: int) -> Cyclo:
-    f = p.field
-    psi = p.psi
-    total = Cyclo.zero()
-    for mu in enumerate_mulchars(f):
-        v1 = mu.eval(lam1)
-        if v1.is_zero():
-            continue
-        for nu in enumerate_mulchars(f):
-            v2 = nu.eval(lam2)
-            if v2.is_zero():
-                continue
-            munu = mu * nu
-            if p.kind == 1:
-                t = pochhammer(p.upper[0], munu, psi) * pochhammer(p.upper[1], mu, psi)
-                t = t * _poch_circ_reciprocal(p.gamma, munu, psi)
-            elif p.kind == 2:
-                t = pochhammer(p.upper[0], mu, psi) * pochhammer(p.upper[1], nu, psi)
-                t = t * _poch_circ_reciprocal(p.gamma, munu, psi)
-            elif p.kind == 3:
-                t = pochhammer(p.upper[0], mu, psi)
-                t = t * _poch_circ_reciprocal(p.gamma, munu, psi)
-            else:
-                raise ValueError(f"unknown kind {p.kind}")
-            t = t * _poch_circ_reciprocal(p.delta[0], mu, psi)
-            t = t * _poch_circ_reciprocal(p.delta[1], nu, psi)
-            total = total + t * v1 * v2
-    return total / (1 - f.q) ** 2
+    return _horn(_humbert_terms(p), (lam1, lam2), p.psi) / (1 - p.field.q) ** 2
 
 
 def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
     psi = psi or standard_psi(gamma.field)
-    p = HumbertParams(kind, tuple(upper), gamma, (delta[0], delta[1]), psi)
+    p = HumbertParams(kind, tuple(upper), gamma, tuple(delta), psi)
     return humbert_eval(p, lam1, lam2)
 
 
@@ -255,44 +279,12 @@ def idft(fhat: dict, field: Field, n: int) -> dict:
 def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
     """Left-hand side of the chosen convolution identity, from f-hat."""
     psi = psi or standard_psi(field)
-    chars = enumerate_mulchars(field)
-    total = Cyclo.zero()
-    for nus in itertools.product(chars, repeat=n):
-        w = fhat[tuple(nu.j for nu in nus)]
-        if w.is_zero():
-            continue
-        lamval = Cyclo.integer(1)
-        dead = False
-        for nu, lam in zip(nus, lams):
-            v = nu.eval(lam)
-            if v.is_zero():
-                dead = True
-                break
-            lamval = lamval * v
-        if dead:
-            continue
-        prod_i = trivial_char(field)
-        for nu in nus[:i]:
-            prod_i = prod_i * nu
-        if kind == "i":
-            t = pochhammer(alpha, prod_i, psi)
-            for b, nu in zip(betas, nus[:i]):
-                t = t * _poch_circ_reciprocal(b, nu, psi)
-        elif kind == "ii":
-            t = Cyclo.integer(1)
-            for b, nu in zip(betas, nus[:i]):
-                t = t * pochhammer(b, nu, psi)
-            t = t * _poch_circ_reciprocal(alpha, prod_i, psi)
-        elif kind == "iii":
-            beta = betas[0]
-            t = pochhammer(alpha, prod_i, psi) * _poch_circ_reciprocal(beta, prod_i, psi)
-        elif kind == "iv":
-            t = _poch_circ_reciprocal(alpha, prod_i, psi)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        total = total + w * t * lamval
-    # multiply by the kind-specific constant
+    if len(lams) != n:
+        raise ValueError("wrong number of arguments")
+    prod_i = (1,) * i + (0,) * (n - i)
+    firsts = list(zip(betas[:i], _unit_vectors(n)))
     if kind == "i":
+        terms = [(alpha, prod_i, True)] + [(b, c, False) for b, c in firsts]
         comp = alpha.inverse()
         for b in betas[:i]:
             comp = comp * b
@@ -301,6 +293,7 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
         const = jacobi(comp, *[b.inverse() for b in betas[:i]])
         sign = (-1) ** i
     elif kind == "ii":
+        terms = [(b, c, True) for b, c in firsts] + [(alpha, prod_i, False)]
         comp = alpha
         for b in betas[:i]:
             comp = comp * b.inverse()
@@ -310,14 +303,18 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
         sign = (-1) ** i
     elif kind == "iii":
         beta = betas[0]
+        terms = [(alpha, prod_i, True), (beta, prod_i, False)]
         if (alpha * beta.inverse()).is_trivial():
             raise ValueError("degenerate: alpha beta-bar is trivial")
         const = jacobi(alpha, alpha.inverse() * beta)
         sign = -1
-    else:  # iv
+    elif kind == "iv":
+        terms = [(alpha, prod_i, False)]
         const = gauss(alpha.inverse(), psi)
         sign = -1
-    return (const * total).scale(sign, field.N**n)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return (const * _horn(terms, lams, psi, fhat)).scale(sign, field.N**n)
 
 
 def iteration_rhs(kind, f_map, field, n, i, alpha, betas, lams, psi=None):
@@ -388,11 +385,8 @@ def shift_parameters(p: HgfParams):
     if last.is_trivial():
         return Cyclo.integer(1), trivial_char(f), p
     s = last.inverse()
-    coef = Cyclo.integer(1)
-    for a in p.upper:
-        coef = coef * pochhammer(a, s, p.psi)
-    for b in p.lower:
-        coef = coef * _poch_circ_reciprocal(b, s, p.psi)
+    coef = reduce(mul, [_factor(a, s, True, p.psi) for a in p.upper]
+                  + [_factor(b, s, False, p.psi) for b in p.lower])
     upper = tuple(a * s for a in p.upper)
     lower = tuple(b * s for b in p.lower[:-1]) + (trivial_char(f),)
     return coef, s, HgfParams(upper, lower, p.psi)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -180,6 +181,59 @@ def test_iso_rejects_non_unit_part(runner):
         result = runner.invoke(main, ["iso", *args])
         assert result.exit_code == 2, result.output
         assert "not a unit" in json.loads(result.output)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["gauss", "--q", "6"],
+    ["gauss", "--q", "5", "--chi", "1", "--psi", "0"],
+    ["jacobi", "--q", "5", "--chi", "1"],
+    ["jacobi", "--q", "5", "--chi", "x,1"],
+    ["phi", "--q", "5", "--delta", "3,3", "--lams", "2", "--chi", "1;1"],
+    ["lauricella", "--q", "5", "--kind", "D", "--alpha", "1", "--beta", "1,2", "--gamma", "1",
+     "--delta", "1,2", "--lams", "2"],
+    ["lauricella", "--q", "5", "--kind", "A", "--alpha", "1", "--beta", "1,2", "--gamma", "1",
+     "--delta", "1,2", "--lams", "2,3"],
+    ["humbert", "--q", "5", "--kind", "2", "--upper", "1", "--gamma", "1", "--delta", "1,1",
+     "--lam1", "2", "--lam2", "3"],
+    ["lauricella", "--q", "5", "--kind", "D", "--alpha", "", "--beta", "", "--gamma", "",
+     "--delta", "", "--lams", ""],
+    ["hgf", "--q", "5", "--upper", "1", "--lower", "1", "--lam", "7"],
+    ["humbert", "--q", "5", "--kind", "1", "--upper", "1,2", "--gamma", "1", "--delta", "1,1",
+     "--lam1", "9", "--lam2", "2"],
+])
+def test_bad_input_fails_closed(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["error"]
+    assert "Traceback" not in result.output
+
+
+def test_verify_jobs_are_clamped(runner, monkeypatch):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, entries):
+            return [{"claim": e[0], "lhs": 0, "rhs": 0, "equal": True} for e in entries]
+
+    monkeypatch.setattr("hgfq.cli.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for suite, jobs, want in (("gauss-sums", 1000, 4), ("varieties", 2, 2), ("varieties", 5, 4)):
+        assert runner.invoke(main, ["verify", "--suite", suite, "--jobs", str(jobs)]).exit_code == 0
+        assert started.pop() == want
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert runner.invoke(main, ["verify", "--suite", "varieties", "--jobs", "1000"]).exit_code == 0
+    assert started.pop() == 7  # the number of claims in the suite
+    result = runner.invoke(main, ["verify", "--suite", "varieties", "--jobs", "0"])
+    assert result.exit_code == 2 and not started
 
 
 def test_verify_suite_passes(runner):

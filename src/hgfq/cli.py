@@ -315,22 +315,23 @@ def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
 def _make_variety(f: Field, family, m, n, lam, lams, lam1, lam2, delta, z_text):
     lam_list = _parse_ints(lams) if lams else ()
     if family == "fermat":
-        return FermatStar(f, n or 1)
+        return FermatStar(f, 1 if n is None else n)
     if family == "as":
         return ASStar(f)
     if family == "mxn":
+        if n is None:
+            raise ValueError("family mxn needs --n")
         return MXnLambda(f, m if m is not None else n, n, lam)
-    if family == "fd":
-        return LauricellaD(f, n or len(lam_list), lam_list)
-    if family == "fa":
-        return LauricellaA(f, n or len(lam_list), lam_list)
-    if family == "fc":
-        return LauricellaC(f, n or len(lam_list), lam_list)
+    if family in ("fd", "fa", "fc"):
+        cls = {"fd": LauricellaD, "fa": LauricellaA, "fc": LauricellaC}[family]
+        return cls(f, len(lam_list) if n is None else n, lam_list)
     if family == "humbert1":
         return Humbert1(f, lam1, lam2)
     if family == "humbert3":
         return Humbert3(f, lam1, lam2)
     if family == "general":
+        if delta is None or z_text is None:
+            raise ValueError("family general needs --delta and --z")
         return GeneralXDz(f, Partition(_parse_ints(delta)), _parse_rows(z_text))
     raise click.UsageError(f"unknown family {family!r}")
 

@@ -13,6 +13,24 @@ so that
 
 and sum over all chi of n_chi equals the number of rational points #X(k).
 
+Relation systems.  The eight classical families (FermatStar, ASStar,
+MXnLambda, LauricellaD/A/C, Humbert1/3) are data on RelationVariety: three
+lists over the unit slots, read on X_i = x_i^N,
+
+    sums       (i, j, ..)          X_i + X_j + .. = 1            (Fermat)
+    monomials  (c, {i: +-1, ..})   c prod X_i^(+-1) = 1
+    links      i, one per Artin-Schreier slot t:  t^q - t = X_i
+
+(the reduced form of Koblitz and Greene).  One solver, with its slot order
+fixed at construction, finds the X that satisfy them: a slot that is the
+last unknown of some relation is solved from it, any other slot is
+enumerated, and each relation is checked once all its slots are assigned.
+Over k* it gives support(), the reduced system's solutions (a_j = X_i for
+the additive slots); over the N-th powers of ext* it gives points(), each
+solution expanded by the N-th roots and Artin-Schreier preimages.
+point_ok runs the same relation check on (x^N, t^q - t), and tau_of is
+prod x_i^-e per monomial.  GeneralXDz is parametrised by s instead.
+
 Isomorphisms.  Maps between family members are monomial in the unit
 coordinates (integer exponent matrices Q scaled by canonical N-th roots)
 and affine in the Artin-Schreier coordinates.  Each isomorphism carries a
@@ -293,7 +311,9 @@ def _as_preimages(ext, value):
 
 
 class Variety:
-    """Base: a family member over a fixed field with its acting group."""
+    """Base: a family member over a fixed field with its acting group.
+
+    Subclasses provide support(), points(ext) and point_ok(ext, pt)."""
 
     def __init__(self, field: Field, shape: str):
         self.field = field
@@ -301,15 +321,6 @@ class Variety:
         self._support = None
 
     # group -----------------------------------------------------------------
-
-    def group_slots(self):
-        out = []
-        for kind in self.shape:
-            out.append(list(self.field.units()) if kind == "u" else list(self.field.elements()))
-        return out
-
-    def group_elements(self):
-        return itertools.product(*self.group_slots())
 
     def group_order(self) -> int:
         n_u = self.shape.count("u")
@@ -322,20 +333,10 @@ class Variety:
     # counting ---------------------------------------------------------------
 
     def reduced_count(self, g) -> int:
-        raise NotImplementedError
+        return dict(self.support()).get(tuple(g), 0)
 
     def lambda_g(self, g) -> int:
         return self.group_order() * self.reduced_count(g)
-
-    def support(self):
-        if self._support is None:
-            out = []
-            for g in self.group_elements():
-                c = self.reduced_count(g)
-                if c:
-                    out.append((g, c))
-            self._support = out
-        return self._support
 
     def n_chi(self, chi: GroupChar) -> Cyclo:
         if len(chi.parts) != len(self.shape):
@@ -354,12 +355,6 @@ class Variety:
 
     # points -----------------------------------------------------------------
 
-    def points(self, ext: ExtensionField):
-        raise NotImplementedError
-
-    def point_ok(self, ext: ExtensionField, pt) -> bool:
-        raise NotImplementedError
-
     def tau_of(self, ext: ExtensionField, pt):
         return ()
 
@@ -367,80 +362,179 @@ class Variety:
         ext = extend(self.field, r)
         return sum(1 for _ in self.points(ext))
 
-    # helpers ----------------------------------------------------------------
 
-    def _npow(self, ext, x):
-        return ext.field.pow(x, self.field.N)
+def _holds(f: Field, rel, X, logs) -> bool:
+    """Whether the relation rel holds at the unit values X in f; logs are the
+    discrete logs of the monomial coefficients in f."""
+    j, exps = rel
+    if j is None:
+        s = X[exps[0][0]]
+        for i, _ in exps[1:]:
+            s = f.add(s, X[i])
+        return s == 1
+    d = logs[j]
+    for i, e in exps:
+        d += e * f.dlog[X[i]]
+    return d % f.N == 0
+
+
+def _solve_for(f: Field, rel, slot, X, logs) -> int:
+    """The value at slot that makes rel hold, given the values of its other slots."""
+    j, exps = rel
+    if j is None:
+        s = 1
+        for i, _ in exps:
+            if i != slot:
+                s = f.sub(s, X[i])
+        return s
+    d, e_slot = logs[j], 0
+    for i, e in exps:
+        if i == slot:
+            e_slot = e
+        else:
+            d += e * f.dlog[X[i]]
+    return f.exp[(-e_slot * d) % f.N]
+
+
+class RelationVariety(Variety):
+    """A variety cut out by relations among the N-th powers X_i = x_i^N of its
+    unit coordinates and the values T_j = t_j^q - t_j of its Artin-Schreier
+    coordinates, which follow the unit coordinates:
+
+      sums       tuples of unit slots whose X_i add to 1,
+      monomials  (c, {slot: e}) with c prod X_i^e = 1 and each e = +-1,
+      links      for the j-th Artin-Schreier slot, the unit slot i with T_j = X_i.
+
+    One solver serves support() and points(); see the module docstring.
+    """
+
+    def __init__(self, field: Field, n_units: int, sums=(), monomials=(), links=()):
+        super().__init__(field, "u" * n_units + "a" * len(links))
+        self.sums = tuple(tuple(s) for s in sums)
+        self.monomials = tuple((c, dict(exps)) for c, exps in monomials)
+        self.links = tuple(links)
+        # (j, ((slot, e), ..)) with j the monomial index, None for a sum;
+        # monomials first, as a discrete-log test is the cheapest check
+        self._rels = [(j, tuple(exps.items())) for j, (_, exps) in enumerate(self.monomials)]
+        self._rels += [(None, tuple((i, 1) for i in s)) for s in self.sums]
+        self._plan = self._make_plan(n_units)
+        self._coef_logs = {}
+
+    def _make_plan(self, n_units):
+        """Steps (slot, rel, checks): the slot is solved from rel (None: it is
+        enumerated), then the relations in checks are tested."""
+        assigned, open_rels, plan = set(), list(self._rels), []
+
+        def unknown(rel):
+            return [i for i, _ in rel[1] if i not in assigned]
+
+        while len(assigned) < n_units:
+            rel = next((r for r in open_rels if len(unknown(r)) == 1), None)
+            if rel is None:
+                slot = min(set(range(n_units)) - assigned)
+            else:
+                (slot,) = unknown(rel)
+                open_rels.remove(rel)
+            assigned.add(slot)
+            checks = [r for r in open_rels if not unknown(r)]
+            open_rels = [r for r in open_rels if unknown(r)]
+            plan.append((slot, rel, checks))
+        return plan
+
+    def _logs(self, ext):
+        """The discrete logs of the embedded monomial coefficients, once per ext."""
+        logs = self._coef_logs.get(ext)
+        if logs is None:
+            f = ext.field
+            logs = self._coef_logs[ext] = tuple(f.dlog[ext.embed(c)] for c, _ in self.monomials)
+        return logs
+
+    def _solve(self, f: Field, logs, domain):
+        """Every tuple of unit values in domain that satisfies all relations in
+        f, with logs the discrete logs of the monomial coefficients in f."""
+        plan = self._plan
+        X = [0] * len(plan)
+
+        def walk(k):
+            if k == len(plan):
+                yield tuple(X)
+                return
+            slot, rel, checks = plan[k]
+            if rel is None:
+                values = domain
+            else:
+                v = _solve_for(f, rel, slot, X, logs)
+                values = (v,) if v in domain else ()
+            for v in values:
+                X[slot] = v
+                if not checks or all(_holds(f, r, X, logs) for r in checks):
+                    yield from walk(k + 1)
+
+        return walk(0)
+
+    def support(self):
+        if self._support is None:
+            f = self.field
+            self._support = [
+                (X + tuple(X[i] for i in self.links), 1)
+                for X in self._solve(f, [f.dlog[c] for c, _ in self.monomials], f.dlog)
+            ]
+        return self._support
+
+    def points(self, ext: ExtensionField):
+        roots = _nth_roots_table(ext)
+        pre = _as_preimages_table(ext) if self.links else {}
+        for X in self._solve(ext.field, self._logs(ext), roots):
+            lists = [roots[v] for v in X] + [pre.get(X[i], ()) for i in self.links]
+            yield from itertools.product(*lists)
+
+    def point_ok(self, ext: ExtensionField, pt) -> bool:
+        n = len(self._plan)  # the unit slots, one plan step each
+        if len(pt) != len(self.shape) or 0 in pt[:n]:
+            return False
+        f, q, N = ext.field, self.field.q, self.field.N
+        X = [f.pow(x, N) for x in pt[:n]]
+        logs = self._logs(ext)
+        for rel in self._rels:
+            if not _holds(f, rel, X, logs):
+                return False
+        for t, i in zip(pt[n:], self.links):
+            if f.pow(t, q) != f.add(t, X[i]):
+                return False
+        return True
+
+    def tau_of(self, ext: ExtensionField, pt):
+        f = ext.field
+        out = []
+        for _, exps in self.monomials:
+            d = 0
+            for i, e in exps.items():
+                d -= e * f.dlog[pt[i]]
+            out.append(f.exp[d % f.N])
+        return tuple(out)
 
 
 # -- concrete families ------------------------------------------------------
 
 
-class FermatStar(Variety):
+class FermatStar(RelationVariety):
     """x_1^N + ... + x_n^N = 1 with all coordinates nonzero."""
 
     def __init__(self, field: Field, n: int):
         if n < 1:
             raise ValueError("need at least one coordinate")
-        super().__init__(field, "u" * n)
+        super().__init__(field, n, sums=[range(n)])
         self.n = n
 
-    def reduced_count(self, g):
-        f = self.field
-        s = 0
-        for xi in g:
-            s = f.add(s, xi)
-        return 1 if s == 1 else 0
 
-    def points(self, ext):
-        f = ext.field
-        units = list(f.units())
-        if self.n == 1:
-            for x in _nth_roots(ext, 1):
-                yield (x,)
-            return
-        for head in itertools.product(units, repeat=self.n - 1):
-            s = 0
-            for x in head:
-                s = f.add(s, self._npow(ext, x))
-            for last in _nth_roots(ext, f.sub(1, s)):
-                yield head + (last,)
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        if len(pt) != self.n or any(x == 0 for x in pt):
-            return False
-        s = 0
-        for x in pt:
-            s = f.add(s, self._npow(ext, x))
-        return s == 1
-
-
-class ASStar(Variety):
+class ASStar(RelationVariety):
     """t^q - t = z^N with z nonzero; coordinates (z, t)."""
 
     def __init__(self, field: Field):
-        super().__init__(field, "ua")
-
-    def reduced_count(self, g):
-        xi, a = g
-        return 1 if a == xi else 0
-
-    def points(self, ext):
-        for z in ext.field.units():
-            zN = self._npow(ext, z)
-            for t in _as_preimages(ext, zN):
-                yield (z, t)
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        z, t = pt
-        if z == 0:
-            return False
-        return f.sub(f.pow(t, self.field.q), t) == self._npow(ext, z)
+        super().__init__(field, 1, links=[0])
 
 
-class MXnLambda(Variety):
+class MXnLambda(RelationVariety):
     """The one-variable family: m Fermat pairs, l = n - m Artin-Schreier pairs,
     and the product relation (-1)^n lam prod x_i^N = prod y_i^N prod z_j^N.
 
@@ -452,482 +546,113 @@ class MXnLambda(Variety):
         if lam == 0 or lam not in field.dlog:
             raise ValueError("lam must be a unit")
         l = n - m
-        super().__init__(field, "u" * (2 * m + l) + "a" * l)
+        signed_lam = field.mul(field.pow(field.neg(1), n), lam)
+        exps = {i: 1 if i < m else -1 for i in range(2 * m + l)}
+        super().__init__(
+            field,
+            2 * m + l,
+            sums=[(i, m + i) for i in range(m)],
+            monomials=[(signed_lam, exps)],
+            links=range(2 * m, 2 * m + l),
+        )
         self.m, self.n, self.l, self.lam = m, n, l, lam
-        self.signed_lam = field.mul(field.pow(field.neg(1), n), lam)
-
-    def reduced_count(self, g):
-        f = self.field
-        m, l = self.m, self.l
-        xi = g[:m]
-        xip = g[m : 2 * m]
-        zeta = g[2 * m : 2 * m + l]
-        a = g[2 * m + l :]
-        for u, v in zip(xi, xip):
-            if f.add(u, v) != 1:
-                return 0
-        for aj, zj in zip(a, zeta):
-            if aj != zj:
-                return 0
-        lhs = self.signed_lam
-        for u in xi:
-            lhs = f.mul(lhs, u)
-        rhs = 1
-        for v in xip:
-            rhs = f.mul(rhs, v)
-        for zj in zeta:
-            rhs = f.mul(rhs, zj)
-        return 1 if lhs == rhs else 0
-
-    def points(self, ext):
-        f = ext.field
-        m, l = self.m, self.l
-        units = list(f.units())
-        sl = ext.embed(self.signed_lam)
-        for xs in itertools.product(units, repeat=m):
-            xN = [self._npow(ext, x) for x in xs]
-            yN = [f.sub(1, v) for v in xN]
-            ylists = [_nth_roots(ext, v) for v in yN]
-            if any(not ys for ys in ylists):
-                continue
-            ratio = sl
-            for v in xN:
-                ratio = f.mul(ratio, v)
-            for v in yN:
-                ratio = f.div(ratio, v)
-            if l == 0:
-                if ratio != 1:
-                    continue
-                for ys in itertools.product(*ylists):
-                    yield xs + ys
-                continue
-            for zhead in itertools.product(units, repeat=l - 1):
-                rest = ratio
-                for z in zhead:
-                    rest = f.div(rest, self._npow(ext, z))
-                for zlast in _nth_roots(ext, rest):
-                    zs = zhead + (zlast,)
-                    tlists = [_as_preimages(ext, self._npow(ext, z)) for z in zs]
-                    if any(not ts for ts in tlists):
-                        continue
-                    for ys in itertools.product(*ylists):
-                        for ts in itertools.product(*tlists):
-                            yield xs + ys + zs + ts
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        m, l = self.m, self.l
-        xs, ys = pt[:m], pt[m : 2 * m]
-        zs, ts = pt[2 * m : 2 * m + l], pt[2 * m + l :]
-        if any(v == 0 for v in xs + ys + zs):
-            return False
-        for x, y in zip(xs, ys):
-            if f.add(self._npow(ext, x), self._npow(ext, y)) != 1:
-                return False
-        for z, t in zip(zs, ts):
-            if f.sub(f.pow(t, self.field.q), t) != self._npow(ext, z):
-                return False
-        lhs = ext.embed(self.signed_lam)
-        for x in xs:
-            lhs = f.mul(lhs, self._npow(ext, x))
-        rhs = 1
-        for v in ys + zs:
-            rhs = f.mul(rhs, self._npow(ext, v))
-        return lhs == rhs
-
-    def tau_of(self, ext, pt):
-        f = ext.field
-        m, l = self.m, self.l
-        num = 1
-        for v in pt[m : 2 * m] + pt[2 * m : 2 * m + l]:
-            num = f.mul(num, v)
-        for x in pt[:m]:
-            num = f.div(num, x)
-        return (num,)
 
 
-class LauricellaD(Variety):
+def _check_lams(field: Field, n: int, lams) -> tuple:
+    lams = tuple(lams)
+    if n < 1 or len(lams) != n:
+        raise ValueError("need n >= 1 matching lambda entries")
+    if any(lam == 0 or lam not in field.dlog for lam in lams):
+        raise ValueError("lam entries must be units")
+    return lams
+
+
+class LauricellaD(RelationVariety):
     """n+1 Fermat pairs linked by lam_i x_0^N x_i^N = y_0^N y_i^N.
 
     Coordinates (x_0..x_n, y_0..y_n)."""
 
     def __init__(self, field: Field, n: int, lams):
-        lams = tuple(lams)
-        if n < 1 or len(lams) != n:
-            raise ValueError("need n >= 1 matching lambda entries")
-        if any(lam == 0 or lam not in field.dlog for lam in lams):
-            raise ValueError("lam entries must be units")
-        super().__init__(field, "u" * (2 * n + 2))
+        lams = _check_lams(field, n, lams)
+        super().__init__(
+            field,
+            2 * n + 2,
+            sums=[(i, n + 1 + i) for i in range(n + 1)],
+            monomials=[(lam, {0: 1, i: 1, n + 1: -1, n + 1 + i: -1})
+                       for i, lam in enumerate(lams, 1)],
+        )
         self.n, self.lams = n, lams
 
-    def reduced_count(self, g):
-        f = self.field
-        n = self.n
-        xi, eta = g[: n + 1], g[n + 1 :]
-        for u, v in zip(xi, eta):
-            if f.add(u, v) != 1:
-                return 0
-        for lam, u, v in zip(self.lams, xi[1:], eta[1:]):
-            if f.mul(lam, f.mul(xi[0], u)) != f.mul(eta[0], v):
-                return 0
-        return 1
 
-    def points(self, ext):
-        f = ext.field
-        units = list(f.units())
-        for x0 in units:
-            x0N = self._npow(ext, x0)
-            for y0 in _nth_roots(ext, f.sub(1, x0N)):
-                y0N = self._npow(ext, y0)
-                per_i = []
-                for lam in self.lams:
-                    opts = []
-                    lame = ext.embed(lam)
-                    for xi in units:
-                        xiN = self._npow(ext, xi)
-                        need = f.div(f.mul(lame, f.mul(x0N, xiN)), y0N)
-                        if need == f.sub(1, xiN):
-                            for yi in _nth_roots(ext, need):
-                                opts.append((xi, yi))
-                    per_i.append(opts)
-                if any(not o for o in per_i):
-                    continue
-                for combo in itertools.product(*per_i):
-                    xs = (x0,) + tuple(c[0] for c in combo)
-                    ys = (y0,) + tuple(c[1] for c in combo)
-                    yield xs + ys
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        n = self.n
-        xs, ys = pt[: n + 1], pt[n + 1 :]
-        if any(v == 0 for v in pt):
-            return False
-        for x, y in zip(xs, ys):
-            if f.add(self._npow(ext, x), self._npow(ext, y)) != 1:
-                return False
-        for lam, x, y in zip(self.lams, xs[1:], ys[1:]):
-            lhs = f.mul(ext.embed(lam), f.mul(self._npow(ext, xs[0]), self._npow(ext, x)))
-            if lhs != f.mul(self._npow(ext, ys[0]), self._npow(ext, y)):
-                return False
-        return True
-
-    def tau_of(self, ext, pt):
-        f = ext.field
-        n = self.n
-        xs, ys = pt[: n + 1], pt[n + 1 :]
-        return tuple(
-            f.div(f.mul(ys[0], ys[j]), f.mul(xs[0], xs[j])) for j in range(1, n + 1)
-        )
-
-
-class LauricellaA(Variety):
+class LauricellaA(RelationVariety):
     """A Fermat hypersurface in x linked to n Fermat pairs (y_i, z_i) by
     lam_i x_0^N y_i^N = x_i^N z_i^N.
 
     Coordinates (x_0..x_n, y_1..y_n, z_1..z_n)."""
 
     def __init__(self, field: Field, n: int, lams):
-        lams = tuple(lams)
-        if n < 1 or len(lams) != n:
-            raise ValueError("need n >= 1 matching lambda entries")
-        if any(lam == 0 or lam not in field.dlog for lam in lams):
-            raise ValueError("lam entries must be units")
-        super().__init__(field, "u" * (3 * n + 1))
+        lams = _check_lams(field, n, lams)
+        super().__init__(
+            field,
+            3 * n + 1,
+            sums=[range(n + 1)] + [(n + 1 + i, 2 * n + 1 + i) for i in range(n)],
+            monomials=[(lam, {0: 1, n + 1 + i: 1, i + 1: -1, 2 * n + 1 + i: -1})
+                       for i, lam in enumerate(lams)],
+        )
         self.n, self.lams = n, lams
 
-    def reduced_count(self, g):
-        f = self.field
-        n = self.n
-        xi = g[: n + 1]
-        eta = g[n + 1 : 2 * n + 1]
-        zeta = g[2 * n + 1 :]
-        s = 0
-        for u in xi:
-            s = f.add(s, u)
-        if s != 1:
-            return 0
-        for u, v in zip(eta, zeta):
-            if f.add(u, v) != 1:
-                return 0
-        for lam, u, v, w in zip(self.lams, xi[1:], eta, zeta):
-            if f.mul(lam, f.mul(xi[0], v)) != f.mul(u, w):
-                return 0
-        return 1
 
-    def _x_tuples(self, ext):
-        f = ext.field
-        units = list(f.units())
-        for head in itertools.product(units, repeat=self.n):
-            s = 0
-            for x in head:
-                s = f.add(s, self._npow(ext, x))
-            for last in _nth_roots(ext, f.sub(1, s)):
-                yield head + (last,)
-
-    def points(self, ext):
-        f = ext.field
-        units = list(f.units())
-        for xs in self._x_tuples(ext):
-            x0N = self._npow(ext, xs[0])
-            per_i = []
-            for lam, xi in zip(self.lams, xs[1:]):
-                opts = []
-                xiN = self._npow(ext, xi)
-                lame = ext.embed(lam)
-                for yi in units:
-                    yiN = self._npow(ext, yi)
-                    need = f.div(f.mul(lame, f.mul(x0N, yiN)), xiN)
-                    if need == f.sub(1, yiN):
-                        for zi in _nth_roots(ext, need):
-                            opts.append((yi, zi))
-                per_i.append(opts)
-            if any(not o for o in per_i):
-                continue
-            for combo in itertools.product(*per_i):
-                ys = tuple(c[0] for c in combo)
-                zs = tuple(c[1] for c in combo)
-                yield xs + ys + zs
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        n = self.n
-        xs = pt[: n + 1]
-        ys = pt[n + 1 : 2 * n + 1]
-        zs = pt[2 * n + 1 :]
-        if any(v == 0 for v in pt):
-            return False
-        s = 0
-        for x in xs:
-            s = f.add(s, self._npow(ext, x))
-        if s != 1:
-            return False
-        for y, z in zip(ys, zs):
-            if f.add(self._npow(ext, y), self._npow(ext, z)) != 1:
-                return False
-        for lam, x, y, z in zip(self.lams, xs[1:], ys, zs):
-            lhs = f.mul(ext.embed(lam), f.mul(self._npow(ext, xs[0]), self._npow(ext, y)))
-            if lhs != f.mul(self._npow(ext, x), self._npow(ext, z)):
-                return False
-        return True
-
-    def tau_of(self, ext, pt):
-        f = ext.field
-        n = self.n
-        xs = pt[: n + 1]
-        ys = pt[n + 1 : 2 * n + 1]
-        zs = pt[2 * n + 1 :]
-        return tuple(
-            f.div(f.mul(xs[j + 1], zs[j]), f.mul(xs[0], ys[j])) for j in range(n)
-        )
-
-
-class LauricellaC(Variety):
+class LauricellaC(RelationVariety):
     """Two Fermat hypersurfaces linked by lam_i x_0^N y_0^N = x_i^N y_i^N.
 
     Coordinates (x_0..x_n, y_0..y_n)."""
 
     def __init__(self, field: Field, n: int, lams):
-        lams = tuple(lams)
-        if n < 1 or len(lams) != n:
-            raise ValueError("need n >= 1 matching lambda entries")
-        if any(lam == 0 or lam not in field.dlog for lam in lams):
-            raise ValueError("lam entries must be units")
-        super().__init__(field, "u" * (2 * n + 2))
+        lams = _check_lams(field, n, lams)
+        super().__init__(
+            field,
+            2 * n + 2,
+            sums=[range(n + 1), range(n + 1, 2 * n + 2)],
+            monomials=[(lam, {0: 1, n + 1: 1, i: -1, n + 1 + i: -1})
+                       for i, lam in enumerate(lams, 1)],
+        )
         self.n, self.lams = n, lams
 
-    def reduced_count(self, g):
-        f = self.field
-        n = self.n
-        xi, eta = g[: n + 1], g[n + 1 :]
-        for block in (xi, eta):
-            s = 0
-            for u in block:
-                s = f.add(s, u)
-            if s != 1:
-                return 0
-        for lam, u, v in zip(self.lams, xi[1:], eta[1:]):
-            if f.mul(lam, f.mul(xi[0], eta[0])) != f.mul(u, v):
-                return 0
-        return 1
 
-    def points(self, ext):
-        f = ext.field
-        units = list(f.units())
-        for head in itertools.product(units, repeat=self.n):
-            s = 0
-            for x in head:
-                s = f.add(s, self._npow(ext, x))
-            for last in _nth_roots(ext, f.sub(1, s)):
-                xs = head + (last,)
-                x0N = self._npow(ext, xs[0])
-                for y0 in units:
-                    y0N = self._npow(ext, y0)
-                    yNs = [
-                        f.div(f.mul(ext.embed(lam), f.mul(x0N, y0N)), self._npow(ext, xi))
-                        for lam, xi in zip(self.lams, xs[1:])
-                    ]
-                    total = y0N
-                    for v in yNs:
-                        total = f.add(total, v)
-                    if total != 1:
-                        continue
-                    ylists = [_nth_roots(ext, v) for v in yNs]
-                    if any(not ys for ys in ylists):
-                        continue
-                    for tail in itertools.product(*ylists):
-                        yield xs + (y0,) + tail
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        n = self.n
-        xs, ys = pt[: n + 1], pt[n + 1 :]
-        if any(v == 0 for v in pt):
-            return False
-        for block in (xs, ys):
-            s = 0
-            for v in block:
-                s = f.add(s, self._npow(ext, v))
-            if s != 1:
-                return False
-        for lam, x, y in zip(self.lams, xs[1:], ys[1:]):
-            lhs = f.mul(ext.embed(lam), f.mul(self._npow(ext, xs[0]), self._npow(ext, ys[0])))
-            if lhs != f.mul(self._npow(ext, x), self._npow(ext, y)):
-                return False
-        return True
-
-
-class Humbert1(Variety):
+class Humbert1(RelationVariety):
     """Two Fermat pairs and one Artin-Schreier pair with relations
     lam1 x1^N x2^N = y1^N y2^N and lam2 x1^N = y1^N z^N.
 
     Coordinates (x1, x2, y1, y2, z, t)."""
 
     def __init__(self, field: Field, lam1: int, lam2: int):
-        for lam in (lam1, lam2):
-            if lam == 0 or lam not in field.dlog:
-                raise ValueError("lam entries must be units")
-        super().__init__(field, "uuuuua")
+        _check_lams(field, 2, (lam1, lam2))
+        super().__init__(
+            field,
+            5,
+            sums=[(0, 2), (1, 3)],
+            monomials=[(lam1, {0: 1, 1: 1, 2: -1, 3: -1}), (lam2, {0: 1, 2: -1, 4: -1})],
+            links=[4],
+        )
         self.lam1, self.lam2 = lam1, lam2
 
-    def reduced_count(self, g):
-        f = self.field
-        xi1, xi2, eta1, eta2, zeta, a = g
-        if f.add(xi1, eta1) != 1 or f.add(xi2, eta2) != 1 or a != zeta:
-            return 0
-        if f.mul(self.lam1, f.mul(xi1, xi2)) != f.mul(eta1, eta2):
-            return 0
-        if f.mul(self.lam2, xi1) != f.mul(eta1, zeta):
-            return 0
-        return 1
 
-    def points(self, ext):
-        f = ext.field
-        units = list(f.units())
-        l1, l2 = ext.embed(self.lam1), ext.embed(self.lam2)
-        for x1 in units:
-            x1N = self._npow(ext, x1)
-            for y1 in _nth_roots(ext, f.sub(1, x1N)):
-                y1N = self._npow(ext, y1)
-                zN = f.div(f.mul(l2, x1N), y1N)
-                zroots = _nth_roots(ext, zN)
-                if not zroots:
-                    continue
-                tlist = _as_preimages(ext, zN)
-                if not tlist:
-                    continue
-                for x2 in units:
-                    x2N = self._npow(ext, x2)
-                    need = f.div(f.mul(l1, f.mul(x1N, x2N)), y1N)
-                    if need != f.sub(1, x2N):
-                        continue
-                    for y2 in _nth_roots(ext, need):
-                        for z in zroots:
-                            for t in tlist:
-                                yield (x1, x2, y1, y2, z, t)
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        x1, x2, y1, y2, z, t = pt
-        if any(v == 0 for v in (x1, x2, y1, y2, z)):
-            return False
-        x1N, x2N = self._npow(ext, x1), self._npow(ext, x2)
-        y1N, y2N = self._npow(ext, y1), self._npow(ext, y2)
-        zN = self._npow(ext, z)
-        if f.add(x1N, y1N) != 1 or f.add(x2N, y2N) != 1:
-            return False
-        if f.sub(f.pow(t, self.field.q), t) != zN:
-            return False
-        if f.mul(ext.embed(self.lam1), f.mul(x1N, x2N)) != f.mul(y1N, y2N):
-            return False
-        return f.mul(ext.embed(self.lam2), x1N) == f.mul(y1N, zN)
-
-    def tau_of(self, ext, pt):
-        f = ext.field
-        x1, x2, y1, y2, z, _ = pt
-        return (
-            f.div(f.mul(y1, y2), f.mul(x1, x2)),
-            f.div(f.mul(y1, z), x1),
-        )
-
-
-class Humbert3(Variety):
+class Humbert3(RelationVariety):
     """One Fermat pair and two Artin-Schreier pairs with relations
     lam1 x^N = y^N z1^N and lam2 = z1^N z2^N.
 
     Coordinates (x, y, z1, z2, t1, t2)."""
 
     def __init__(self, field: Field, lam1: int, lam2: int):
-        for lam in (lam1, lam2):
-            if lam == 0 or lam not in field.dlog:
-                raise ValueError("lam entries must be units")
-        super().__init__(field, "uuuuaa")
+        _check_lams(field, 2, (lam1, lam2))
+        super().__init__(
+            field,
+            4,
+            sums=[(0, 1)],
+            monomials=[(lam1, {0: 1, 1: -1, 2: -1}), (lam2, {2: -1, 3: -1})],
+            links=[2, 3],
+        )
         self.lam1, self.lam2 = lam1, lam2
-
-    def reduced_count(self, g):
-        f = self.field
-        xi, eta, z1, z2, a1, a2 = g
-        if f.add(xi, eta) != 1 or a1 != z1 or a2 != z2:
-            return 0
-        if f.mul(self.lam1, xi) != f.mul(eta, z1):
-            return 0
-        return 1 if self.lam2 == f.mul(z1, z2) else 0
-
-    def points(self, ext):
-        f = ext.field
-        l1, l2 = ext.embed(self.lam1), ext.embed(self.lam2)
-        for x in f.units():
-            xN = self._npow(ext, x)
-            for y in _nth_roots(ext, f.sub(1, xN)):
-                yN = self._npow(ext, y)
-                z1N = f.div(f.mul(l1, xN), yN)
-                z2N = f.div(l2, z1N)
-                for z1 in _nth_roots(ext, z1N):
-                    for z2 in _nth_roots(ext, z2N):
-                        for t1 in _as_preimages(ext, z1N):
-                            for t2 in _as_preimages(ext, z2N):
-                                yield (x, y, z1, z2, t1, t2)
-
-    def point_ok(self, ext, pt):
-        f = ext.field
-        x, y, z1, z2, t1, t2 = pt
-        if any(v == 0 for v in (x, y, z1, z2)):
-            return False
-        xN, yN = self._npow(ext, x), self._npow(ext, y)
-        z1N, z2N = self._npow(ext, z1), self._npow(ext, z2)
-        if f.add(xN, yN) != 1:
-            return False
-        q = self.field.q
-        if f.sub(f.pow(t1, q), t1) != z1N or f.sub(f.pow(t2, q), t2) != z2N:
-            return False
-        if f.mul(ext.embed(self.lam1), xN) != f.mul(yN, z1N):
-            return False
-        return ext.embed(self.lam2) == f.mul(z1N, z2N)
-
-    def tau_of(self, ext, pt):
-        f = ext.field
-        x, y, z1, z2, _, _ = pt
-        return (f.div(f.mul(y, z1), x), f.mul(z1, z2))
 
 
 class GeneralXDz(Variety):
@@ -940,10 +665,8 @@ class GeneralXDz(Variety):
     def __init__(self, field: Field, delta, z):
         delta = delta if isinstance(delta, Partition) else Partition(tuple(delta))
         delta.check_char(field)
-        shape = "".join("u" + "a" * (size - 1) for size in delta.parts)
-        # reorder so that all unit slots come first, matching the point layout
+        # all unit slots come first, matching the point layout
         super().__init__(field, "u" * delta.l + "a" * (delta.n - delta.l))
-        self._block_shape = shape
         self.delta = delta
         self.z = [list(row) for row in z]
         self.d = len(self.z)
@@ -953,20 +676,25 @@ class GeneralXDz(Variety):
     # the group element layout matches the shape: per-block leading units first,
     # then the additive coordinates blockwise.
 
-    def _iota_sz(self, s):
-        f = self.field
-        lead, adds = [], []
+    def _sz_blocks(self, f: Field, z, s):
+        """The coefficients of s . z in f, one column block at a time."""
         for cols in self.delta.column_blocks():
             coeffs = []
             for c in cols:
                 acc = 0
                 for row, sv in enumerate(s):
-                    acc = f.add(acc, f.mul(sv, self.z[row][c]))
+                    acc = f.add(acc, f.mul(sv, z[row][c]))
                 coeffs.append(acc)
+            yield coeffs
+
+    def _iota_sz(self, s):
+        f = self.field
+        lead, adds = [], []
+        for coeffs in self._sz_blocks(f, self.z, s):
             if coeffs[0] == 0:
                 return None
             lead.append(coeffs[0])
-            adds.extend(theta_list(f, len(cols) - 1, coeffs))
+            adds.extend(theta_list(f, len(coeffs) - 1, coeffs))
         return tuple(lead) + tuple(adds)
 
     def support(self):
@@ -979,67 +707,37 @@ class GeneralXDz(Variety):
             self._support = list(cnt.items())
         return self._support
 
-    def reduced_count(self, g):
-        return dict(self.support()).get(tuple(g), 0)
-
     def points(self, ext):
         f = ext.field
         zed = [[ext.embed(v) for v in row] for row in self.z]
         for s in itertools.product(f.elements(), repeat=self.d):
-            block_data = []
-            dead = False
-            for cols in self.delta.column_blocks():
-                coeffs = []
-                for c in cols:
-                    acc = 0
-                    for row, sv in enumerate(s):
-                        acc = f.add(acc, f.mul(sv, zed[row][c]))
-                    coeffs.append(acc)
-                if coeffs[0] == 0:
-                    dead = True
-                    break
+            tchoices, uchoices = [], []
+            for coeffs in self._sz_blocks(f, zed, s):
                 troots = _nth_roots(ext, coeffs[0])
                 if not troots:
-                    dead = True
                     break
-                ths = theta_list(f, len(cols) - 1, coeffs)
-                ulists = [_as_preimages(ext, th) for th in ths]
-                if any(not ul for ul in ulists):
-                    dead = True
+                ulists = [_as_preimages(ext, th) for th in theta_list(f, len(coeffs) - 1, coeffs)]
+                if not all(ulists):
                     break
-                block_data.append((troots, ulists))
-            if dead:
-                continue
-            tchoices = [bd[0] for bd in block_data]
-            uchoices = [ul for bd in block_data for ul in bd[1]]
-            for ts in itertools.product(*tchoices):
-                for us in itertools.product(*uchoices):
-                    yield tuple(ts) + tuple(us) + tuple(s)
+                tchoices.append(troots)
+                uchoices.extend(ulists)
+            else:
+                for ts in itertools.product(*tchoices):
+                    for us in itertools.product(*uchoices):
+                        yield tuple(ts) + tuple(us) + tuple(s)
 
     def point_ok(self, ext, pt):
         f = ext.field
         l = self.delta.l
-        n_add = self.delta.n - l
         ts = pt[:l]
-        us = pt[l : l + n_add]
-        s = pt[l + n_add :]
+        us = iter(pt[l : self.delta.n])
+        s = pt[self.delta.n :]
         zed = [[ext.embed(v) for v in row] for row in self.z]
-        uidx = 0
-        for bi, cols in enumerate(self.delta.column_blocks()):
-            coeffs = []
-            for c in cols:
-                acc = 0
-                for row, sv in enumerate(s):
-                    acc = f.add(acc, f.mul(sv, zed[row][c]))
-                coeffs.append(acc)
-            if coeffs[0] == 0 or ts[bi] == 0:
+        for t, coeffs in zip(ts, self._sz_blocks(f, zed, s)):
+            if coeffs[0] == 0 or t == 0 or f.pow(t, self.field.N) != coeffs[0]:
                 return False
-            if f.pow(ts[bi], self.field.N) != coeffs[0]:
-                return False
-            ths = theta_list(f, len(cols) - 1, coeffs)
-            for th in ths:
-                u = us[uidx]
-                uidx += 1
+            for th in theta_list(f, len(coeffs) - 1, coeffs):
+                u = next(us)
                 if f.sub(f.pow(u, self.field.q), u) != th:
                     return False
         return True

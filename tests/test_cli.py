@@ -200,6 +200,12 @@ def test_iso_rejects_non_unit_part(runner):
     ["hgf", "--q", "5", "--upper", "1", "--lower", "1", "--lam", "7"],
     ["humbert", "--q", "5", "--kind", "1", "--upper", "1,2", "--gamma", "1", "--delta", "1,1",
      "--lam1", "9", "--lam2", "2"],
+    ["count", "--family", "mxn", "--q", "3"],
+    ["count", "--family", "general", "--q", "3", "--delta", "1,2"],
+    ["count", "--family", "fermat", "--q", "3", "--n", "0"],
+    ["count", "--family", "fd", "--q", "3", "--n", "0", "--lams", "2"],
+    ["count", "--family", "fa", "--q", "3", "--n", "0", "--lams", "2"],
+    ["count", "--family", "fc", "--q", "3", "--n", "0", "--lams", "2"],
 ])
 def test_bad_input_fails_closed(runner, args):
     result = runner.invoke(main, args)

@@ -1,5 +1,6 @@
 """Oracle tests for the variety counts, closed forms, and isomorphisms."""
 
+import functools
 import itertools
 import random
 
@@ -160,6 +161,167 @@ def test_general_closed_form_is_phi():
     v = GeneralXDz(f, delta, z)
     for chi in enumerate_groupchars(v):
         assert n_chi_closed_form(v, chi, psi) == v.n_chi(chi)
+
+
+# -- the relation solver against the defining equations ---------------------
+
+
+def _on_variety(v, f, pw, art, emb, pt):
+    """The family's defining equations at pt, written out family by family.
+
+    pw(x) stands for x^N and art(t) for t^q - t; the reduced system of a group
+    element is the same equations with both read as the identity on k."""
+    n_units = v.shape.count("u")
+    if len(pt) != len(v.shape) or 0 in pt[:n_units]:
+        return False
+    P = [pw(x) for x in pt[:n_units]]
+    A = [art(t) for t in pt[n_units:]]
+    add, mul = f.add, f.mul
+
+    def total(vals):
+        return functools.reduce(add, vals, 0)
+
+    def prod(vals):
+        return functools.reduce(mul, vals, 1)
+
+    if isinstance(v, FermatStar):
+        return total(P) == 1
+    if isinstance(v, ASStar):
+        (z,), (t,) = P, A
+        return t == z
+    if isinstance(v, MXnLambda):
+        m = v.m
+        x, y, z = P[:m], P[m : 2 * m], P[2 * m :]
+        sign = f.pow(f.neg(1), v.n)
+        return (
+            all(add(a, b) == 1 for a, b in zip(x, y))
+            and A == z
+            and mul(mul(sign, emb(v.lam)), prod(x)) == mul(prod(y), prod(z))
+        )
+    if isinstance(v, LauricellaD):
+        n = v.n
+        x, y = P[: n + 1], P[n + 1 :]
+        return all(add(a, b) == 1 for a, b in zip(x, y)) and all(
+            mul(emb(lam), mul(x[0], x[i])) == mul(y[0], y[i])
+            for i, lam in enumerate(v.lams, 1)
+        )
+    if isinstance(v, LauricellaA):
+        n = v.n
+        x, y, z = P[: n + 1], P[n + 1 : 2 * n + 1], P[2 * n + 1 :]
+        return (
+            total(x) == 1
+            and all(add(a, b) == 1 for a, b in zip(y, z))
+            and all(
+                mul(emb(lam), mul(x[0], y[i])) == mul(x[i + 1], z[i])
+                for i, lam in enumerate(v.lams)
+            )
+        )
+    if isinstance(v, LauricellaC):
+        n = v.n
+        x, y = P[: n + 1], P[n + 1 :]
+        return (
+            total(x) == 1
+            and total(y) == 1
+            and all(
+                mul(emb(lam), mul(x[0], y[0])) == mul(x[i], y[i])
+                for i, lam in enumerate(v.lams, 1)
+            )
+        )
+    if isinstance(v, Humbert1):
+        x1, x2, y1, y2, z = P
+        (t,) = A
+        return (
+            add(x1, y1) == 1
+            and add(x2, y2) == 1
+            and t == z
+            and mul(emb(v.lam1), mul(x1, x2)) == mul(y1, y2)
+            and mul(emb(v.lam2), x1) == mul(y1, z)
+        )
+    if isinstance(v, Humbert3):
+        x, y, z1, z2 = P
+        t1, t2 = A
+        return (
+            add(x, y) == 1
+            and (t1, t2) == (z1, z2)
+            and mul(emb(v.lam1), x) == mul(y, z1)
+            and emb(v.lam2) == mul(z1, z2)
+        )
+    raise AssertionError(f"no equations for {type(v).__name__}")
+
+
+def _equation_families(f):
+    lam, mu = f.generator, f.inv(f.generator)
+    return [
+        FermatStar(f, 1),
+        FermatStar(f, 2),
+        FermatStar(f, 3),
+        ASStar(f),
+        MXnLambda(f, 2, 2, lam),
+        MXnLambda(f, 1, 2, lam),
+        MXnLambda(f, 0, 1, lam),
+        MXnLambda(f, 0, 2, mu),
+        MXnLambda(f, 2, 3, lam),
+        LauricellaD(f, 1, (lam,)),
+        LauricellaD(f, 2, (lam, mu)),
+        LauricellaA(f, 1, (lam,)),
+        LauricellaA(f, 2, (lam, mu)),
+        LauricellaC(f, 1, (lam,)),
+        LauricellaC(f, 2, (lam, mu)),
+        Humbert1(f, lam, mu),
+        Humbert3(f, lam, mu),
+    ]
+
+
+# a scan of every coordinate tuple stays below this many tuples: F_9 takes the
+# families with at most 5 coordinates, F_16 those with at most 4
+_SCAN_CAP = 1 << 16
+
+
+@pytest.mark.parametrize("q,r", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_points_and_point_ok_match_the_equations(q, r):
+    base = build_field_q(q)
+    ext = extend(base, r)
+    f, N = ext.field, base.N
+
+    def pw(x):
+        return f.pow(x, N)
+
+    def art(t):
+        return f.sub(f.pow(t, q), t)
+
+    scanned = 0
+    for v in _equation_families(base):
+        if f.q ** len(v.shape) > _SCAN_CAP:
+            continue
+        on = set()
+        for pt in itertools.product(range(f.q), repeat=len(v.shape)):
+            ok = _on_variety(v, f, pw, art, ext.embed, pt)
+            assert v.point_ok(ext, pt) == ok, (type(v).__name__, pt)
+            if ok:
+                on.add(pt)
+        pts = list(v.points(ext))
+        assert len(pts) == len(set(pts)), type(v).__name__
+        assert set(pts) == on, type(v).__name__
+        scanned += 1
+    assert scanned >= 9
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_support_matches_the_reduced_equations(q):
+    f = build_field_q(q)
+
+    def ident(x):
+        return x
+
+    for v in _equation_families(f):
+        slots = [list(f.units()) if kind == "u" else list(f.elements()) for kind in v.shape]
+        want = {
+            g for g in itertools.product(*slots) if _on_variety(v, f, ident, ident, ident, g)
+        }
+        support = dict(v.support())
+        assert set(support) == want, type(v).__name__
+        assert set(support.values()) <= {1}
+        assert len(support) == len(v.support())
 
 
 # -- monomial calculus ------------------------------------------------------

@@ -280,6 +280,8 @@ def _parse_hdelta_char(f: Field, delta: Partition, text, psi) -> HDeltaChar:
         if len(avec) != size - 1:
             raise click.UsageError(
                 f"block of size {size} needs {size - 1} additive coefficients")
+        if any(a not in f.elements() for a in avec):
+            raise ValueError(f"additive coefficients must lie in 0..{f.q - 1}")
         blocks.append(JmChar(MulChar(f, int(head)), tuple(avec), psi))
     return HDeltaChar(delta, tuple(blocks))
 
@@ -557,11 +559,12 @@ def _claim_symmetry(q, seed, cap, parts):
     zs = [_z_sample(f, dd, n, rng) for _ in range(4)]
     for w in ws:
         mw = w_to_matrix(f, w)
+        zws = [mat_mul(f, z, mw) for z in zs]
         for chi in hdelta_chars(f, delta):
-            for z in zs:
+            for z, zw in zip(zs, zws):
                 tot += 1
                 lhs = phi_delta(w_action_on_char(chi, w), z)
-                rhs = phi_delta(chi, mat_mul(f, z, mw))
+                rhs = phi_delta(chi, zw)
                 if lhs == rhs:
                     ok += 1
                 else:

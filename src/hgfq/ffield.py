@@ -155,17 +155,23 @@ def _poly_to_code(poly, p: int) -> int:
     return code
 
 
+def _check_field_size(p: int, e: int, cap: int) -> int:
+    """q = p^e, after checking that p is prime, e positive and q within cap."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError("e must be positive")
+    q = p**e
+    if q > cap:
+        raise ValueError(f"field size {q} exceeds cap {cap}")
+    return q
+
+
 class Field:
     """F_q with q = p^e, table-driven arithmetic on integer element codes."""
 
     def __init__(self, p: int, e: int, cap: int = DEFAULT_CAP):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("e must be positive")
-        q = p**e
-        if q > cap:
-            raise ValueError(f"field size {q} exceeds cap {cap}")
+        q = _check_field_size(p, e, cap)
         self.p = p
         self.e = e
         self.q = q
@@ -350,7 +356,7 @@ class ExtensionField:
             raise ValueError(f"extension size {base.q**r} exceeds cap {cap}")
         self.base = base
         self.r = r
-        self.field = base if r == 1 else Field(base.p, base.e * r, cap=cap)
+        self.field = base if r == 1 else build_field(base.p, base.e * r, cap=cap)
         self._embed_stride = 1 if r == 1 else self._find_embed_stride()
 
     def _find_embed_stride(self) -> int:
@@ -389,14 +395,27 @@ class ExtensionField:
         return f"ExtensionField({self.base!r}, r={self.r})"
 
 
-@lru_cache(maxsize=None)
 def build_field(p: int, e: int = 1, cap: int = DEFAULT_CAP) -> Field:
-    return Field(p, e, cap=cap)
+    """F_(p^e): one shared object per (p, e), whichever cap admitted it."""
+    _check_field_size(p, e, cap)
+    return _field(p, e)
 
 
 @lru_cache(maxsize=None)
+def _field(p: int, e: int) -> Field:
+    return Field(p, e, cap=p**e)
+
+
 def extend(field: Field, r: int, cap: int = DEFAULT_CAP) -> ExtensionField:
-    return ExtensionField(field, r, cap=cap)
+    """The degree-r extension of field: one shared object per (field, r)."""
+    if field.q**r > cap:
+        raise ValueError(f"extension size {field.q**r} exceeds cap {cap}")
+    return _extension(field, r)
+
+
+@lru_cache(maxsize=None)
+def _extension(field: Field, r: int) -> ExtensionField:
+    return ExtensionField(field, r, cap=field.q**r)
 
 
 def build_field_q(q: int, cap: int = DEFAULT_CAP) -> Field:

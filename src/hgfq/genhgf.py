@@ -12,6 +12,18 @@ sum is
 where z is a d x n matrix read in blocks of N_i columns and the block value
 is zero whenever its leading entry s.z_0 vanishes.
 
+Phi depends on chi only through the log coordinates of the blocks of [s z],
+so phi_delta enumerates k^d once per (field, parts, z) and keeps, in a
+bounded lru_cache keyed on z by value, the histogram of the per-block keys
+(dlog h_0, theta_1(h), ..., theta_(m-1)(h)) over the points with every
+h_0 != 0.  Each character then costs one pass over the keys: its value at a
+key is zeta_M^e with e additive over the blocks, the counts are gathered
+by exponent and canonicalized once.  The conductor M is N p when some part
+exceeds 1 and N otherwise (N = max(q - 1, 1)), the same as a sum of the
+point values chi_of_sz would carry; an empty histogram gives Cyclo.zero().
+This enumeration is kept apart from GeneralXDz.support(), so that point
+counts checked against Phi compare two independent computations.
+
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
 characters realizes the transformation formulas.  The closed-form
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chars import AddChar, MulChar, standard_psi, trivial_char
 from .cyclo import Cyclo
@@ -307,18 +320,91 @@ def _scol(field: Field, s, z, col: int) -> int:
 
 
 def phi_delta(chi: HDeltaChar, z) -> Cyclo:
-    """Phi(chi; z) = sum over s in k^d of chi([s z])."""
-    chi.delta.check_char(chi.field)
+    """Phi(chi; z) = sum over s in k^d of chi([s z]).
+
+    The sum is read off the cached histogram (_phi_histogram) of the keys
+    (dlog h_0, theta_1(h), ..., theta_(m-1)(h)) of the blocks h of [s z],
+    built once per (field, parts, z) and shared by every character.  Every
+    block value of chi is a root of unity,
+    zeta_N^(j dlog h_0) * zeta_p^(sum_i Tr(psi_a a_i theta_i(h))), so each
+    histogram entry adds its count to one exponent of zeta_M, and the count
+    vector is canonicalized once.  The conductor is that of the product of
+    the block values: M = N p when some part exceeds 1, else M = N, with
+    N = max(q - 1, 1); with no point in the support the sum is Cyclo.zero().
+    The histogram is not GeneralXDz.support(), which enumerates the same
+    points on its own, so n_chi and Phi stay independent checks of each
+    other.  chi_of_sz remains the one-point definition.
+    """
     f = chi.field
-    d = len(z)
+    chi.delta.check_char(f)
     if any(len(row) != chi.delta.n for row in z):
         raise ValueError("z must have n columns")
-    total = Cyclo.zero()
-    for s in itertools.product(f.elements(), repeat=d):
-        v = chi_of_sz(chi, s, z)
-        if not v.is_zero():
-            total = total + v
-    return total
+    if any(x not in f.elements() for row in z for x in row):
+        raise ValueError(f"z entries must lie in 0..{f.q - 1}")
+    blocks, hist = _phi_histogram(f, chi.delta.parts, tuple(map(tuple, z)))
+    if not hist:
+        return Cyclo.zero()
+    N = max(f.N, 1)
+    M = N * f.p if chi.delta.parts[-1] > 1 else N
+    step = M // N
+    tables = []
+    for b, keys in zip(chi.blocks, blocks):
+        j = b.alpha.j
+        cs = [f.mul(b.psi.a, aj) for aj in b.a]
+        tables.append([
+            (j * key[0] % N) * step
+            + N * sum(f.trace_to_prime(f.mul(c, th)) for c, th in zip(cs, key[1:]))
+            for key in keys
+        ])
+    counts = [0] * M
+    for idx, count in hist:
+        e = 0
+        for table, i in zip(tables, idx):
+            e += table[i]
+        counts[e % M] += count
+    return Cyclo(M, counts)
+
+
+# Histograms kept for the most recent (field, parts, z); a symmetry check
+# alternates between a handful of matrices, a table walks one.
+_HISTOGRAMS_KEPT = 64
+
+
+@lru_cache(maxsize=_HISTOGRAMS_KEPT)
+def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
+    """The histogram of the block keys (dlog h_0, theta_1(h), ...) of [s z]
+    over s in k^d, leaving out the points where some block has h_0 = 0.
+
+    Returns (per block, the list of its distinct keys; [(per-block indices
+    into those lists, number of s), ...]).
+    """
+    f = field
+    n = sum(parts)
+    starts = list(itertools.accumulate(parts, initial=0))
+    index = [{} for _ in parts]
+    blocks = [[] for _ in parts]
+    hist = {}
+    for s in itertools.product(f.elements(), repeat=len(z)):
+        v = [0] * n
+        for sv, row in zip(s, z):
+            if sv:
+                for c, x in enumerate(row):
+                    if x:
+                        v[c] = f.add(v[c], f.mul(sv, x))
+        idx = []
+        for b, size in enumerate(parts):
+            h = tuple(v[starts[b]:starts[b] + size])
+            if h[0] == 0:
+                break
+            i = index[b].get(h)
+            if i is None:
+                i = index[b][h] = len(blocks[b])
+                blocks[b].append((f.dlog[h[0]], *theta_list(f, size - 1, h)))
+            idx.append(i)
+        else:
+            idx = tuple(idx)
+            hist[idx] = hist.get(idx, 0) + 1
+    return blocks, list(hist.items())
 
 
 # -- the symmetry group ----------------------------------------------------

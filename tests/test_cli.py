@@ -189,6 +189,8 @@ def test_iso_rejects_non_unit_part(runner):
     ["jacobi", "--q", "5", "--chi", "1"],
     ["jacobi", "--q", "5", "--chi", "x,1"],
     ["phi", "--q", "5", "--delta", "3,3", "--lams", "2", "--chi", "1;1"],
+    ["phi", "--q", "3", "--delta", "1,1", "--z", "5,0;0,1", "--chi", "1;1"],
+    ["phi", "--q", "3", "--delta", "1,2", "--z", "1,0,1;0,1,1", "--chi", "1;1:7"],
     ["lauricella", "--q", "5", "--kind", "D", "--alpha", "1", "--beta", "1,2", "--gamma", "1",
      "--delta", "1,2", "--lams", "2"],
     ["lauricella", "--q", "5", "--kind", "A", "--alpha", "1", "--beta", "1,2", "--gamma", "1",

@@ -115,6 +115,17 @@ def test_trivial_extension_is_identity():
         assert ext.embed(a) == a
 
 
+def test_one_field_object_per_size():
+    f = build_field_q(3)
+    assert build_field(3) is f and build_field(3, 1, cap=3) is f
+    assert build_field_q(9) is build_field(3, 2)
+    extend(build_field_q(3), 1)
+    assert extend(build_field(3), 1).field is build_field(3)
+    assert extend(f, 2).field is build_field_q(9)
+    with pytest.raises(ValueError):
+        build_field(3, 2, cap=8)  # the cap is checked on every call, cached or not
+
+
 def test_extension_cap():
     with pytest.raises(ValueError):
         ExtensionField(build_field(3), 13)

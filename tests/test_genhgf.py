@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgfq.chars import MulChar, standard_psi, trivial_char
+from hgfq.chars import AddChar, MulChar, standard_psi, trivial_char
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import build_field, build_field_q
 from hgfq.genhgf import (
@@ -13,6 +15,7 @@ from hgfq.genhgf import (
     JmChar,
     Partition,
     WDeltaElem,
+    chi_of_sz,
     hdelta_chars,
     h_to_matrix,
     identity_w,
@@ -265,8 +268,126 @@ def test_phi_shape_validation():
     f = build_field(3)
     psi = standard_psi(f)
     chi = HDeltaChar(Partition((1, 1)), tuple(JmChar(MulChar(f, 0), (), psi) for _ in range(2)))
-    with pytest.raises(ValueError):
-        phi_delta(chi, [[1]])
+    # a wrong column count, then entries outside 0..q-1
+    for z in ([[1]], [[5, 0], [0, 1]], [[-1, 1]], [[1, 3]]):
+        with pytest.raises(ValueError):
+            phi_delta(chi, z)
+
+
+# -- the histogram evaluation against the literal sum ----------------------
+
+
+def _phi_literal(chi, z):
+    """Phi(chi; z) summed one point s at a time."""
+    f = chi.field
+    points = itertools.product(f.elements(), repeat=len(z))
+    return sum((chi_of_sz(chi, s, z) for s in points), Cyclo.zero())
+
+
+def _same(a, b):
+    return (a.m, a.num, a.den) == (b.m, b.num, b.den)
+
+
+# Every partition of the acceptance grid and of the benchmark's tables.
+_DIFF_PARTS = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 2), (1, 2, 2),
+               (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 1, 1)]
+# Groups of at most _DIFF_ALL_CHARS characters, which include every one the
+# benchmark tabulates, are checked in full.  A larger group is checked on a
+# fixed sample (the trivial character included) of as many characters as
+# _DIFF_POINTS literal-sum points over all z allow.
+_DIFF_ALL_CHARS = 128
+_DIFF_POINTS = 8000
+
+
+def _diff_setup(q, alternate):
+    """F_q and psi: standard, or on the second generator (where there is
+    one) with psi_a for the first unit a != 1."""
+    f = build_field_q(q)
+    if not alternate:
+        return f, standard_psi(f)
+    gens = f.generators()
+    if len(gens) > 1:
+        f = f.with_generator(gens[1])
+    return f, AddChar(f, next(u for u in f.units() if u != 1))
+
+
+def _diff_zs(f, delta, rng):
+    """z at d = 0, 1, 2 (3 for q <= 3): block leads nonzero, mixed, one
+    block's lead column zero, and all of z zero."""
+    n, q = delta.n, f.q
+    leads = [c.start for c in delta.column_blocks()]
+
+    def rand(d, lead_nonzero=True):
+        z = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+        if lead_nonzero:
+            for c in leads:
+                z[0][c] = rng.randrange(1, q)
+        return z
+
+    zero_lead = rand(1)
+    zero_lead[0][rng.choice(leads)] = 0
+    zs = [[], rand(1), zero_lead, rand(2), rand(2, False), [[0] * n, [0] * n]]
+    if q <= 3:
+        zs.append(rand(3))
+    return zs
+
+
+@pytest.mark.parametrize("q,alternate", [
+    pytest.param(q, alternate, id=f"q{q}-{'alternate' if alternate else 'standard'}")
+    for alternate, qs in ((False, (2, 3, 4, 5, 7, 8, 9)), (True, (3, 4, 5, 7, 8, 9)))
+    for q in qs])
+def test_phi_matches_literal_sum(q, alternate):
+    f, psi = _diff_setup(q, alternate)
+    for parts in _DIFF_PARTS:
+        if parts[-1] > f.p:
+            continue
+        delta = Partition(parts)
+        rng = random.Random(100 * q + 10 * alternate + len(parts) + sum(parts))
+        zs = _diff_zs(f, delta, rng)
+        chars = list(hdelta_chars(f, delta, psi))
+        keep = _DIFF_POINTS // sum(q ** len(z) for z in zs)
+        if len(chars) > _DIFF_ALL_CHARS:
+            chars = chars[:1] + rng.sample(chars[1:], keep - 1)
+        for z in zs:
+            for chi in chars:
+                got, want = phi_delta(chi, z), _phi_literal(chi, z)
+                assert _same(got, want), (q, parts, chi, z)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_phi_matches_literal_sum_on_sampled_z(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    alternate = data.draw(st.booleans()) and len(build_field_q(q).generators()) > 1
+    f, psi = _diff_setup(q, alternate)
+    parts = data.draw(st.sampled_from([p for p in _DIFF_PARTS if p[-1] <= f.p]))
+    delta = Partition(parts)
+    d = data.draw(st.integers(0, 2))
+    z = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=delta.n, max_size=delta.n),
+                           min_size=d, max_size=d))
+    blocks = []
+    for size in parts:
+        j = data.draw(st.integers(0, max(f.N, 1) - 1))
+        a = tuple(data.draw(st.integers(0, q - 1)) for _ in range(size - 1))
+        blocks.append(JmChar(MulChar(f, j), a, psi))
+    chi = HDeltaChar(delta, tuple(blocks))
+    assert _same(phi_delta(chi, z), _phi_literal(chi, z))
+
+
+def test_phi_reads_z_by_value():
+    # the histogram cache keys z by value: an in-place change is seen
+    f = build_field_q(5)
+    delta = Partition((1, 2))
+    chars = list(itertools.islice(hdelta_chars(f, delta), 30))
+    z = [[1, 2, 3], [0, 1, 4]]
+    before = [phi_delta(chi, z) for chi in chars]
+    z[1][0] = 2
+    z[0][2] = 0
+    after = [phi_delta(chi, z) for chi in chars]
+    assert all(_same(v, _phi_literal(chi, z)) for chi, v in zip(chars, after))
+    assert any(not _same(u, v) for u, v in zip(before, after))
+    z[0][0] = z[1][0] = 0
+    assert all(phi_delta(chi, z).is_zero() for chi in chars)
 
 
 def _random_w(f, delta, rng):

@@ -59,12 +59,6 @@ class MulChar:
         """1 if trivial, else 0."""
         return 1 if self.j == 0 else 0
 
-    def order(self) -> int:
-        from math import gcd
-
-        N = max(self.field.N, 1)
-        return N // gcd(self.j, N)
-
     def __repr__(self):
         return f"chi_{self.j}[q={self.field.q}]"
 

@@ -160,15 +160,14 @@ def gauss_cmd(q, p, e, cap, as_json, chi, psi_a, circ):
     f = _get_field(q, p, e, cap)
     psi = AddChar(f, f.from_int(psi_a))
     fun = gauss_circ if circ else gauss
-    if not as_json or chi is None:
-        rows = [(j, _cyclo_str(fun(MulChar(f, j), psi))) for j in range(f.N)]
-        if as_json:
-            _echo_json([{"chi": j, "value": _cyclo_json(fun(MulChar(f, j), psi))}
-                        for j in range(f.N)])
-        else:
-            _echo_csv(("chi", "value"), rows)
+    if as_json and chi is not None:
+        _echo_json({"q": f.q, "chi": chi, "value": _cyclo_json(fun(MulChar(f, chi), psi))})
         return
-    _echo_json({"q": f.q, "chi": chi, "value": _cyclo_json(fun(MulChar(f, chi), psi))})
+    values = [fun(MulChar(f, j), psi) for j in range(f.N)]
+    if as_json:
+        _echo_json([{"chi": j, "value": _cyclo_json(v)} for j, v in enumerate(values)])
+    else:
+        _echo_csv(("chi", "value"), [(j, _cyclo_str(v)) for j, v in enumerate(values)])
 
 
 @main.command("jacobi")
@@ -270,8 +269,11 @@ def humbert_cmd(q, p, e, cap, kind, upper, gamma, delta, lam1, lam2):
 
 def _parse_hdelta_char(f: Field, delta: Partition, text, psi) -> HDeltaChar:
     """Block syntax: 'j' or 'j:a1,a2,...' per block, blocks joined by ';'."""
+    texts = text.split(";")
+    if len(texts) != delta.l:
+        raise ValueError(f"block count mismatch: {len(texts)} blocks for {delta.l} parts")
     blocks = []
-    for block, size in zip(text.split(";"), delta.parts):
+    for block, size in zip(texts, delta.parts):
         if ":" in block:
             head, tail = block.split(":", 1)
             avec = _parse_ints(tail)

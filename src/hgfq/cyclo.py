@@ -272,10 +272,6 @@ def zeta(m: int, k: int = 1) -> Cyclo:
     return Cyclo(m, v)
 
 
-ZERO = Cyclo.zero()
-ONE = Cyclo.integer(1)
-
-
 @lru_cache(maxsize=None)
 def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """deg Phi_m and its nonzero lower coefficients as (j - deg, c_j).

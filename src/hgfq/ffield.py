@@ -253,7 +253,6 @@ class Field:
 
     def generators(self) -> list[int]:
         """All multiplicative generators, by ascending code."""
-        g = self.generator
         return sorted(self.exp[i] for i in range(1, self.N) if gcd(i, self.N) == 1) if self.N > 1 else [1]
 
     # -- arithmetic on codes ----------------------------------------------

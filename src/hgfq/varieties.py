@@ -33,13 +33,18 @@ prod x_i^-e per monomial.  GeneralXDz is parametrised by s instead.
 
 Isomorphisms.  Maps between family members are monomial in the unit
 coordinates (integer exponent matrices Q scaled by canonical N-th roots)
-and affine in the Artin-Schreier coordinates.  Each isomorphism carries a
-CharTransport whose identity
+and affine in the Artin-Schreier coordinates (a matrix add_mat of field
+elements plus shifts).  Each isomorphism carries a PointMap, whose
+bijectivity verify_iso checks, and a CharTransport read off the same
+(Q, add_mat, d): characters go through the transposes of the map's
+matrices, and
 
     chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi)
 
-is mechanically checkable by transport_check, and a PointMap whose
-bijectivity is checkable by verify_iso.
+is mechanically checkable by transport_check.  A reducible decomposition is
+a set of twisted point maps from a smaller variety, one per tuple of N-th
+roots of one, that partition the big variety's points; its transport gives
+the count identity.
 """
 
 from __future__ import annotations
@@ -58,11 +63,10 @@ from .genhgf import (
     JmChar,
     Partition,
     WDeltaElem,
+    _dot,
     mat_mul,
-    mu_matrix_prime,
     phi_delta,
     theta_list,
-    w_action_on_char,
     w_to_matrix,
 )
 from .hgf import HgfParams, hgf_eval, humbert, lauricella
@@ -946,45 +950,42 @@ class PointMap:
         if self.scalars is not None:
             mult = tuple(f.mul(c, v) for c, v in zip(self.scalars, mult))
         if self.add_mat is not None:
-            new_add = []
-            for j in range(self.n_add):
-                acc = 0
-                for i in range(self.n_add):
-                    cij = self.add_mat[i][j]
-                    if cij:
-                        acc = f.add(acc, f.mul(ext.embed(cij), add[i]))
-                new_add.append(acc)
-            add = tuple(new_add)
+            add = _linear_map(ext, add, self.add_mat)
         if self.add_shifts is not None:
             add = tuple(f.add(u, sh) for u, sh in zip(add, self.add_shifts))
         if self.s_mat is not None:
-            new_s = []
-            for j in range(len(s)):
-                acc = 0
-                for i in range(len(s)):
-                    cij = self.s_mat[i][j]
-                    if cij:
-                        acc = f.add(acc, f.mul(ext.embed(cij), s[i]))
-                new_s.append(acc)
-            s = tuple(new_s)
+            s = _linear_map(ext, s, self.s_mat)
         return mult + add + s
+
+
+def _linear_map(ext: ExtensionField, vec, A):
+    """(vec . A)_j = sum_i vec_i A[i][j], with A's base-field entries embedded."""
+    f = ext.field
+    out = []
+    for j in range(len(A[0]) if A else 0):
+        acc = 0
+        for v, row in zip(vec, A):
+            if row[j]:
+                acc = f.add(acc, f.mul(ext.embed(row[j]), v))
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass
 class CharTransport:
-    """The character-level shadow of a point map.
+    """The character-level shadow of a point map, read off its matrices.
 
     The transport identity is
         factor(chi) * n_chi(source; transform(chi)) == n_chi(target; chi),
-    with factor(chi) = chi(d_elem)."""
+    with factor(chi) = chi(d_elem).  transform sends the multiplicative parts
+    through Q^T and the additive coefficients through add_mat (row = source
+    slot): a'_i = sum_j add_mat[i][j] a_j."""
 
     source: Variety
     target: Variety
     Q: list | None = None
     d_elem: tuple = ()
-    add_perm: tuple = ()
-    add_twists: tuple = ()
-    chi_map: object = None
+    add_mat: list | None = None
 
     def factor(self, chi: GroupChar) -> Cyclo:
         if not self.d_elem:
@@ -992,19 +993,15 @@ class CharTransport:
         return chi.eval(self.d_elem)
 
     def transform(self, chi: GroupChar) -> GroupChar:
-        if self.chi_map is not None:
-            return self.chi_map(chi)
-        mults = chi.mul_parts()
+        mults = tuple(chi.mul_parts())
         adds = chi.add_parts()
-        new_mults = list(mults)
         if self.Q is not None:
-            new_mults = list(char_star(tuple(mults), imat_transpose(self.Q)))
-        new_adds = list(adds)
-        if self.add_perm:
-            new_adds = [
-                adds[i].twist(c) for i, c in zip(self.add_perm, self.add_twists)
-            ]
-        return GroupChar(tuple(new_mults) + tuple(new_adds))
+            mults = char_star(mults, imat_transpose(self.Q))
+        if self.add_mat is not None:
+            f = chi.field
+            coeffs = [a.a for a in adds]
+            adds = [AddChar(f, _dot(f, row, coeffs)) for row in self.add_mat]
+        return GroupChar(mults + tuple(adds))
 
 
 def transport_check(transport: CharTransport, chi: GroupChar) -> bool:
@@ -1209,7 +1206,11 @@ class SymmetryContext:
         tgt = type(self)(fb, x=self.transformed(sym))
         Q = self.q_matrix(sigma)
         dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
-        slots = self._slot_perm(sigma)
+        add_mat = None
+        if cs:
+            add_mat = imat_zero(len(cs), len(cs))
+            for j, s in enumerate(self._slot_perm(sigma)):
+                add_mat[s][j] = cs[s]
         if self.shift_row is None:
             shifts = (0,) * len(cs)
         else:
@@ -1222,18 +1223,12 @@ class SymmetryContext:
             target=tgt_v,
             Q=Q,
             d_elem=dtw + shifts,
-            add_perm=invert_perm(slots),
-            add_twists=cs,
+            add_mat=add_mat,
         )
         try:
             ext = extend(fb, self.ext_degree())
         except ValueError:  # the extension exceeds the cap: transport only
             return Isomorphism(self, tgt, sym, None, transport)
-        add_mat = None
-        if cs:
-            add_mat = imat_zero(len(cs), len(cs))
-            for j, s in enumerate(slots):
-                add_mat[s][j] = cs[s]
         pm = PointMap(
             source=src_v,
             target=tgt_v,
@@ -1660,90 +1655,48 @@ def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
     r = fb.N if all(size == 1 for size in v.delta.parts) else fb.p * fb.N
     ext = extend(fb, r)
     l = v.delta.l
-    scalars = tuple(canonical_nth_root(ext, h[0]) for h in h_blocks)
-    shifts = []
+    thetas = []
     for size, h in zip(v.delta.parts, h_blocks):
-        for th in theta_list(fb, size - 1, list(h)):
-            shifts.append(artin_schreier_root(ext, th))
-    n_add = v.delta.n - l
+        thetas.extend(theta_list(fb, size - 1, list(h)))
     pm = PointMap(
         source=v,
         target=target,
         ext_r=r,
         n_mult=l,
-        n_add=n_add,
+        n_add=v.delta.n - l,
         n_s=v.d,
-        scalars=scalars,
-        add_shifts=tuple(shifts),
+        scalars=tuple(canonical_nth_root(ext, h[0]) for h in h_blocks),
+        add_shifts=tuple(artin_schreier_root(ext, th) for th in thetas),
     )
-    d_elem = []
-    for size, h in zip(v.delta.parts, h_blocks):
-        d_elem.append(h[0])
-    for size, h in zip(v.delta.parts, h_blocks):
-        d_elem.extend(theta_list(fb, size - 1, list(h)))
-    transport = CharTransport(source=v, target=target, d_elem=tuple(d_elem))
+    d_elem = tuple(h[0] for h in h_blocks) + tuple(thetas)
+    transport = CharTransport(source=v, target=target, d_elem=d_elem)
     return Isomorphism(v, target, ("Rh", h_blocks), pm, transport)
 
 
 def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
-    """The column-symmetry action: permutes equal-size blocks and substitutes
-    within blocks."""
+    """The column-symmetry action z -> z w: permutes equal-size blocks and
+    substitutes within blocks.  Q is w on the block-leader rows and columns,
+    add_mat is w on the others."""
     fb = v.field
-    target = GeneralXDz(fb, v.delta, mat_mul(fb, v.z, w_to_matrix(fb, w)))
-    l = v.delta.l
-    n_add = v.delta.n - l
-
-    # block bookkeeping: global block index and additive-slot offsets
-    groups = v.delta.grouped()
-    block_of = []  # (group index, position) per global block
-    offset = 0
-    group_start = []
-    for gi, (size, mult) in enumerate(groups):
-        group_start.append(offset)
-        for j in range(mult):
-            block_of.append((gi, j))
-        offset += mult
-    add_offset = []
-    acc = 0
-    for size in v.delta.parts:
-        add_offset.append(acc)
-        acc += size - 1
-
-    Q = imat_zero(l, l)
-    add_mat = [[0] * n_add for _ in range(n_add)]
-    for gi, (size, mult) in enumerate(groups):
-        sigma = w.sigmas[gi]
-        cvecs = w.cs[gi]
-        for j in range(mult):
-            src_block = group_start[gi] + sigma[j]
-            tgt_block = group_start[gi] + j
-            Q[src_block][tgt_block] = 1
-            if size > 1:
-                mp = mu_matrix_prime(fb, tuple(cvecs[sigma[j]]), size)
-                for b in range(size - 1):
-                    for a in range(size - 1):
-                        add_mat[add_offset[src_block] + b][add_offset[tgt_block] + a] = mp[b][a]
+    W = w_to_matrix(fb, w)
+    target = GeneralXDz(fb, v.delta, mat_mul(fb, v.z, W))
+    leads = [cols[0] for cols in v.delta.column_blocks()]
+    rest = [c for c in range(v.delta.n) if c not in leads]
+    Q = [[W[i][j] for j in leads] for i in leads]
+    add_mat = [[W[i][j] for j in rest] for i in rest]
     pm = PointMap(
         source=v,
         target=target,
         ext_r=1,
-        n_mult=l,
-        n_add=n_add,
+        n_mult=len(leads),
+        n_add=len(rest),
         n_s=v.d,
         Q=Q,
         add_mat=add_mat,
     )
-
-    from .chars import standard_psi
-
-    def chi_map(chi: GroupChar) -> GroupChar:
-        psi = standard_psi(fb)
-        return hdelta_to_groupchar(
-            w_action_on_char(groupchar_to_hdelta(v.delta, chi, psi), w)
-        )
-
-    transport = CharTransport(source=v, target=target, d_elem=target.identity_element())
-    transport.chi_map = chi_map
+    transport = CharTransport(
+        source=v, target=target, Q=Q, d_elem=target.identity_element(), add_mat=add_mat
+    )
     return Isomorphism(v, target, ("fw", w), pm, transport)
 
 
@@ -1833,137 +1786,104 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
 # -- reducible decompositions ------------------------------------------------
 
 
+def _euler_gauss(fb: Field, lams):
+    """MXnLambda(2, 2, 1) from FermatStar(2): (u, w) -> (u, w, b w, a u)."""
+    units = list(fb.units())
+    twists = [(1, 1, b, a) for a in units for b in units]
+    Q = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    return MXnLambda(fb, 2, 2, 1), FermatStar(fb, 2), Q, (1,) * 4, (1, 2), twists
+
+
+def _fd_reduce(fb: Field, lams):
+    """LauricellaD(m) at lam_(m-1) = lam_m from LauricellaD(m - 1):
+    (x, y) -> (x, a x_(m-1), y, b y_(m-1))."""
+    lams = tuple(lams)
+    m = len(lams)
+    if m < 2 or lams[-1] != lams[-2]:
+        raise ValueError("degeneracy not satisfied")
+    cols = list(range(m)) + [m - 1] + list(range(m, 2 * m)) + [2 * m - 1]
+    Q = [[int(c == i) for c in cols] for i in range(2 * m)]
+    units, ones = list(fb.units()), (1,) * m
+    twists = [ones + (a,) + ones + (b,) for a in units for b in units]
+    big, small = LauricellaD(fb, m, lams), LauricellaD(fb, m - 1, lams[:-1])
+    # over F_3 the pieces have no point before degree 4
+    return big, small, Q, big.identity_element(), (1, 2, 4), twists
+
+
+def _f2_reduce(fb: Field, lams):
+    """LauricellaA(2) at lam_2 = 1 from MXnLambda(3, 3, lam_1)."""
+    (lam,) = tuple(lams)
+    Q = [
+        [1, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 1],
+        [0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0],
+        [-1, 0, -1, 0, -1, 0, -1],
+    ]
+    d = (fb.neg(1), 1, 1, 1, 1, 1, fb.neg(1))
+    twists = [(1,) * 6 + (a,) for a in fb.units()]
+    return LauricellaA(fb, 2, (lam, 1)), MXnLambda(fb, 3, 3, lam), Q, d, (fb.N,), twists
+
+
+# case -> (big, small, Q, d, degrees, twists), from the field and lams
+_DECOMPOSITIONS = {
+    "EulerGauss": _euler_gauss,
+    "FD_reduce": _fd_reduce,
+    "F2_reduce": _f2_reduce,
+}
+
+
 def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
-    """Verify the degenerate-parameter disjoint-union decompositions and the
-    count identities they induce."""
-    fb = field
-    report = {"case": case, "pass": True, "failures": []}
+    """Verify a degenerate-parameter decomposition of a variety big into
+    twisted copies of a smaller one, and the count identity it induces.
+
+    The count identity is transport_check(CharTransport(small -> big, Q, d), chi)
+    for every character chi of big.  Over each extension degree, the point maps
+    x -> (x . Q) * root(d) * t, one per twist t (a tuple of base units, so of
+    N-th roots of one), must land on big, be pairwise disjoint and cover all
+    of big's points.  checked counts the small points mapped; a report that
+    checked none fails."""
+    if case not in _DECOMPOSITIONS:
+        raise ValueError(f"unknown case {case!r}")
+    big, small, Q, d, degrees, twists = _DECOMPOSITIONS[case](field, lams)
+    report = {"case": case, "pass": True, "checked": 0, "failures": []}
 
     def fail(kind, **data):
         report["pass"] = False
         report["failures"].append({"kind": kind, **data})
 
-    if case == "EulerGauss":
-        v = MXnLambda(fb, 2, 2, 1)
-        fer = FermatStar(fb, 2)
-        # character identity: chi = (chi1, chi2, chi3, chi4) on (xi1, xi2, xi1', xi2')
-        for chi in enumerate_groupchars(v):
-            c1, c2, c3, c4 = chi.parts
-            pulled = GroupChar((c1 * c4, c2 * c3))
-            if v.n_chi(chi) != fer.n_chi(pulled):
-                fail("count identity", chi=[p.j for p in chi.parts])
-        # geometric pieces over k and k_2
-        for r in (1, 2):
-            ext = extend(fb, r)
-            f = ext.field
-            pieces = Counter()
-            for pt in v.points(ext):
-                x1, x2, y1, y2 = pt
-                a, b = f.div(y2, x1), f.div(y1, x2)
-                if f.pow(a, fb.N) != 1 or f.pow(b, fb.N) != 1:
-                    fail("piece index not a base unit", point=pt)
-                    break
-                pieces[(a, b)] += 1
-            base = fer.naive_count(r)
-            for (a, b), cnt in pieces.items():
-                if cnt != base:
-                    fail("piece size mismatch", piece=(a, b), got=cnt, expected=base)
-            # the embedding of the small variety into each piece
-            for a in (u for u in f.units() if f.pow(u, fb.N) == 1):
-                for b in (u for u in f.units() if f.pow(u, fb.N) == 1):
-                    for pt in fer.points(ext):
-                        u, w = pt
-                        img = (u, w, f.mul(b, w), f.mul(a, u))
-                        if not v.point_ok(ext, img):
-                            fail("piece embedding misses", piece=(a, b), point=pt)
-        return report
-
-    if case == "FD_reduce":
-        lams = tuple(lams)
-        m = len(lams)
-        if m < 2 or lams[-1] != lams[-2]:
-            raise ValueError("degeneracy not satisfied")
-        big = LauricellaD(fb, m, lams)
-        small = LauricellaD(fb, m - 1, lams[:-1])
-        for chi in enumerate_groupchars(big):
-            alphas = chi.parts[: m + 1]
-            betas = chi.parts[m + 1 :]
-            pulled = GroupChar(
-                tuple(alphas[:-2])
-                + (alphas[-2] * alphas[-1],)
-                + tuple(betas[:-2])
-                + (betas[-2] * betas[-1],)
-            )
-            if big.n_chi(chi) != small.n_chi(pulled):
-                fail("count identity", chi=[p.j for p in chi.parts])
-        for r in (1, 2):
-            ext = extend(fb, r)
-            f = ext.field
-            for pt in big.points(ext):
-                xs, ys = pt[: m + 1], pt[m + 1 :]
-                a = f.div(xs[m], xs[m - 1])
-                b = f.div(ys[m], ys[m - 1])
-                if f.pow(a, fb.N) != 1 or f.pow(b, fb.N) != 1:
-                    fail("piece index not a base unit", point=pt)
-                    break
-            base = small.naive_count(r)
-            roots_of_one = [u for u in f.units() if f.pow(u, fb.N) == 1]
-            for a in roots_of_one:
-                for b in roots_of_one:
-                    cnt = 0
-                    for pt in small.points(ext):
-                        xs, ys = pt[:m], pt[m:]
-                        img = xs + (f.mul(a, xs[-1]),) + ys + (f.mul(b, ys[-1]),)
-                        if not big.point_ok(ext, img):
-                            fail("piece embedding misses", piece=(a, b), point=pt)
-                            break
-                        cnt += 1
-                    if cnt != base:
-                        fail("piece embedding size", piece=(a, b))
-        return report
-
-    if case == "F2_reduce":
-        (lam,) = tuple(lams)
-        big = LauricellaA(fb, 2, (lam, 1))
-        small = MXnLambda(fb, 3, 3, lam)
-        Qred = [
-            [1, 0, 1, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0, 1],
-            [0, 1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1, 0],
-            [-1, 0, -1, 0, -1, 0, -1],
-        ]
-        d = (fb.neg(1), 1, 1, 1, 1, 1, fb.neg(1))
-        for chi in enumerate_groupchars(big):
-            pulled = GroupChar(char_star(chi.parts, imat_transpose(Qred)))
-            if big.n_chi(chi) != chi.eval(d) * small.n_chi(pulled):
-                fail("count identity", chi=[p.j for p in chi.parts])
-        ext = extend(fb, fb.N)
+    transport = CharTransport(source=small, target=big, Q=Q, d_elem=d)
+    for chi in enumerate_groupchars(big):
+        if not transport_check(transport, chi):
+            fail("count identity", chi=[p.j for p in chi.parts])
+    for r in degrees:
+        ext = extend(field, r)
         f = ext.field
-        root_minus1 = canonical_nth_root(ext, fb.neg(1))
-        roots_of_one = [u for u in f.units() if f.pow(u, fb.N) == 1]
-        covered = Counter()
-        for a in roots_of_one:
-            scalars = (root_minus1, 1, 1, 1, 1, 1, f.mul(a, root_minus1))
-            cnt = 0
-            for pt in small.points(ext):
-                img0 = monomial_map(f, pt, Qred)
-                img = tuple(f.mul(s, vv) for s, vv in zip(scalars, img0))
+        try:
+            roots = _root_vec(ext, d)
+        except ValueError:
+            fail("d has no N-th root", degree=r)
+            continue
+        small_points = list(small.points(ext))
+        covered = set()
+        for t in twists:
+            scalars = tuple(f.mul(x, ext.embed(c)) for x, c in zip(roots, t))
+            pm = PointMap(source=small, target=big, ext_r=r, n_mult=len(small.shape), Q=Q,
+                          scalars=scalars)
+            for pt in small_points:
+                img = pm.apply(ext, pt)
+                report["checked"] += 1
                 if not big.point_ok(ext, img):
-                    fail("piece embedding misses", piece=a, point=pt)
+                    fail("image not on big", degree=r, twist=t, point=pt)
                     break
-                x0, _, x2, _, y2, _, z2 = img
-                idx = f.div(f.mul(x2, z2), f.mul(x0, y2))
-                if f.pow(idx, fb.N) != 1:
-                    fail("piece index not an n-th root of one", piece=a, point=pt)
+                if img in covered:
+                    fail("pieces overlap", degree=r, twist=t, image=img)
                     break
-                covered[img] += 1
-                cnt += 1
-            report.setdefault("piece_sizes", []).append(cnt)
-        total = big.naive_count(fb.N)
-        if sum(covered.values()) != total or any(c != 1 for c in covered.values()):
-            fail("pieces do not partition", covered=sum(covered.values()), total=total)
-        return report
-
-    raise ValueError(f"unknown case {case!r}")
+                covered.add(img)
+        total = big.naive_count(r)
+        if len(covered) != total:
+            fail("pieces do not cover", degree=r, covered=len(covered), total=total)
+    if report["checked"] == 0:
+        fail("no point checked")
+    return report

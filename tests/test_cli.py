@@ -208,6 +208,7 @@ def test_iso_rejects_non_unit_part(runner):
     ["count", "--family", "fd", "--q", "3", "--n", "0", "--lams", "2"],
     ["count", "--family", "fa", "--q", "3", "--n", "0", "--lams", "2"],
     ["count", "--family", "fc", "--q", "3", "--n", "0", "--lams", "2"],
+    ["phi", "--q", "3", "--delta", "1,1", "--z", "1,0;0,1", "--chi", "1;1;1"],
 ])
 def test_bad_input_fails_closed(runner, args):
     result = runner.invoke(main, args)

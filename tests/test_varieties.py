@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from hgfq import varieties
 from hgfq.chars import AddChar, MulChar, standard_psi
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import build_field, build_field_q, extend
-from hgfq.genhgf import Partition, WDeltaElem, hdelta_chars, phi_delta
+from hgfq.genhgf import Partition, WDeltaElem, hdelta_chars, phi_delta, w_action_on_char
 from hgfq.varieties import (
     ASStar,
     FAContext,
@@ -40,6 +41,7 @@ from hgfq.varieties import (
     imat_inverse,
     imat_mul,
     imat_transpose,
+    invert_perm,
     make_context,
     monomial_map,
     n_chi_closed_form,
@@ -453,7 +455,7 @@ def test_transport_check_detects_wrong_twist():
     # and a wrong additive twist on the mixed family
     f3 = build_field(3)
     iso = KummerContext(f3, lam=2).build(((1, 0), 2))
-    iso.transport.add_twists = (1,)
+    iso.transport.add_mat = [[1]]
     results = {
         transport_check(iso.transport, chi)
         for chi in enumerate_groupchars(iso.transport.target)
@@ -474,6 +476,18 @@ def test_kummer_q_matrix_and_lam_action(q):
         assert iso.target_ctx.lam == f.mul(f.mul(sign, c), ctx.lam)
 
 
+def _slot_twist_transform(ctx, sym, chi):
+    """The transport as a slot permutation plus twists: multiplicative parts
+    through Q^T, and additive part j the target character's part perm^-1(j)
+    twisted by c_j, where perm is the context's Artin-Schreier slot map."""
+    sigma, cs = ctx._split(sym)
+    mults = tuple(p for p in chi.parts if isinstance(p, MulChar))
+    adds = [p for p in chi.parts if isinstance(p, AddChar)]
+    inv = invert_perm(ctx._slot_perm(sigma))
+    twisted = tuple(adds[i].twist(c) for i, c in zip(inv, cs))
+    return GroupChar(char_star(mults, imat_transpose(ctx.q_matrix(sigma))) + twisted)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_kummer_transports_all_w(q):
     f = build_field_q(q)
@@ -482,6 +496,7 @@ def test_kummer_transports_all_w(q):
         iso = ctx.build(sym)
         for chi in enumerate_groupchars(iso.transport.target):
             assert transport_check(iso.transport, chi), sym
+            assert iso.transport.transform(chi) == _slot_twist_transform(ctx, sym, chi)
 
 
 def test_kummer_verify_iso_f729():
@@ -584,6 +599,7 @@ def test_phi1_transports_and_verify():
         iso = ctx.build(sym)
         for chi in enumerate_groupchars(iso.transport.target):
             assert transport_check(iso.transport, chi), sym
+            assert iso.transport.transform(chi) == _slot_twist_transform(ctx, sym, chi)
     iso = ctx.build(((1, 0, 2), 2))
     rep = verify_iso(iso, compose_with=((0, 2, 1), 2))
     assert rep["pass"], rep["failures"]
@@ -598,6 +614,7 @@ def test_phi3_transports_and_verify():
         iso = ctx.build(sym)
         for chi in enumerate_groupchars(iso.transport.target):
             assert transport_check(iso.transport, chi), sym
+            assert iso.transport.transform(chi) == _slot_twist_transform(ctx, sym, chi)
     iso = ctx.build(((1, 0), (2, 1)))
     rep = verify_iso(iso, compose_with=((1, 0), (1, 2)))
     assert rep["pass"], rep["failures"]
@@ -706,6 +723,7 @@ def test_general_right_action(parts, d):
 @pytest.mark.parametrize("parts,d", [((1, 1), 2), ((2, 2), 1), ((1, 1, 2), 1)])
 def test_general_column_symmetry(parts, d):
     f = build_field(3)
+    psi = standard_psi(f)
     rng = random.Random(9 + sum(parts))
     v = _small_general(f, parts, rng, d)
     for _ in range(3):
@@ -715,16 +733,51 @@ def test_general_column_symmetry(parts, d):
         assert rep["pass"], rep["failures"]
         for chi in enumerate_groupchars(iso.transport.target):
             assert transport_check(iso.transport, chi)
+            # the W_Delta action on H_Delta characters, through the round trip
+            chi_h = groupchar_to_hdelta(v.delta, chi, psi)
+            assert iso.transport.transform(chi) == hdelta_to_groupchar(w_action_on_char(chi_h, w))
 
 
 # -- reducible degenerations -------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "case,lams",
-    [("EulerGauss", None), ("FD_reduce", (2, 2)), ("F2_reduce", (2,))],
-)
+_DECOMPOSITION_CASES = [("EulerGauss", None), ("FD_reduce", (2, 2)), ("F2_reduce", (2,))]
+
+
+@pytest.mark.parametrize("case,lams", _DECOMPOSITION_CASES)
 def test_reducible_decompositions(case, lams):
     f = build_field(3)
     rep = reducible_decompositions(case, f, lams)
     assert rep["pass"], rep["failures"]
+    assert rep["checked"] > 0
+
+
+def _bump_last_column(Q):
+    """Raise the first nonzero exponent of the last column by one."""
+    Q = [row[:] for row in Q]
+    next(row for row in Q if row[-1])[-1] += 1
+    return Q
+
+
+@pytest.mark.parametrize(
+    "case,lams,corrupt",
+    [(case, lams, corrupt) for case, lams in _DECOMPOSITION_CASES for corrupt in ("Q", "d", "twists")],
+)
+def test_reducible_decompositions_detect_corruption(monkeypatch, case, lams, corrupt):
+    build = varieties._DECOMPOSITIONS[case]
+
+    def corrupted(fb, lams):
+        big, small, Q, d, degrees, twists = build(fb, lams)
+        if corrupt == "Q":
+            Q = _bump_last_column(Q)
+        elif corrupt == "d":
+            d = (fb.neg(d[0]),) + tuple(d[1:])
+        else:
+            twists = twists[:-1]  # one root of unity missing from the last slot
+        return big, small, Q, d, degrees, twists
+
+    monkeypatch.setitem(varieties._DECOMPOSITIONS, case, corrupted)
+    rep = reducible_decompositions(case, build_field(3), lams)
+    assert not rep["pass"]
+    if corrupt == "twists":
+        assert {fail["kind"] for fail in rep["failures"]} == {"pieces do not cover"}

@@ -8,8 +8,19 @@ A field F_q (q = p^e) is built once, deterministically:
  - full exp/dlog tables are precomputed.
 
 Elements are plain integers: the base-p digit encoding of the representative
-polynomial (code 0 is the zero element, code 1 is the unit).  All arithmetic
-goes through the tables, so it is exact and fast at the scales we need.
+polynomial (code 0 is the zero element, code 1 is the unit).  Over a prime
+field (e = 1) addition is integer addition mod p.  For e > 1 every operation
+is a table lookup, with three more tables of O(q) entries each:
+
+ - the Zech logarithms Z(k) = dlog(1 + g^k), so that
+   a + b = g^(log a + Z(log b - log a))  (Huber, IEEE Trans. IT 1990);
+   1 + g^k changes only the lowest digit of the code of g^k,
+ - negation, digit by digit,
+ - the absolute trace to F_p, which is F_p-linear in the digits, so it is
+   fixed by its values on the basis 1, x, .., x^(e-1).
+
+Each is built in O(q) steps.  Only the Zech table depends on the generator,
+so a with_generator copy rebuilds it and shares the other two.
 
 Extensions k_r carry a canonical embedding of the base field and the
 distinguished root choices (N-th roots, additive-equation roots) used by the
@@ -230,12 +241,55 @@ class Field:
                 gen = 1
             else:  # pragma: no cover
                 raise RuntimeError("no generator found")
+        self._set_generator(gen)
+        if self.e > 1:
+            self._neg = self._neg_table()
+            self._trace = self._trace_table()
+
+    def _set_generator(self, gen: int):
+        """The exp/dlog tables on gen and, for e > 1, the Zech table."""
         self.generator = gen
         exp = [1] * self.N
         for i in range(1, self.N):
             exp[i] = self._mul_poly_codes(exp[i - 1], gen)
         self.exp = exp
         self.dlog = {c: i for i, c in enumerate(exp)}
+        if self.e > 1:
+            self._zech = self._zech_table()
+
+    def _zech_table(self) -> list[int]:
+        """Z[k] = dlog(1 + g^k), or -1 where 1 + g^k = 0."""
+        p, dlog = self.p, self.dlog
+        table = []
+        for c in self.exp:
+            s = c + 1 if c % p != p - 1 else c + 1 - p  # 1 + c: the lowest digit only
+            table.append(dlog[s] if s else -1)
+        return table
+
+    def _neg_table(self) -> list[int]:
+        """-a for every code a: -(d p^k + c) = (p - d) p^k + (-c) for c < p^k."""
+        p = self.p
+        table = [0]
+        for _ in range(self.e):
+            step = len(table)
+            for d in range(1, p):
+                off = (p - d) * step
+                table += [off + c for c in table[:step]]
+        return table
+
+    def _trace_table(self) -> list[int]:
+        """Tr(a) for every code a, from Tr(x^k) on the basis by F_p-linearity."""
+        p, e, table = self.p, self.e, [0]
+        for k in range(e):
+            t, y = 0, p**k  # the code of x^k
+            for _ in range(e):
+                t = self.add(t, y)
+                y = self.pow(y, p)
+            step = len(table)
+            for d in range(1, p):
+                td = d * t
+                table += [(tc + td) % p for tc in table[:step]]
+        return table
 
     def with_generator(self, gen: int) -> "Field":
         """A copy of this field whose tables are rebuilt on another generator."""
@@ -243,12 +297,7 @@ class Field:
             raise ValueError(f"{gen} does not generate the multiplicative group")
         other = object.__new__(Field)
         other.__dict__.update(self.__dict__)
-        other.generator = gen
-        exp = [1] * self.N
-        for i in range(1, self.N):
-            exp[i] = self._mul_poly_codes(exp[i - 1], gen)
-        other.exp = exp
-        other.dlog = {c: i for i, c in enumerate(exp)}
+        other._set_generator(gen)
         return other
 
     def generators(self) -> list[int]:
@@ -258,30 +307,25 @@ class Field:
     # -- arithmetic on codes ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        code, mult = 0, 1
-        while a or b:
-            code += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return code
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la, N = self.dlog[a], self.N
+        z = self._zech[(self.dlog[b] - la) % N]
+        return self.exp[(la + z) % N] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        code, mult = 0, 1
-        while a:
-            code += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return code
+            return (-a) % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -316,13 +360,9 @@ class Field:
 
     def trace_to_prime(self, x: int) -> int:
         """Tr(x) = x + x^p + ... + x^(p^(e-1)), landing in F_p (returned as 0..p-1)."""
-        t = 0
-        y = x
-        for _ in range(self.e):
-            t = self.add(t, y)
-            y = self.pow(y, self.p)
-        assert t < self.p
-        return t
+        if self.e == 1:
+            return x
+        return self._trace[x]
 
     def to_json(self) -> dict:
         return {

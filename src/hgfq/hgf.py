@@ -50,8 +50,10 @@ def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
     """(a)_nu for an upper term, 1/(a)°_nu for a lower one."""
     if upper:
         return pochhammer(a, nu, psi)
-    # division-free: 1/(a)°_nu = (a-bar)_(nu-bar) nu(-1) by the reflection identity
-    return pochhammer(a.inverse(), nu.inverse(), psi) * nu.eval(a.field.neg(1))
+    # division-free: 1/(a)°_nu = (a-bar)_(nu-bar) nu(-1) by the reflection identity,
+    # with nu(-1) = (-1)^j for odd q (-1 = g^(N/2)) and 1 for even q
+    value = pochhammer(a.inverse(), nu.inverse(), psi)
+    return -value if a.field.p != 2 and nu.j % 2 else value
 
 
 def _unit_vectors(n: int) -> list[tuple[int, ...]]:

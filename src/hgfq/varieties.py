@@ -23,8 +23,13 @@ lists over the unit slots, read on X_i = x_i^N,
 
 (the reduced form of Koblitz and Greene).  One solver, with its slot order
 fixed at construction, finds the X that satisfy them: a slot that is the
-last unknown of some relation is solved from it, any other slot is
-enumerated, and each relation is checked once all its slots are assigned.
+last unknown of some relation is solved from it; a slot i that shares a sum
+with exactly one other open slot j, where a monomial's only open slots are
+i and j with opposite exponents (so X_j = c X_i), is solved in closed form
+as X_i = s / (1 + c), with s one minus the sum's known terms (every value
+when 1 + c = s = 0, none when only 1 + c = 0), after which the sum solves
+X_j; any other slot is enumerated.  Each relation is checked once all its
+slots are assigned.
 Over k* it gives support(), the reduced system's solutions (a_j = X_i for
 the additive slots); over the N-th powers of ext* it gives points(), each
 solution expanded by the N-th roots and Artin-Schreier preimages.
@@ -57,7 +62,8 @@ from functools import lru_cache
 
 from .chars import AddChar, MulChar, trivial_char
 from .cyclo import Cyclo
-from .ffield import ExtensionField, Field, artin_schreier_root, canonical_nth_root, extend
+from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
+                     extend)
 from .genhgf import (
     HDeltaChar,
     JmChar,
@@ -400,6 +406,38 @@ def _solve_for(f: Field, rel, slot, X, logs) -> int:
     return f.exp[(-e_slot * d) % f.N]
 
 
+@dataclass(frozen=True)
+class _Pair:
+    """A sum whose open slots are {slot, other} and a monomial whose only open
+    slots are the same two, with opposite exponents, so X_other = c X_slot."""
+
+    total: tuple
+    mono: tuple
+    other: int
+
+
+def _solve_pair(f: Field, pair: _Pair, slot, X, logs, domain):
+    """The values at slot that pair allows: X_slot (1 + c) = s, with s one minus
+    the known terms of the sum; every domain value when 1 + c = s = 0."""
+    skip = (slot, pair.other)
+    s = 1
+    for i, _ in pair.total[1]:
+        if i not in skip:
+            s = f.sub(s, X[i])
+    j, exps = pair.mono
+    d, e_slot = logs[j], 0
+    for i, e in exps:
+        if i == slot:
+            e_slot = e
+        elif i != pair.other:
+            d += e * f.dlog[X[i]]
+    u = f.add(1, f.exp[(e_slot * d) % f.N])
+    if u:
+        v = f.div(s, u)
+        return (v,) if v in domain else ()
+    return domain if s == 0 else ()
+
+
 class RelationVariety(Variety):
     """A variety cut out by relations among the N-th powers X_i = x_i^N of its
     unit coordinates and the values T_j = t_j^q - t_j of its Artin-Schreier
@@ -425,24 +463,44 @@ class RelationVariety(Variety):
         self._coef_logs = {}
 
     def _make_plan(self, n_units):
-        """Steps (slot, rel, checks): the slot is solved from rel (None: it is
-        enumerated), then the relations in checks are tested."""
+        """Steps (slot, how, checks): the slot is enumerated (how None), solved
+        from the relation how, or solved from the _Pair how, after which the
+        pair's sum solves its other slot; then the relations in checks are
+        tested.  A pair only replaces the enumeration of the least open slot,
+        so the solutions come out in the same order as by enumeration."""
         assigned, open_rels, plan = set(), list(self._rels), []
 
         def unknown(rel):
             return [i for i, _ in rel[1] if i not in assigned]
 
+        def pair_for(slot):
+            for total in open_rels:
+                pair_slots = set(unknown(total))
+                if total[0] is not None or slot not in pair_slots or len(pair_slots) != 2:
+                    continue
+                (other,) = pair_slots - {slot}
+                for mono in open_rels:
+                    exps = dict(mono[1])
+                    if (mono[0] is not None and set(unknown(mono)) == pair_slots
+                            and exps[slot] == -exps[other]):
+                        return _Pair(total, mono, other)
+            return None
+
         while len(assigned) < n_units:
             rel = next((r for r in open_rels if len(unknown(r)) == 1), None)
-            if rel is None:
-                slot = min(set(range(n_units)) - assigned)
+            if rel is not None:
+                steps = [(unknown(rel)[0], rel)]
             else:
-                (slot,) = unknown(rel)
-                open_rels.remove(rel)
-            assigned.add(slot)
-            checks = [r for r in open_rels if not unknown(r)]
-            open_rels = [r for r in open_rels if unknown(r)]
-            plan.append((slot, rel, checks))
+                slot = min(set(range(n_units)) - assigned)
+                pair = pair_for(slot)
+                steps = [(slot, pair)] if pair is None else [(slot, pair), (pair.other, pair.total)]
+            for slot, how in steps:
+                if how in open_rels:
+                    open_rels.remove(how)
+                assigned.add(slot)
+                checks = [r for r in open_rels if not unknown(r)]
+                open_rels = [r for r in open_rels if unknown(r)]
+                plan.append((slot, how, checks))
         return plan
 
     def _logs(self, ext):
@@ -463,11 +521,13 @@ class RelationVariety(Variety):
             if k == len(plan):
                 yield tuple(X)
                 return
-            slot, rel, checks = plan[k]
-            if rel is None:
+            slot, how, checks = plan[k]
+            if how is None:
                 values = domain
+            elif type(how) is _Pair:
+                values = _solve_pair(f, how, slot, X, logs, domain)
             else:
-                v = _solve_for(f, rel, slot, X, logs)
+                v = _solve_for(f, how, slot, X, logs)
                 values = (v,) if v in domain else ()
             for v in values:
                 X[slot] = v
@@ -1842,8 +1902,9 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
     for every character chi of big.  Over each extension degree, the point maps
     x -> (x . Q) * root(d) * t, one per twist t (a tuple of base units, so of
     N-th roots of one), must land on big, be pairwise disjoint and cover all
-    of big's points.  checked counts the small points mapped; a report that
-    checked none fails."""
+    of big's points.  The degrees are the case's own when big has a point at
+    one of them, else the least degree within the cap at which it has one.
+    checked counts the small points mapped; a report that checked none fails."""
     if case not in _DECOMPOSITIONS:
         raise ValueError(f"unknown case {case!r}")
     big, small, Q, d, degrees, twists = _DECOMPOSITIONS[case](field, lams)
@@ -1857,6 +1918,16 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
     for chi in enumerate_groupchars(big):
         if not transport_check(transport, chi):
             fail("count identity", chi=[p.j for p in chi.parts])
+    totals = {r: big.naive_count(r) for r in degrees}
+    if not any(totals.values()):
+        # big has no point at the listed degrees: take the least degree
+        # within the cap at which it has one, if any
+        degrees, r = (), 1
+        while not degrees and field.q**r <= DEFAULT_CAP:
+            if r not in totals:
+                totals[r] = big.naive_count(r)
+                degrees = (r,) if totals[r] else ()
+            r += 1
     for r in degrees:
         ext = extend(field, r)
         f = ext.field
@@ -1881,7 +1952,7 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
                     fail("pieces overlap", degree=r, twist=t, image=img)
                     break
                 covered.add(img)
-        total = big.naive_count(r)
+        total = totals[r]
         if len(covered) != total:
             fail("pieces do not cover", degree=r, covered=len(covered), total=total)
     if report["checked"] == 0:

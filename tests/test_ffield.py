@@ -1,8 +1,11 @@
 """Oracle tests for finite-field construction, tables, and canonical roots."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgfq.ffield import (
     ExtensionField,
@@ -202,3 +205,74 @@ def test_json_shape():
     js = f.to_json()
     assert js["p"] == 3 and js["e"] == 2
     assert len(js["modulus"]) == 3 and js["modulus"][-1] == 1
+
+
+# -- the Zech, negation and trace tables against digit loops -------------------
+
+
+def _digit_add(f, a, b):
+    """a + b on the base-p digits of the codes."""
+    p, code, mult = f.p, 0, 1
+    while a or b:
+        code += ((a + b) % p) * mult
+        a, b, mult = a // p, b // p, mult * p
+    return code
+
+
+def _digit_neg(f, a):
+    p, code, mult = f.p, 0, 1
+    while a:
+        code += ((p - a % p) % p) * mult
+        a, mult = a // p, mult * p
+    return code
+
+
+def _digit_trace(f, x):
+    """x + x^p + ... + x^(p^(e-1)), added digit by digit."""
+    t = 0
+    for _ in range(f.e):
+        t = _digit_add(f, t, x)
+        x = f.pow(x, f.p)
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def _table_field(p, e, alt):
+    """F_(p^e), or its copy on the second generator when alt."""
+    f = build_field(p, e)
+    return f.with_generator(f.generators()[1]) if alt else f
+
+
+def _check_tables(f, a, b):
+    assert f.add(a, b) == _digit_add(f, a, b)
+    assert f.sub(a, b) == _digit_add(f, a, _digit_neg(f, b))
+    assert f.neg(a) == _digit_neg(f, a)
+    assert f.trace_to_prime(a) == _digit_trace(f, a)
+
+
+_SMALL_EXTENSIONS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("p,e", _SMALL_EXTENSIONS)
+def test_tables_match_digit_loops_on_every_pair(p, e, alt):
+    f = _table_field(p, e, alt)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        _check_tables(f, a, b)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_tables_match_digit_loops_large(data):
+    p, e = data.draw(st.sampled_from([(3, 6), (2, 12)]))
+    f = _table_field(p, e, data.draw(st.booleans()))
+    _check_tables(f, data.draw(st.integers(0, f.q - 1)), data.draw(st.integers(0, f.q - 1)))
+
+
+def test_tables_only_for_extensions():
+    assert not hasattr(build_field(7), "_zech")
+    f = build_field(3, 4)
+    assert (len(f._zech), len(f._neg), len(f._trace)) == (f.N, f.q, f.q)
+    g = f.with_generator(f.generators()[1])
+    # the Zech table depends on the generator; negation and trace do not
+    assert g._zech != f._zech and g._neg is f._neg and g._trace is f._trace

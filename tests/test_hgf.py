@@ -10,6 +10,7 @@ from hgfq.cyclo import Cyclo, zeta
 from hgfq.ffield import build_field, build_field_q
 from hgfq.hgf import (
     HgfParams,
+    _factor,
     dft,
     hgf_eval,
     humbert,
@@ -29,6 +30,17 @@ from hgfq.sums import gauss, jacobi, pochhammer, pochhammer_circ
 def _chars(q):
     f = build_field_q(q)
     return f, enumerate_mulchars(f), standard_psi(f)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13])
+def test_lower_factor_sign_is_nu_of_minus_one(q):
+    # 1/(a)°_nu = (a-bar)_(nu-bar) nu(-1), with nu(-1) read off as a sign
+    f, chars, psi = _chars(q)
+    for a, nu in itertools.product(chars, repeat=2):
+        want = pochhammer(a.inverse(), nu.inverse(), psi) * nu.eval(f.neg(1))
+        got = _factor(a, nu, False, psi)
+        assert got.to_json() == want.to_json()
+        assert got * pochhammer_circ(a, nu, psi) == 1
 
 
 def test_0f0_spot_value():

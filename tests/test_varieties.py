@@ -308,6 +308,80 @@ def test_points_and_point_ok_match_the_equations(q, r):
     assert scanned >= 9
 
 
+def _relations(v):
+    """v's relations as (monomial index or None for a sum, ((slot, e), ..))."""
+    rels = [(j, tuple(exps.items())) for j, (_, exps) in enumerate(v.monomials)]
+    return rels + [(None, tuple((i, 1) for i in s)) for s in v.sums]
+
+
+def _enumeration_points(v, ext):
+    """v's points by a plan without pair steps: a slot that is the last unknown
+    of some relation is solved from it, every other slot is enumerated."""
+    f, n = ext.field, len(v.shape) - len(v.links)
+    logs = [f.dlog[ext.embed(c)] for c, _ in v.monomials]
+    roots = varieties._nth_roots_table(ext)
+    pre = varieties._as_preimages_table(ext)
+    rels, out = _relations(v), set()
+
+    def walk(X):
+        unknown = [[i for i, _ in rel[1] if X[i] is None] for rel in rels]
+        if any(not u and not varieties._holds(f, rel, X, logs) for u, rel in zip(unknown, rels)):
+            return
+        if None not in X:
+            lists = [roots[x] for x in X] + [pre.get(X[i], ()) for i in v.links]
+            out.update(itertools.product(*lists))
+            return
+        solved = next(((u[0], rel) for u, rel in zip(unknown, rels) if len(u) == 1), None)
+        if solved is None:
+            slot, values = X.index(None), roots
+        else:
+            slot, rel = solved
+            values = [varieties._solve_for(f, rel, slot, X, logs)]
+        for value in values:
+            if value in roots:
+                walk(X[:slot] + [value] + X[slot + 1:])
+
+    walk([None] * n)
+    return out
+
+
+def _pair_test_varieties():
+    f3, f4, f5 = build_field_q(3), build_field_q(4), build_field_q(5)
+    # (variety, extension degree, whether its plan has a pair step)
+    return [
+        (Humbert1(f3, 2, 2), 6, True),
+        (LauricellaD(f4, 2, (2, 2)), 3, True),
+        (LauricellaA(f3, 2, (2, 2)), 4, True),
+        # the second sum of F_C(2) still has three open slots when the
+        # monomials have two, so its plan has no pair
+        (LauricellaC(f3, 2, (2, 2)), 4, False),
+        (LauricellaC(f3, 1, (2,)), 4, True),
+        (MXnLambda(f4, 2, 2, 3), 3, True),
+        # X_2 = -X_1 against X_1 + X_2 = 1 - X_0: 1 + c = 0, with s = 0 at X_0 = 1
+        # and s != 0 elsewhere
+        (varieties.RelationVariety(f5, 3, sums=[(0, 1, 2)], monomials=[(4, {1: 1, 2: -1})]), 2, True),
+        (varieties.RelationVariety(f4, 3, sums=[(0, 1, 2)], monomials=[(1, {1: -1, 2: 1})]), 2, True),
+        # 1 + c = 0 and s = 1: no point
+        (varieties.RelationVariety(f5, 2, sums=[(0, 1)], monomials=[(4, {0: 1, 1: -1})]), 2, True),
+    ]
+
+
+@pytest.mark.parametrize("k", range(len(_pair_test_varieties())))
+def test_pair_steps_match_enumeration(k):
+    v, r, paired = _pair_test_varieties()[k]
+    assert any(type(how) is varieties._Pair for _, how, _ in v._plan) == paired
+    ext = extend(v.field, r)
+    pts = list(v.points(ext))
+    assert len(pts) == len(set(pts))
+    assert set(pts) == _enumeration_points(v, ext)
+    # support() solves over F_q* itself: check it against every unit tuple
+    f, n = v.field, len(v.shape) - len(v.links)
+    logs = [f.dlog[c] for c, _ in v.monomials]
+    want = {X for X in itertools.product(list(f.units()), repeat=n)
+            if all(varieties._holds(f, rel, X, logs) for rel in _relations(v))}
+    assert {g[:n] for g, _ in v.support()} == want
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_support_matches_the_reduced_equations(q):
     f = build_field_q(q)
@@ -750,6 +824,18 @@ def test_reducible_decompositions(case, lams):
     rep = reducible_decompositions(case, f, lams)
     assert rep["pass"], rep["failures"]
     assert rep["checked"] > 0
+
+
+@pytest.mark.parametrize("case,lams,checked", [("EulerGauss", None, 648), ("FD_reduce", (2, 2), 729),
+                                               ("F2_reduce", (2,), None)])
+def test_reducible_decompositions_q4(case, lams, checked):
+    # EulerGauss and FD_reduce have no point at their listed degrees over F_4,
+    # so both move to the least degree with one, r = 3
+    rep = reducible_decompositions(case, build_field_q(4), lams)
+    assert rep["pass"], rep["failures"]
+    assert rep["checked"] > 0
+    if checked is not None:
+        assert rep["checked"] == checked
 
 
 def _bump_last_column(Q):

@@ -461,7 +461,7 @@ def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
     if bad:
         out["transport"]["failures"] = [repr(b) for b in bad]
     if check:
-        if iso.point_map is None:
+        if iso.transport.ext_r is None:
             out["verify"] = {"pass": None,
                              "note": "extension exceeds cap; transport only"}
         else:

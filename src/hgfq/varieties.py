@@ -23,33 +23,31 @@ lists over the unit slots, read on X_i = x_i^N,
 
 (the reduced form of Koblitz and Greene).  One solver, with its slot order
 fixed at construction, finds the X that satisfy them: a slot that is the
-last unknown of some relation is solved from it; a slot i that shares a sum
-with exactly one other open slot j, where a monomial's only open slots are
-i and j with opposite exponents (so X_j = c X_i), is solved in closed form
-as X_i = s / (1 + c), with s one minus the sum's known terms (every value
-when 1 + c = s = 0, none when only 1 + c = 0), after which the sum solves
-X_j; any other slot is enumerated.  Each relation is checked once all its
-slots are assigned.
+last unknown of some relation is solved from it; a slot i of a sum whose
+other open slots j are each tied to i by a monomial whose only open slots
+are i and j, with opposite exponents (so X_j = c_j X_i), is solved in
+closed form as X_i = s / (1 + sum c_j), with s one minus the sum's known
+terms (every value when 1 + sum c_j = s = 0, none when only the factor is
+0), after which each monomial solves its X_j; any other slot is enumerated.
+Each relation is checked once all its slots are assigned.
 Over k* it gives support(), the reduced system's solutions (a_j = X_i for
 the additive slots); over the N-th powers of ext* it gives points(), each
 solution expanded by the N-th roots and Artin-Schreier preimages.
 point_ok runs the same relation check on (x^N, t^q - t), and tau_of is
 prod x_i^-e per monomial.  GeneralXDz is parametrised by s instead.
 
-Isomorphisms.  Maps between family members are monomial in the unit
-coordinates (integer exponent matrices Q scaled by canonical N-th roots)
-and affine in the Artin-Schreier coordinates (a matrix add_mat of field
-elements plus shifts).  Each isomorphism carries a PointMap, whose
-bijectivity verify_iso checks, and a CharTransport read off the same
-(Q, add_mat, d): characters go through the transposes of the map's
-matrices, and
+Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
+in the unit coordinates, x -> (x . Q) * root_N(d_u), and affine in the
+Artin-Schreier coordinates, u -> u . add_mat + r(d_a), with canonical N-th
+roots and Artin-Schreier roots r.  verify_iso checks that it permutes the
+rational points; read through the transposes of its matrices, it sends
+characters so that
 
-    chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi)
+    chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi),
 
-is mechanically checkable by transport_check.  A reducible decomposition is
-a set of twisted point maps from a smaller variety, one per tuple of N-th
-roots of one, that partition the big variety's points; its transport gives
-the count identity.
+which transport_check checks.  A reducible decomposition is one map from a
+smaller variety whose images, times each tuple of N-th roots of one,
+partition the big variety's points; its transport gives the count identity.
 """
 
 from __future__ import annotations
@@ -408,30 +406,30 @@ def _solve_for(f: Field, rel, slot, X, logs) -> int:
 
 @dataclass(frozen=True)
 class _Pair:
-    """A sum whose open slots are {slot, other} and a monomial whose only open
-    slots are the same two, with opposite exponents, so X_other = c X_slot."""
+    """A sum that solves slot in closed form: known lists its assigned slots,
+    and each of its other open slots j has a tie (j, mono), a monomial whose
+    only open slots are slot and j, with opposite exponents, so that
+    X_j = c_j X_slot."""
 
-    total: tuple
-    mono: tuple
-    other: int
+    known: tuple
+    ties: tuple
 
 
 def _solve_pair(f: Field, pair: _Pair, slot, X, logs, domain):
-    """The values at slot that pair allows: X_slot (1 + c) = s, with s one minus
-    the known terms of the sum; every domain value when 1 + c = s = 0."""
-    skip = (slot, pair.other)
-    s = 1
-    for i, _ in pair.total[1]:
-        if i not in skip:
-            s = f.sub(s, X[i])
-    j, exps = pair.mono
-    d, e_slot = logs[j], 0
-    for i, e in exps:
-        if i == slot:
-            e_slot = e
-        elif i != pair.other:
-            d += e * f.dlog[X[i]]
-    u = f.add(1, f.exp[(e_slot * d) % f.N])
+    """The values at slot that pair allows: X_slot (1 + sum c_j) = s, with s one
+    minus the known terms of the sum; every domain value when 1 + sum c_j =
+    s = 0, none when only 1 + sum c_j = 0."""
+    s = u = 1
+    for i in pair.known:
+        s = f.sub(s, X[i])
+    for j, (m, exps) in pair.ties:
+        d, e_slot = logs[m], 0
+        for i, e in exps:
+            if i == slot:
+                e_slot = e
+            elif i != j:
+                d += e * f.dlog[X[i]]
+        u = f.add(u, f.exp[(e_slot * d) % f.N])
     if u:
         v = f.div(s, u)
         return (v,) if v in domain else ()
@@ -464,26 +462,31 @@ class RelationVariety(Variety):
 
     def _make_plan(self, n_units):
         """Steps (slot, how, checks): the slot is enumerated (how None), solved
-        from the relation how, or solved from the _Pair how, after which the
-        pair's sum solves its other slot; then the relations in checks are
-        tested.  A pair only replaces the enumeration of the least open slot,
-        so the solutions come out in the same order as by enumeration."""
+        from the relation how, or solved from the _Pair how, after which each
+        tie's monomial solves its slot and the pair's sum becomes a check; then
+        the relations in checks are tested.  A pair only replaces the
+        enumeration of the least open slot, so the solutions come out in the
+        same order as by enumeration."""
         assigned, open_rels, plan = set(), list(self._rels), []
 
         def unknown(rel):
             return [i for i, _ in rel[1] if i not in assigned]
 
+        def tie(slot, j):
+            for mono in open_rels:
+                exps = dict(mono[1])
+                if (mono[0] is not None and set(unknown(mono)) == {slot, j}
+                        and exps[slot] == -exps[j]):
+                    return j, mono
+            return None
+
         def pair_for(slot):
             for total in open_rels:
-                pair_slots = set(unknown(total))
-                if total[0] is not None or slot not in pair_slots or len(pair_slots) != 2:
-                    continue
-                (other,) = pair_slots - {slot}
-                for mono in open_rels:
-                    exps = dict(mono[1])
-                    if (mono[0] is not None and set(unknown(mono)) == pair_slots
-                            and exps[slot] == -exps[other]):
-                        return _Pair(total, mono, other)
+                if total[0] is None and slot in unknown(total):
+                    ties = [tie(slot, j) for j in unknown(total) if j != slot]
+                    if None not in ties:
+                        known = tuple(i for i, _ in total[1] if i in assigned)
+                        return _Pair(known, tuple(ties))
             return None
 
         while len(assigned) < n_units:
@@ -493,7 +496,7 @@ class RelationVariety(Variety):
             else:
                 slot = min(set(range(n_units)) - assigned)
                 pair = pair_for(slot)
-                steps = [(slot, pair)] if pair is None else [(slot, pair), (pair.other, pair.total)]
+                steps = [(slot, pair)] + list(pair.ties if pair else ())
             for slot, how in steps:
                 if how in open_rels:
                     open_rels.remove(how)
@@ -980,42 +983,7 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
     raise ValueError(f"no closed form registered for {type(v).__name__}")
 
 
-# -- point maps and character transports ------------------------------------
-
-
-@dataclass
-class PointMap:
-    """A concrete map between enumerated points: monomial on the unit
-    coordinates, affine on the Artin-Schreier coordinates, linear on s."""
-
-    source: Variety
-    target: Variety
-    ext_r: int
-    n_mult: int
-    n_add: int = 0
-    n_s: int = 0
-    Q: list | None = None
-    scalars: tuple | None = None
-    add_mat: list | None = None
-    add_shifts: tuple | None = None
-    s_mat: list | None = None
-
-    def apply(self, ext: ExtensionField, pt):
-        f = ext.field
-        mult = tuple(pt[: self.n_mult])
-        add = tuple(pt[self.n_mult : self.n_mult + self.n_add])
-        s = tuple(pt[self.n_mult + self.n_add :])
-        if self.Q is not None:
-            mult = monomial_map(f, mult, self.Q)
-        if self.scalars is not None:
-            mult = tuple(f.mul(c, v) for c, v in zip(self.scalars, mult))
-        if self.add_mat is not None:
-            add = _linear_map(ext, add, self.add_mat)
-        if self.add_shifts is not None:
-            add = tuple(f.add(u, sh) for u, sh in zip(add, self.add_shifts))
-        if self.s_mat is not None:
-            s = _linear_map(ext, s, self.s_mat)
-        return mult + add + s
+# -- isomorphisms -----------------------------------------------------------
 
 
 def _linear_map(ext: ExtensionField, vec, A):
@@ -1032,24 +1000,34 @@ def _linear_map(ext: ExtensionField, vec, A):
 
 
 @dataclass
-class CharTransport:
-    """The character-level shadow of a point map, read off its matrices.
+class MonomialMap:
+    """One map source -> target: monomial on the unit coordinates, affine on the
+    Artin-Schreier coordinates and linear on s,
 
-    The transport identity is
+        x -> (x . Q) * root_N(d_u),   u -> u . add_mat + r(d_a),   s -> s . s_mat,
+
+    where d_elem = (d_u, d_a) is laid out by the target's shape, root_N is the
+    canonical N-th root, r(t) the Artin-Schreier root with r^q - r = t, and a
+    matrix left as None is the identity.  Read through the transposes, the same
+    data transport characters:
+
         factor(chi) * n_chi(source; transform(chi)) == n_chi(target; chi),
-    with factor(chi) = chi(d_elem).  transform sends the multiplicative parts
+
+    with factor(chi) = chi(d_elem); transform sends the multiplicative parts
     through Q^T and the additive coefficients through add_mat (row = source
-    slot): a'_i = sum_j add_mat[i][j] a_j."""
+    slot): a'_i = sum_j add_mat[i][j] a_j.  verify_iso checks the map over the
+    extension of degree ext_r, which is None when it exceeds the cap."""
 
     source: Variety
     target: Variety
+    d_elem: tuple
     Q: list | None = None
-    d_elem: tuple = ()
     add_mat: list | None = None
+    s_mat: list | None = None
+    ext_r: int | None = 1
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def factor(self, chi: GroupChar) -> Cyclo:
-        if not self.d_elem:
-            return Cyclo.integer(1)
         return chi.eval(self.d_elem)
 
     def transform(self, chi: GroupChar) -> GroupChar:
@@ -1063,8 +1041,32 @@ class CharTransport:
             adds = [AddChar(f, _dot(f, row, coeffs)) for row in self.add_mat]
         return GroupChar(mults + tuple(adds))
 
+    def offsets(self, ext):
+        """(root_N(d_u), r(d_a)) in ext, once per ext; raises ValueError when
+        d_u has no canonical N-th root there."""
+        offsets = self._cache.get(ext)
+        if offsets is None:
+            roots = [canonical_nth_root(ext, d) if kind == "u" else artin_schreier_root(ext, d)
+                     for kind, d in zip(self.target.shape, self.d_elem)]
+            n = self.target.shape.count("u")
+            offsets = self._cache[ext] = (roots[:n], roots[n:])
+        return offsets
 
-def transport_check(transport: CharTransport, chi: GroupChar) -> bool:
+    def apply(self, ext: ExtensionField, pt):
+        f = ext.field
+        scalars, shifts = self.offsets(ext)
+        n_u, n_a = self.source.shape.count("u"), self.source.shape.count("a")
+        mult, add, s = pt[:n_u], pt[n_u : n_u + n_a], pt[n_u + n_a :]
+        if self.Q is not None:
+            mult = monomial_map(f, mult, self.Q)
+        if self.add_mat is not None:
+            add = _linear_map(ext, add, self.add_mat)
+        if self.s_mat is not None:
+            s = _linear_map(ext, s, self.s_mat)
+        return (*map(f.mul, scalars, mult), *map(f.add, add, shifts), *s)
+
+
+def transport_check(transport: MonomialMap, chi: GroupChar) -> bool:
     lhs = transport.factor(chi) * transport.source.n_chi(transport.transform(chi))
     rhs = transport.target.n_chi(chi)
     return lhs == rhs
@@ -1075,27 +1077,10 @@ class Isomorphism:
     source_ctx: "object"
     target_ctx: "object"
     symmetry: "object"
-    point_map: PointMap | None
-    transport: CharTransport
+    transport: MonomialMap
 
 
 # -- shared builder helpers --------------------------------------------------
-
-
-def _root_vec(ext, values):
-    return tuple(canonical_nth_root(ext, v) for v in values)
-
-
-def _scalar_vec(ext, d_x, d_xw, Q):
-    rx = _root_vec(ext, d_x)
-    rxw = _root_vec(ext, d_xw)
-    den = monomial_map(ext.field, rx, Q)
-    return tuple(ext.field.div(a, b) for a, b in zip(rxw, den))
-
-
-def _d_twist(fb: Field, d_x, d_xw, Q):
-    den = monomial_map(fb, d_x, Q)
-    return tuple(fb.div(a, b) for a, b in zip(d_xw, den))
 
 
 def _normalize(fb: Field, A, pivot_cols):
@@ -1127,7 +1112,8 @@ class SymmetryContext:
       params      keyword names of its parameters, also their attribute names
       seed_x      x from those parameters
       _parse      sets the parameters from x, checks general position and
-                  returns d_x, the unit coordinates the scalars are rooted at
+                  returns d_x, the unit coordinates that give the map's
+                  d_u = d_(x . w) / d_x^Q
       variety_of  the variety, from the field and the parameters
       pivots      pivot columns of z (None: the identity follows x)
       blocks      the column blocks of z that sigma permutes (None: every column)
@@ -1157,7 +1143,11 @@ class SymmetryContext:
         if x is None:
             if any(params.get(k) is None for k in self.params):
                 raise ValueError(f"need {' and '.join(self.params)} or x")
+            values = [v for k in self.params for v in (params[k] if k == "lams" else [params[k]])]
+            _check_lams(field, len(values), values)
             x = self.seed_x(field, **params)
+        if any(v not in field.elements() for row in x for v in row):
+            raise ValueError("x entries must be field elements")
         self.field = field
         self.x = [list(row) for row in x]
         self.m = len(self.x[0]) - 1
@@ -1265,7 +1255,7 @@ class SymmetryContext:
         sigma, cs = self._split(sym)
         tgt = type(self)(fb, x=self.transformed(sym))
         Q = self.q_matrix(sigma)
-        dtw = _d_twist(fb, self.d_x, tgt.d_x, Q)
+        d_u = tuple(fb.div(a, b) for a, b in zip(tgt.d_x, monomial_map(fb, self.d_x, Q)))
         add_mat = None
         if cs:
             add_mat = imat_zero(len(cs), len(cs))
@@ -1277,31 +1267,11 @@ class SymmetryContext:
             row, tgt_row = self.x[self.shift_row], tgt.x[self.shift_row]
             cols = [self._xcols.index(c) for c in self.as_cols]
             shifts = tuple(fb.sub(fb.mul(c, row[j]), tgt_row[j]) for c, j in zip(cs, cols))
-        src_v, tgt_v = self.variety(), tgt.variety()
-        transport = CharTransport(
-            source=src_v,
-            target=tgt_v,
-            Q=Q,
-            d_elem=dtw + shifts,
-            add_mat=add_mat,
-        )
-        try:
-            ext = extend(fb, self.ext_degree())
-        except ValueError:  # the extension exceeds the cap: transport only
-            return Isomorphism(self, tgt, sym, None, transport)
-        pm = PointMap(
-            source=src_v,
-            target=tgt_v,
-            ext_r=ext.r,
-            n_mult=len(self.d_x),
-            n_add=len(cs),
-            Q=Q,
-            scalars=_scalar_vec(ext, self.d_x, tgt.d_x, Q),
-            add_mat=add_mat,
-            add_shifts=None if self.shift_row is None
-            else tuple(artin_schreier_root(ext, s) for s in shifts),
-        )
-        return Isomorphism(self, tgt, sym, pm, transport)
+        ext_r = self.ext_degree()
+        if fb.q**ext_r > DEFAULT_CAP:  # the extension exceeds the cap: transport only
+            ext_r = None
+        transport = MonomialMap(self.variety(), tgt.variety(), d_u + shifts, Q, add_mat, ext_r=ext_r)
+        return Isomorphism(self, tgt, sym, transport)
 
 
 # -- the six families --------------------------------------------------------
@@ -1689,19 +1659,8 @@ def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
     fb = v.field
     ginv = fmat_inv(fb, [list(row) for row in g])
     target = GeneralXDz(fb, v.delta, mat_mul(fb, [list(row) for row in g], v.z))
-    l = v.delta.l
-    n_add = v.delta.n - l
-    pm = PointMap(
-        source=v,
-        target=target,
-        ext_r=1,
-        n_mult=l,
-        n_add=n_add,
-        n_s=v.d,
-        s_mat=ginv,
-    )
-    transport = CharTransport(source=v, target=target, d_elem=target.identity_element())
-    return Isomorphism(v, target, ("Lg", tuple(map(tuple, g))), pm, transport)
+    transport = MonomialMap(v, target, target.identity_element(), s_mat=ginv)
+    return Isomorphism(v, target, ("Lg", tuple(map(tuple, g))), transport)
 
 
 def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
@@ -1713,24 +1672,12 @@ def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
     h_blocks = tuple(tuple(h) for h in h_blocks)
     target = GeneralXDz(fb, v.delta, mat_mul(fb, v.z, h_to_matrix(fb, v.delta, h_blocks)))
     r = fb.N if all(size == 1 for size in v.delta.parts) else fb.p * fb.N
-    ext = extend(fb, r)
-    l = v.delta.l
     thetas = []
     for size, h in zip(v.delta.parts, h_blocks):
         thetas.extend(theta_list(fb, size - 1, list(h)))
-    pm = PointMap(
-        source=v,
-        target=target,
-        ext_r=r,
-        n_mult=l,
-        n_add=v.delta.n - l,
-        n_s=v.d,
-        scalars=tuple(canonical_nth_root(ext, h[0]) for h in h_blocks),
-        add_shifts=tuple(artin_schreier_root(ext, th) for th in thetas),
-    )
-    d_elem = tuple(h[0] for h in h_blocks) + tuple(thetas)
-    transport = CharTransport(source=v, target=target, d_elem=d_elem)
-    return Isomorphism(v, target, ("Rh", h_blocks), pm, transport)
+    transport = MonomialMap(v, target, tuple(h[0] for h in h_blocks) + tuple(thetas), ext_r=r)
+    transport.offsets(extend(fb, r))  # raises on a zero h_0 or an extension over the cap
+    return Isomorphism(v, target, ("Rh", h_blocks), transport)
 
 
 def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
@@ -1744,20 +1691,8 @@ def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
     rest = [c for c in range(v.delta.n) if c not in leads]
     Q = [[W[i][j] for j in leads] for i in leads]
     add_mat = [[W[i][j] for j in rest] for i in rest]
-    pm = PointMap(
-        source=v,
-        target=target,
-        ext_r=1,
-        n_mult=len(leads),
-        n_add=len(rest),
-        n_s=v.d,
-        Q=Q,
-        add_mat=add_mat,
-    )
-    transport = CharTransport(
-        source=v, target=target, Q=Q, d_elem=target.identity_element(), add_mat=add_mat
-    )
-    return Isomorphism(v, target, ("fw", w), pm, transport)
+    transport = MonomialMap(v, target, target.identity_element(), Q, add_mat)
+    return Isomorphism(v, target, ("fw", w), transport)
 
 
 # -- verification ------------------------------------------------------------
@@ -1770,8 +1705,8 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
     with a second symmetry agrees with the directly built composite."""
     import random
 
-    pm = iso.point_map if isinstance(iso, Isomorphism) else iso
-    if pm is None:
+    pm = iso.transport if isinstance(iso, Isomorphism) else iso
+    if pm.ext_r is None:
         return {"pass": False, "error": "point map unavailable (extension exceeds cap)"}
     report = {"pass": True, "checked": 0, "failures": []}
 
@@ -1817,17 +1752,17 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
         iso12 = ctx.build(ctx.compose_sym(iso.symmetry, compose_with))
         if iso12.target_ctx.x != iso2.target_ctx.x:
             fail("normalized representative does not compose")
-        q_direct = iso12.point_map.Q
-        q_composed = imat_mul(iso.point_map.Q, iso2.point_map.Q)
+        q_direct = iso12.transport.Q
+        q_composed = imat_mul(pm.Q, iso2.transport.Q)
         if q_direct != q_composed:
             fail("exponent matrices do not compose")
         if report["pass"]:
             pts = src_points if len(src_points) <= sample else rng.sample(src_points, sample)
             per_tau = {}
             for pt in pts:
-                a = iso2.point_map.apply(ext, iso.point_map.apply(ext, pt))
-                b = iso12.point_map.apply(ext, pt)
-                nm = pm.n_mult
+                a = iso2.transport.apply(ext, pm.apply(ext, pt))
+                b = iso12.transport.apply(ext, pt)
+                nm = pm.source.shape.count("u")
                 if a[nm:] != b[nm:]:
                     fail("additive parts of composite disagree", point=pt)
                     break
@@ -1898,13 +1833,14 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
     """Verify a degenerate-parameter decomposition of a variety big into
     twisted copies of a smaller one, and the count identity it induces.
 
-    The count identity is transport_check(CharTransport(small -> big, Q, d), chi)
-    for every character chi of big.  Over each extension degree, the point maps
-    x -> (x . Q) * root(d) * t, one per twist t (a tuple of base units, so of
-    N-th roots of one), must land on big, be pairwise disjoint and cover all
-    of big's points.  The degrees are the case's own when big has a point at
-    one of them, else the least degree within the cap at which it has one.
-    checked counts the small points mapped; a report that checked none fails."""
+    The map small -> big is MonomialMap(small, big, d, Q), and the count
+    identity is its transport_check for every character chi of big.  Over each
+    extension degree, its images x -> (x . Q) * root(d), each multiplied by
+    every twist t (a tuple of base units, so of N-th roots of one), must land
+    on big, be pairwise disjoint and cover all of big's points.  The degrees
+    are the case's own when big has a point at one of them, else the least
+    degree within the cap at which it has one.  checked counts the small
+    points mapped; a report that checked none fails."""
     if case not in _DECOMPOSITIONS:
         raise ValueError(f"unknown case {case!r}")
     big, small, Q, d, degrees, twists = _DECOMPOSITIONS[case](field, lams)
@@ -1914,7 +1850,7 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
         report["pass"] = False
         report["failures"].append({"kind": kind, **data})
 
-    transport = CharTransport(source=small, target=big, Q=Q, d_elem=d)
+    transport = MonomialMap(small, big, d, Q)
     for chi in enumerate_groupchars(big):
         if not transport_check(transport, chi):
             fail("count identity", chi=[p.j for p in chi.parts])
@@ -1932,18 +1868,17 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
         ext = extend(field, r)
         f = ext.field
         try:
-            roots = _root_vec(ext, d)
+            transport.offsets(ext)
         except ValueError:
             fail("d has no N-th root", degree=r)
             continue
         small_points = list(small.points(ext))
+        images = [transport.apply(ext, pt) for pt in small_points]
         covered = set()
         for t in twists:
-            scalars = tuple(f.mul(x, ext.embed(c)) for x, c in zip(roots, t))
-            pm = PointMap(source=small, target=big, ext_r=r, n_mult=len(small.shape), Q=Q,
-                          scalars=scalars)
-            for pt in small_points:
-                img = pm.apply(ext, pt)
+            units = [ext.embed(c) for c in t]
+            for pt, image in zip(small_points, images):
+                img = tuple(f.mul(x, c) for x, c in zip(image, units))
                 report["checked"] += 1
                 if not big.point_ok(ext, img):
                     fail("image not on big", degree=r, twist=t, point=pt)

@@ -209,6 +209,10 @@ def test_iso_rejects_non_unit_part(runner):
     ["count", "--family", "fa", "--q", "3", "--n", "0", "--lams", "2"],
     ["count", "--family", "fc", "--q", "3", "--n", "0", "--lams", "2"],
     ["phi", "--q", "3", "--delta", "1,1", "--z", "1,0;0,1", "--chi", "1;1;1"],
+    ["iso", "--family", "kummer", "--q", "4", "--lam", "9", "--sigma", "1 2"],
+    ["iso", "--family", "gauss", "--q", "4", "--lam", "9"],
+    ["iso", "--family", "fd", "--q", "4", "--lams", "2,9"],
+    ["iso", "--family", "phi1", "--q", "3", "--lam1", "5", "--lam2", "1"],
 ])
 def test_bad_input_fails_closed(runner, args):
     result = runner.invoke(main, args)

@@ -9,8 +9,9 @@ import pytest
 from hgfq import varieties
 from hgfq.chars import AddChar, MulChar, standard_psi
 from hgfq.cyclo import Cyclo
-from hgfq.ffield import build_field, build_field_q, extend
-from hgfq.genhgf import Partition, WDeltaElem, hdelta_chars, phi_delta, w_action_on_char
+from hgfq.ffield import artin_schreier_root, build_field, build_field_q, canonical_nth_root, extend
+from hgfq.genhgf import (Partition, WDeltaElem, hdelta_chars, phi_delta, theta_list,
+                         w_action_on_char)
 from hgfq.varieties import (
     ASStar,
     FAContext,
@@ -352,9 +353,9 @@ def _pair_test_varieties():
         (Humbert1(f3, 2, 2), 6, True),
         (LauricellaD(f4, 2, (2, 2)), 3, True),
         (LauricellaA(f3, 2, (2, 2)), 4, True),
-        # the second sum of F_C(2) still has three open slots when the
-        # monomials have two, so its plan has no pair
-        (LauricellaC(f3, 2, (2, 2)), 4, False),
+        # the second sum of F_C(n) has n + 1 open slots when the monomials
+        # have two, each tying one y_i to y_0
+        (LauricellaC(f3, 2, (2, 2)), 4, True),
         (LauricellaC(f3, 1, (2,)), 4, True),
         (MXnLambda(f4, 2, 2, 3), 3, True),
         # X_2 = -X_1 against X_1 + X_2 = 1 - X_0: 1 + c = 0, with s = 0 at X_0 = 1
@@ -363,6 +364,18 @@ def _pair_test_varieties():
         (varieties.RelationVariety(f4, 3, sums=[(0, 1, 2)], monomials=[(1, {1: -1, 2: 1})]), 2, True),
         # 1 + c = 0 and s = 1: no point
         (varieties.RelationVariety(f5, 2, sums=[(0, 1)], monomials=[(4, {0: 1, 1: -1})]), 2, True),
+        (LauricellaC(f3, 3, (2, 1, 2)), 2, True),
+        # X_2 = 2 X_1 and X_3 = 2 X_1 against X_1 + X_2 + X_3 = 1 - X_0:
+        # 1 + c_2 + c_3 = 0, with s = 0 at X_0 = 1 and s != 0 elsewhere
+        (varieties.RelationVariety(f5, 4, sums=[(0, 1, 2, 3)],
+                                   monomials=[(2, {1: 1, 2: -1}), (2, {1: 1, 3: -1})]), 4, True),
+        # the same over F_4 with opposite signs: X_2 = 2 X_1, X_3 = X_1 / 2
+        (varieties.RelationVariety(f4, 4, sums=[(0, 1, 2, 3)],
+                                   monomials=[(2, {1: 1, 2: -1}), (2, {1: -1, 3: 1})]), 3, True),
+        # X_1 = 2 X_0 and X_2 = 2 X_0 against X_0 + X_1 + X_2 = 1: 1 + c_1 + c_2 = 0
+        # and s = 1, so no point
+        (varieties.RelationVariety(f5, 3, sums=[(0, 1, 2)],
+                                   monomials=[(2, {0: 1, 1: -1}), (2, {0: 1, 2: -1})]), 2, True),
     ]
 
 
@@ -509,8 +522,8 @@ def test_verify_iso_detects_corrupted_map():
     f = build_field_q(4)
     ctx = GaussContext(f, lam=2)
     iso = ctx.build((2, 1, 0, 3))
-    iso.point_map.Q = [row[:] for row in iso.point_map.Q]
-    iso.point_map.Q[0][0] += 1
+    iso.transport.Q = [row[:] for row in iso.transport.Q]
+    iso.transport.Q[0][0] += 1
     rep = verify_iso(iso)
     assert not rep["pass"]
     assert rep["failures"][0]["kind"] == "image not on target"
@@ -607,7 +620,7 @@ def test_kummer_large_field_is_transport_only():
     f = build_field(5)
     ctx = KummerContext(f, lam=2)
     iso = ctx.build(((1, 0), 3))
-    assert iso.point_map is None
+    assert iso.transport.ext_r is None
     for chi in list(enumerate_groupchars(iso.transport.target))[:6]:
         assert transport_check(iso.transport, chi)
 
@@ -735,6 +748,75 @@ def test_build_iso_dispatch():
         make_context("nope", f)
 
 
+def _scalar_oracle_image(ctx, iso, ext, pt):
+    """The image of pt with the unit scalars root(d_(x.w)) / root(d_x)^Q and
+    the additive shifts r(c_k x_k - x'_k) read off the context's shift row,
+    not off the map's d.  Returns (units, additive part)."""
+    f, fb, tgt = ext.field, ctx.field, iso.target_ctx
+    Q, add_mat, n = iso.transport.Q, iso.transport.add_mat, len(ctx.d_x)
+    rx = [canonical_nth_root(ext, v) for v in ctx.d_x]
+    rxw = [canonical_nth_root(ext, v) for v in tgt.d_x]
+    scalars = [f.div(a, b) for a, b in zip(rxw, monomial_map(f, rx, Q))]
+    units = tuple(f.mul(c, v) for c, v in zip(scalars, monomial_map(f, pt[:n], Q)))
+    add = pt[n:]
+    if add_mat is not None:
+        add = tuple(functools.reduce(f.add, [f.mul(ext.embed(row[j]), u)
+                                             for u, row in zip(pt[n:], add_mat)], 0)
+                    for j in range(len(add_mat[0])))
+    if ctx.shift_row is not None:
+        _, cs = ctx._split(iso.symmetry)
+        row, tgt_row = ctx.x[ctx.shift_row], tgt.x[ctx.shift_row]
+        cols = [ctx._xcols.index(c) for c in ctx.as_cols]
+        shifts = [fb.sub(fb.mul(c, row[j]), tgt_row[j]) for c, j in zip(cs, cols)]
+        add = tuple(f.add(u, artin_schreier_root(ext, t)) for u, t in zip(add, shifts))
+    return units, add
+
+
+@pytest.mark.parametrize("family,q,params", [
+    ("gauss", 3, dict(lam=2)), ("gauss", 4, dict(lam=2)),
+    ("kummer", 3, dict(lam=2)), ("kummer", 4, dict(lam=2)),
+    ("phi1", 3, dict(lam1=2, lam2=2)), ("phi3", 3, dict(lam1=2, lam2=2)),
+    ("fd", 4, dict(lams=(2, 3))), ("fa", 4, dict(lams=(2,))),
+])
+def test_point_action_matches_scalar_oracle(family, q, params):
+    # the map's unit scalars root(d_(x.w) / d_x^Q) and the oracle's
+    # root(d_(x.w)) / root(d_x)^Q are N-th roots of the same value, so each
+    # unit coordinate of an image may differ by one N-th root of unity, the
+    # same for every point; the additive coordinates may not differ
+    ctx = make_context(family, build_field_q(q), **params)
+    ext = extend(ctx.field, ctx.ext_degree())
+    f, n = ext.field, len(ctx.d_x)
+    rng = random.Random(q)
+    # tuples off the variety too: F_D at (2, 3) has no point over F_64
+    probes = [tuple(rng.randrange(1, f.q) for _ in range(n))
+              + tuple(rng.randrange(f.q) for _ in ctx.as_cols) for _ in range(8)]
+    for sym in ctx.symmetries():
+        iso = ctx.build(sym)
+        ratios = set()
+        for pt in itertools.chain(iso.transport.source.points(ext), probes):
+            image = iso.transport.apply(ext, pt)
+            units, add = _scalar_oracle_image(ctx, iso, ext, pt)
+            assert image[n:] == add, (sym, pt)
+            ratios.add(tuple(f.div(a, b) for a, b in zip(image[:n], units)))
+        (ratio,) = ratios
+        assert all(f.pow(r, ctx.field.N) == 1 for r in ratio), sym
+
+
+def test_non_unit_parameters_fail_closed():
+    f = build_field_q(4)
+    bad = {"gauss": dict(lam=9), "kummer": dict(lam=0), "fd": dict(lams=(2, 9)),
+           "phi1": dict(lam1=5, lam2=1), "phi3": dict(lam1=2, lam2=0), "fa": dict(lams=(4,))}
+    good = {"gauss": dict(lam=2), "kummer": dict(lam=2), "fd": dict(lams=(2, 3)),
+            "phi1": dict(lam1=2, lam2=2), "phi3": dict(lam1=2, lam2=2), "fa": dict(lams=(2,))}
+    for family, params in bad.items():
+        with pytest.raises(ValueError, match="must be units"):
+            make_context(family, f, **params)
+        x = make_context(family, f, **good[family]).x
+        x[0][0] = f.q
+        with pytest.raises(ValueError, match="must be field elements"):
+            make_context(family, f, x=x)
+
+
 # -- general-family isomorphisms --------------------------------------------
 
 
@@ -792,6 +874,28 @@ def test_general_right_action(parts, d):
     assert rep["pass"], rep["failures"]
     for chi in enumerate_groupchars(iso.transport.target):
         assert transport_check(iso.transport, chi)
+
+
+def test_general_right_action_matches_scalar_oracle():
+    # the t's scale by root(h_0) and the u's shift by r(theta)
+    f = build_field(3)
+    checked = 0
+    for parts, d in [((1, 1), 2), ((1, 2), 1), ((2, 2), 1)]:
+        rng = random.Random(4 + sum(parts))
+        v = _small_general(f, parts, rng, d)
+        h_blocks = tuple((2,) + tuple(rng.randrange(3) for _ in range(s - 1)) for s in parts)
+        iso = general_iso_rh(v, h_blocks)
+        ext = extend(f, iso.transport.ext_r)
+        g, l = ext.field, len(parts)
+        scalars = [canonical_nth_root(ext, h[0]) for h in h_blocks]
+        shifts = [artin_schreier_root(ext, th)
+                  for s, h in zip(parts, h_blocks) for th in theta_list(f, s - 1, list(h))]
+        for pt in v.points(ext):
+            want = (tuple(g.mul(c, t) for c, t in zip(scalars, pt[:l]))
+                    + tuple(g.add(u, sh) for u, sh in zip(pt[l:], shifts)) + pt[l + len(shifts):])
+            assert iso.transport.apply(ext, pt) == want
+            checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("parts,d", [((1, 1), 2), ((2, 2), 1), ((1, 1, 2), 1)])
@@ -867,3 +971,24 @@ def test_reducible_decompositions_detect_corruption(monkeypatch, case, lams, cor
     assert not rep["pass"]
     if corrupt == "twists":
         assert {fail["kind"] for fail in rep["failures"]} == {"pieces do not cover"}
+
+
+@pytest.mark.parametrize("case,lams", _DECOMPOSITION_CASES)
+def test_decomposition_images_match_scalar_oracle(case, lams):
+    # each piece is x -> (x . Q) * (root(d) * t), one per twist t
+    f = build_field(3)
+    big, small, Q, d, degrees, twists = varieties._DECOMPOSITIONS[case](f, lams)
+    transport = varieties.MonomialMap(small, big, d, Q)
+    checked = 0
+    for r in degrees:
+        ext = extend(f, r)
+        g = ext.field
+        roots = [canonical_nth_root(ext, c) for c in d]
+        for pt in small.points(ext):
+            image = transport.apply(ext, pt)
+            for t in twists:
+                scalars = [g.mul(x, ext.embed(c)) for x, c in zip(roots, t)]
+                want = tuple(g.mul(c, v) for c, v in zip(scalars, monomial_map(g, pt, Q)))
+                assert tuple(g.mul(x, ext.embed(c)) for x, c in zip(image, t)) == want
+                checked += 1
+    assert checked > 0

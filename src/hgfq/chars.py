@@ -8,6 +8,14 @@ a: psi_a(x) = zeta_p^Tr(ax); psi = psi_1 is the fixed nontrivial one.
 
 Values land in the exact cyclotomic ring (conductor N for multiplicative,
 p for additive, p*N for mixed products).
+
+char_sum is the one batch evaluator of character sums
+sum over (g, c) of c * prod_i chi_i(g_i), with a MulChar or AddChar per
+slot i.  Every value is a root of unity whose exponent is additive over
+the slots, so the counts are gathered by exponent of zeta_M and
+canonicalized once.  M is N = max(q - 1, 1) when every slot is
+multiplicative, p when every slot is additive and N p when they are mixed,
+the conductor of the product of the slot values.
 """
 
 from __future__ import annotations
@@ -93,6 +101,38 @@ def _mul_value(field: Field, k: int) -> Cyclo:
 @lru_cache(maxsize=None)
 def _add_value(field: Field, t: int) -> Cyclo:
     return zeta(field.p, t)
+
+
+def char_sum(parts, points) -> Cyclo:
+    """sum over (g, c) in points of c * prod_i parts[i](g[i]), in Q(zeta_M).
+
+    parts is a tuple of MulChar and AddChar over one field, points a sequence
+    of (tuple of field codes, integer count).  A point where a MulChar slot
+    reads 0 adds nothing; an empty sum is Cyclo.zero().
+    """
+    if not points:
+        return Cyclo.zero()
+    f = parts[0].field
+    N = max(f.N, 1)
+    kinds = {type(part) for part in parts}
+    M = (N if MulChar in kinds else 1) * (f.p if AddChar in kinds else 1)
+    zero = -M * len(parts)  # chi(0) = 0: makes the exponent of its point negative
+    tables = []
+    for part in parts:
+        if part.field != f:
+            raise ValueError("characters over different fields")
+        if isinstance(part, MulChar):
+            step = M // N
+            tables.append([zero] + [part.j * f.dlog[x] % N * step for x in range(1, f.q)])
+        else:
+            step = M // f.p
+            tables.append([f.trace_to_prime(f.mul(part.a, x)) * step for x in f.elements()])
+    counts = [0] * M
+    for g, c in points:
+        e = sum(map(list.__getitem__, tables, g))
+        if e >= 0:
+            counts[e % M] += c
+    return Cyclo(M, counts)
 
 
 def trivial_char(field: Field) -> MulChar:

@@ -55,6 +55,7 @@ from .varieties import (
     LauricellaD,
     MXnLambda,
     enumerate_groupchars,
+    hdelta_to_groupchar,
     make_context,
     n_chi_closed_form,
     transport_check,
@@ -81,6 +82,13 @@ def _parse_ints(text) -> tuple:
 
 def _parse_rows(text) -> list:
     return [list(_parse_ints(row)) for row in text.split(";")]
+
+
+def _addchar(f: Field, a: int) -> AddChar:
+    """psi_a for the field code a; additive codes are field codes, 0..q-1."""
+    if a not in f.elements():
+        raise ValueError(f"additive codes must lie in 0..{f.q - 1}")
+    return AddChar(f, a)
 
 
 def _cyclo_json(v: Cyclo) -> dict:
@@ -158,7 +166,7 @@ def field_cmd(q, p, e, cap):
 def gauss_cmd(q, p, e, cap, as_json, chi, psi_a, circ):
     """Gauss sum of a multiplicative character."""
     f = _get_field(q, p, e, cap)
-    psi = AddChar(f, f.from_int(psi_a))
+    psi = _addchar(f, psi_a)
     fun = gauss_circ if circ else gauss
     if as_json and chi is not None:
         _echo_json({"q": f.q, "chi": chi, "value": _cyclo_json(fun(MulChar(f, chi), psi))})
@@ -308,7 +316,7 @@ def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
         z = normalized_z(f, parts, _parse_ints(lams))
     else:
         raise click.UsageError("specify --z or --lams")
-    psi = AddChar(f, f.from_int(psi_a))
+    psi = _addchar(f, psi_a)
     ch = _parse_hdelta_char(f, part, chi, psi)
     _echo_json({"q": f.q, "delta": list(parts), "value": _cyclo_json(phi_delta(ch, z))})
 
@@ -348,7 +356,7 @@ def _parse_groupchar(v, chi_text) -> GroupChar:
     f = v.field
     parts = []
     for kind, c in zip(v.shape, codes):
-        parts.append(MulChar(f, c % f.N) if kind == "u" else AddChar(f, f.from_int(c)))
+        parts.append(MulChar(f, c % f.N) if kind == "u" else _addchar(f, c))
     return GroupChar(tuple(parts))
 
 
@@ -631,7 +639,6 @@ def _claim_counts_match_phi(q, seed, cap, parts):
         v = GeneralXDz(f, delta, z)
         for chi in hdelta_chars(f, delta):
             tot += 1
-            from .varieties import hdelta_to_groupchar
             if v.n_chi(hdelta_to_groupchar(chi)) == phi_delta(chi, z):
                 ok += 1
             else:

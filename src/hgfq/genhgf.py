@@ -14,15 +14,13 @@ is zero whenever its leading entry s.z_0 vanishes.
 
 Phi depends on chi only through the log coordinates of the blocks of [s z],
 so phi_delta enumerates k^d once per (field, parts, z) and keeps, in a
-bounded lru_cache keyed on z by value, the histogram of the per-block keys
-(dlog h_0, theta_1(h), ..., theta_(m-1)(h)) over the points with every
-h_0 != 0.  Each character then costs one pass over the keys: its value at a
-key is zeta_M^e with e additive over the blocks, the counts are gathered
-by exponent and canonicalized once.  The conductor M is N p when some part
-exceeds 1 and N otherwise (N = max(q - 1, 1)), the same as a sum of the
-point values chi_of_sz would carry; an empty histogram gives Cyclo.zero().
-This enumeration is kept apart from GeneralXDz.support(), so that point
-counts checked against Phi compare two independent computations.
+bounded lru_cache keyed on z by value, the histogram of
+g = (h_0 of each block, then theta_1(h), ..., theta_(m-1)(h) block by block)
+over the points with every h_0 != 0, in the slot layout of
+GeneralXDz.support().  Each character is then one chars.char_sum over the
+histogram with the slots HDeltaChar.slots().  This enumeration is kept
+apart from GeneralXDz.support(), so that point counts checked against Phi
+compare two independent computations.
 
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
@@ -37,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chars import AddChar, MulChar, standard_psi, trivial_char
+from .chars import AddChar, MulChar, char_sum, standard_psi, trivial_char
 from .cyclo import Cyclo
 from .ffield import Field
 from .hgf import humbert, lauricella, mfn
@@ -87,6 +85,13 @@ class Partition:
             raise ValueError(
                 f"characteristic {field.p} is smaller than the largest part {self.parts[-1]}"
             )
+
+    def check_z(self, field: Field, z):
+        """z must be a matrix of n columns with entries in the field."""
+        if any(len(row) != self.n for row in z):
+            raise ValueError("z must have n columns")
+        if any(x not in field.elements() for row in z for x in row):
+            raise ValueError(f"z entries must lie in 0..{field.q - 1}")
 
 
 # -- truncated power series combinatorics ----------------------------------
@@ -272,6 +277,13 @@ class HDeltaChar:
     def field(self) -> Field:
         return self.blocks[0].field
 
+    def slots(self) -> tuple:
+        """The block leads alpha, then psi_a twisted by each additive
+        coefficient block by block: the slot layout of GeneralXDz."""
+        f = self.field
+        adds = (AddChar(f, f.mul(b.psi.a, aj)) for b in self.blocks for aj in b.a)
+        return (*(b.alpha for b in self.blocks), *adds)
+
     def eval_h(self, h_blocks) -> Cyclo:
         v = Cyclo.integer(1)
         for b, h in zip(self.blocks, h_blocks):
@@ -322,47 +334,20 @@ def _scol(field: Field, s, z, col: int) -> int:
 def phi_delta(chi: HDeltaChar, z) -> Cyclo:
     """Phi(chi; z) = sum over s in k^d of chi([s z]).
 
-    The sum is read off the cached histogram (_phi_histogram) of the keys
-    (dlog h_0, theta_1(h), ..., theta_(m-1)(h)) of the blocks h of [s z],
-    built once per (field, parts, z) and shared by every character.  Every
-    block value of chi is a root of unity,
-    zeta_N^(j dlog h_0) * zeta_p^(sum_i Tr(psi_a a_i theta_i(h))), so each
-    histogram entry adds its count to one exponent of zeta_M, and the count
-    vector is canonicalized once.  The conductor is that of the product of
-    the block values: M = N p when some part exceeds 1, else M = N, with
-    N = max(q - 1, 1); with no point in the support the sum is Cyclo.zero().
-    The histogram is not GeneralXDz.support(), which enumerates the same
-    points on its own, so n_chi and Phi stay independent checks of each
-    other.  chi_of_sz remains the one-point definition.
+    The sum is chars.char_sum with the slots chi.slots() over the cached
+    histogram (_phi_histogram) of the points g = (h_0 of each block, then the
+    theta_i(h) block by block) of the blocks h of [s z], built once per
+    (field, parts, z) and shared by every character.  The conductor is that
+    of the product of the block values: M = N p when some part exceeds 1,
+    else M = N, with N = max(q - 1, 1); with no point in the support the sum
+    is Cyclo.zero().  The histogram is not GeneralXDz.support(), which
+    enumerates the same points on its own, so n_chi and Phi stay independent
+    checks of each other.  chi_of_sz remains the one-point definition.
     """
     f = chi.field
     chi.delta.check_char(f)
-    if any(len(row) != chi.delta.n for row in z):
-        raise ValueError("z must have n columns")
-    if any(x not in f.elements() for row in z for x in row):
-        raise ValueError(f"z entries must lie in 0..{f.q - 1}")
-    blocks, hist = _phi_histogram(f, chi.delta.parts, tuple(map(tuple, z)))
-    if not hist:
-        return Cyclo.zero()
-    N = max(f.N, 1)
-    M = N * f.p if chi.delta.parts[-1] > 1 else N
-    step = M // N
-    tables = []
-    for b, keys in zip(chi.blocks, blocks):
-        j = b.alpha.j
-        cs = [f.mul(b.psi.a, aj) for aj in b.a]
-        tables.append([
-            (j * key[0] % N) * step
-            + N * sum(f.trace_to_prime(f.mul(c, th)) for c, th in zip(cs, key[1:]))
-            for key in keys
-        ])
-    counts = [0] * M
-    for idx, count in hist:
-        e = 0
-        for table, i in zip(tables, idx):
-            e += table[i]
-        counts[e % M] += count
-    return Cyclo(M, counts)
+    chi.delta.check_z(f, z)
+    return char_sum(chi.slots(), _phi_histogram(f, chi.delta.parts, tuple(map(tuple, z))))
 
 
 # Histograms kept for the most recent (field, parts, z); a symmetry check
@@ -372,17 +357,12 @@ _HISTOGRAMS_KEPT = 64
 
 @lru_cache(maxsize=_HISTOGRAMS_KEPT)
 def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
-    """The histogram of the block keys (dlog h_0, theta_1(h), ...) of [s z]
-    over s in k^d, leaving out the points where some block has h_0 = 0.
-
-    Returns (per block, the list of its distinct keys; [(per-block indices
-    into those lists, number of s), ...]).
-    """
+    """[(g, number of s), ...] over s in k^d, with g = (h_0 of each block,
+    then theta_1(h), ..., theta_(m-1)(h) block by block) for the blocks h of
+    [s z], leaving out the points where some block has h_0 = 0."""
     f = field
     n = sum(parts)
     starts = list(itertools.accumulate(parts, initial=0))
-    index = [{} for _ in parts]
-    blocks = [[] for _ in parts]
     hist = {}
     for s in itertools.product(f.elements(), repeat=len(z)):
         v = [0] * n
@@ -391,20 +371,16 @@ def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...
                 for c, x in enumerate(row):
                     if x:
                         v[c] = f.add(v[c], f.mul(sv, x))
-        idx = []
-        for b, size in enumerate(parts):
-            h = tuple(v[starts[b]:starts[b] + size])
-            if h[0] == 0:
+        lead, adds = [], []
+        for start, size in zip(starts, parts):
+            if v[start] == 0:
                 break
-            i = index[b].get(h)
-            if i is None:
-                i = index[b][h] = len(blocks[b])
-                blocks[b].append((f.dlog[h[0]], *theta_list(f, size - 1, h)))
-            idx.append(i)
+            lead.append(v[start])
+            adds += theta_list(f, size - 1, v[start:start + size])
         else:
-            idx = tuple(idx)
-            hist[idx] = hist.get(idx, 0) + 1
-    return blocks, list(hist.items())
+            g = (*lead, *adds)
+            hist[g] = hist.get(g, 0) + 1
+    return list(hist.items())
 
 
 # -- the symmetry group ----------------------------------------------------

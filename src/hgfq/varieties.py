@@ -12,6 +12,9 @@ so that
     n_chi(X; chi) = (1/#G) sum_g chi(g) Lambda_g = sum_g chi(g) reduced(g)
 
 and sum over all chi of n_chi equals the number of rational points #X(k).
+n_chi is one chars.char_sum of chi's slots over support(), the pairs
+(g, reduced(g)) with reduced(g) != 0; chi must be a character of G over
+the variety's own field.
 
 Relation systems.  The eight classical families (FermatStar, ASStar,
 MXnLambda, LauricellaD/A/C, Humbert1/3) are data on RelationVariety: three
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .chars import AddChar, MulChar, trivial_char
+from .chars import AddChar, MulChar, char_sum, trivial_char
 from .cyclo import Cyclo
 from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
                      extend)
@@ -261,12 +264,8 @@ def enumerate_groupchars(v: "Variety"):
 
 
 def hdelta_to_groupchar(chi: HDeltaChar) -> GroupChar:
-    """Flatten to the variety's slot layout: block leaders first, then the
-    additive slots blockwise."""
-    f = chi.field
-    mults = [b.alpha for b in chi.blocks]
-    adds = [AddChar(f, f.mul(b.psi.a, aj)) for b in chi.blocks for aj in b.a]
-    return GroupChar(tuple(mults) + tuple(adds))
+    """chi in the variety's slot layout (HDeltaChar.slots)."""
+    return GroupChar(chi.slots())
 
 
 def groupchar_to_hdelta(delta: Partition, gc: GroupChar, psi: AddChar) -> HDeltaChar:
@@ -349,17 +348,14 @@ class Variety:
     def n_chi(self, chi: GroupChar) -> Cyclo:
         if len(chi.parts) != len(self.shape):
             raise ValueError("character arity mismatch")
+        if chi.field != self.field:
+            raise ValueError("character over another field")
         for part, kind in zip(chi.parts, self.shape):
             if kind == "u" and not isinstance(part, MulChar):
                 raise ValueError("expected a multiplicative character slot")
             if kind == "a" and not isinstance(part, AddChar):
                 raise ValueError("expected an additive character slot")
-        total = Cyclo.zero()
-        for g, c in self.support():
-            v = chi.eval(g)
-            if not v.is_zero():
-                total = total + (v if c == 1 else v.scale(c))
-        return total
+        return char_sum(chi.parts, self.support())
 
     # points -----------------------------------------------------------------
 
@@ -737,8 +733,7 @@ class GeneralXDz(Variety):
         self.delta = delta
         self.z = [list(row) for row in z]
         self.d = len(self.z)
-        if any(len(row) != delta.n for row in self.z):
-            raise ValueError("z must have n columns")
+        delta.check_z(field, self.z)
 
     # the group element layout matches the shape: per-block leading units first,
     # then the additive coordinates blockwise.

@@ -3,17 +3,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgfq.chars import (
     AddChar,
     MulChar,
+    char_sum,
     enumerate_addchars,
     enumerate_mulchars,
     standard_psi,
     trivial_char,
 )
 from hgfq.cyclo import Cyclo, zeta
-from hgfq.ffield import build_field
+from hgfq.ffield import build_field, build_field_q
 
 
 def test_trivial_char_values():
@@ -87,3 +90,49 @@ def test_group_structure():
 def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         MulChar(build_field(3), 1) * MulChar(build_field(5), 1)
+
+
+# -- the batch evaluator against the product of the slot values -------------
+
+
+def _char_sum_literal(parts, points):
+    """sum of c * prod part.eval(g_i), one Cyclo per slot per point."""
+    total = Cyclo.zero()
+    for g, c in points:
+        v = Cyclo.integer(1)
+        for part, x in zip(parts, g):
+            v = v * part.eval(x)
+        total = total + v.scale(c)
+    return total
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_char_sum_matches_product_of_values(data):
+    f = build_field_q(data.draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
+    kinds = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    # trivial characters and coordinates 0 are drawn often
+    parts = tuple(
+        MulChar(f, data.draw(st.one_of(st.just(0), st.integers(0, f.N - 1)))) if mul
+        else AddChar(f, data.draw(st.one_of(st.just(0), st.integers(0, f.q - 1))))
+        for mul in kinds)
+    coord = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    point = st.tuples(st.tuples(*(coord for _ in kinds)), st.integers(-3, 3))
+    points = data.draw(st.lists(point, max_size=12))
+    points += data.draw(st.lists(st.sampled_from(points), max_size=3)) if points else []
+    got, want = char_sum(parts, points), _char_sum_literal(parts, points)
+    assert got.to_json() == want.to_json()
+
+
+def test_char_sum_zero_values_and_empty_sum():
+    f = build_field(5)
+    chi, psi = MulChar(f, 1), AddChar(f, 2)
+    # chi(0) = 0 drops the point but keeps the conductor N p
+    assert char_sum((chi, psi), [((0, 3), 4)]).to_json() == Cyclo.zero(20).to_json()
+    assert char_sum((chi, psi), []).to_json() == Cyclo.zero().to_json()
+    assert char_sum((psi,), [((1,), 1)]) == zeta(5, 2)
+
+
+def test_char_sum_rejects_mixed_fields():
+    with pytest.raises(ValueError):
+        char_sum((MulChar(build_field(3), 1), AddChar(build_field(5), 1)), [((1, 1), 1)])

@@ -135,6 +135,23 @@ def test_count_rejects_wrong_chi_arity(runner):
     assert result.exit_code != 0
 
 
+def test_additive_codes_are_field_codes(runner):
+    # at q = 4 the code 2 is an element outside the prime field, not 2 mod p
+    from hgfq.chars import AddChar, MulChar
+    from hgfq.ffield import build_field_q
+    from hgfq.sums import gauss
+    from hgfq.varieties import ASStar, GroupChar
+
+    f = build_field_q(4)
+    psi = AddChar(f, 2)
+    data = _json(runner.invoke(main, ["count", "--q", "4", "--family", "as", "--chi", "1,2"]))
+    want = ASStar(f).n_chi(GroupChar((MulChar(f, 1), psi)))
+    assert data["n_chi"] == want.to_json() and not want.is_zero()
+    assert data["agree"] is True
+    data = _json(runner.invoke(main, ["gauss", "--q", "4", "--chi", "1", "--psi", "2"]))
+    assert data["value"] == gauss(MulChar(f, 1), psi).to_json()
+
+
 def test_iso_gauss_argument_flip(runner):
     data = _json(runner.invoke(main, [
         "iso", "--family", "gauss", "--q", "3", "--lam", "2", "--sigma", "1 3"]))
@@ -213,6 +230,10 @@ def test_iso_rejects_non_unit_part(runner):
     ["iso", "--family", "gauss", "--q", "4", "--lam", "9"],
     ["iso", "--family", "fd", "--q", "4", "--lams", "2,9"],
     ["iso", "--family", "phi1", "--q", "3", "--lam1", "5", "--lam2", "1"],
+    ["gauss", "--q", "4", "--chi", "1", "--psi", "4"],
+    ["count", "--q", "4", "--family", "as", "--chi", "1,4"],
+    ["count", "--q", "3", "--family", "general", "--delta", "1,2", "--z", "9,0,1;0,1,1",
+     "--chi", "1,1,1"],
 ])
 def test_bad_input_fails_closed(runner, args):
     result = runner.invoke(main, args)

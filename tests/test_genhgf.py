@@ -15,6 +15,7 @@ from hgfq.genhgf import (
     JmChar,
     Partition,
     WDeltaElem,
+    _phi_histogram,
     chi_of_sz,
     hdelta_chars,
     h_to_matrix,
@@ -37,6 +38,7 @@ from hgfq.genhgf import (
     w_action_on_char,
     w_to_matrix,
 )
+from hgfq.varieties import GeneralXDz
 
 
 # -- partitions ------------------------------------------------------------
@@ -372,6 +374,21 @@ def test_phi_matches_literal_sum_on_sampled_z(data):
         blocks.append(JmChar(MulChar(f, j), a, psi))
     chi = HDeltaChar(delta, tuple(blocks))
     assert _same(phi_delta(chi, z), _phi_literal(chi, z))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_phi_histogram_is_the_general_support(q):
+    # two independent enumerations of the same points (g, number of s)
+    f = build_field_q(q)
+    rng = random.Random(q)
+    for parts in _DIFF_PARTS:
+        if parts[-1] > f.p:
+            continue
+        n = sum(parts)
+        for d in (0, 1, 2, 2, 3 if q <= 3 else 2):
+            z = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+            hist = _phi_histogram(f, parts, tuple(map(tuple, z)))
+            assert sorted(hist) == sorted(GeneralXDz(f, parts, z).support()), (parts, z)
 
 
 def test_phi_reads_z_by_value():

@@ -128,6 +128,47 @@ def test_general_family_count_is_phi(q, parts):
         assert total == Cyclo.integer(v.naive_count(1))
 
 
+def _n_chi_literal(v, chi):
+    """n_chi one point at a time: a Cyclo product per slot, summed per point."""
+    total = Cyclo.zero()
+    for g, c in v.support():
+        val = chi.eval(g)
+        if not val.is_zero():
+            total = total + (val if c == 1 else val.scale(c))
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_n_chi_matches_literal_sum(q):
+    f = build_field_q(q)
+    rng = random.Random(q)
+    vs = _families(f, max(f.units()))
+    for parts in ((1, 1, 2), (2, 2), (1, 2)):
+        vs.append(GeneralXDz(f, parts, [[rng.randrange(q) for _ in range(sum(parts))]
+                                        for _ in range(2)]))
+    # the first block's lead column is zero: an empty support
+    empty = GeneralXDz(f, (1, 1), [[0, 1], [0, 1]])
+    assert empty.support() == []
+    for v in vs + [empty]:
+        for chi in enumerate_groupchars(v):
+            assert v.n_chi(chi).to_json() == _n_chi_literal(v, chi).to_json(), (q, v, chi)
+    assert empty.n_chi(GroupChar((MulChar(f, 0),) * 2)).to_json() == Cyclo.zero().to_json()
+
+
+def test_n_chi_rejects_characters_over_another_field():
+    v = FermatStar(build_field(3), 2)
+    f5 = build_field(5)
+    with pytest.raises(ValueError, match="another field"):
+        v.n_chi(GroupChar((MulChar(f5, 1), MulChar(f5, 0))))
+
+
+def test_general_family_rejects_z_outside_the_field():
+    f = build_field(3)
+    for z in ([[9, 0, 1], [0, 1, 1]], [[1, 0, -1]]):
+        with pytest.raises(ValueError, match="z entries"):
+            GeneralXDz(f, (1, 2), z)
+
+
 # -- closed forms -----------------------------------------------------------
 
 

@@ -317,6 +317,8 @@ def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
     else:
         raise click.UsageError("specify --z or --lams")
     psi = _addchar(f, psi_a)
+    if psi.is_trivial():
+        raise ValueError("psi must be nontrivial")
     ch = _parse_hdelta_char(f, part, chi, psi)
     _echo_json({"q": f.q, "delta": list(parts), "value": _cyclo_json(phi_delta(ch, z))})
 

@@ -18,12 +18,11 @@ evaluated at x = 2^k with k wide enough for every coefficient of the product
 from one byte string.  The reduction mod Phi_m runs only over the nonzero
 coefficients of Phi_m.
 
-Everything is exact; the complex embedding exists only for display.
+Everything is exact: the package has no floating-point path.
 """
 
 from __future__ import annotations
 
-import cmath
 import sys
 from array import array
 from fractions import Fraction
@@ -243,10 +242,6 @@ class Cyclo:
         return True
 
     # -- output ------------------------------------------------------------
-
-    def embed_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return sum(c * z**i for i, c in enumerate(self.num) if c) / self.den
 
     def as_rational(self) -> Fraction:
         """The value as a rational number; raises if it is not rational."""

@@ -269,9 +269,13 @@ class HDeltaChar:
     def __post_init__(self):
         if len(self.blocks) != self.delta.l:
             raise ValueError("block count mismatch")
+        f = self.blocks[0].alpha.field if self.blocks else None
         for b, size in zip(self.blocks, self.delta.parts):
             if b.m != size:
                 raise ValueError("block size mismatch")
+            fa, fp = b.alpha.field, b.psi.field
+            if (fa is not f or fp is not f) and (fa != f or fp != f):
+                raise ValueError("characters over different fields")
 
     @property
     def field(self) -> Field:

@@ -11,9 +11,37 @@ nu_1..nu_n and the arguments lambda_1..lambda_n:
 
 where c is an integer vector and nu^c = nu_1^c_1 ... nu_n^c_n.  With
 nu_i = chi_(j_i), nu^c is chi_(c.j), so the evaluator groups the terms by c
-(nu_i(lambda_i) joins the group of the unit vector e_i), tabulates each
-group's product once over Z/N, and sums prod over groups table_c[c.j] over
-j in (Z/N)^n, skipping every j at which an entry is zero.
+(nu_i(lambda_i) joins the group of the unit vector e_i) and sums
+prod over groups of the group's entry at c.j, over j in (Z/N)^n.
+
+Every entry is integer data over Gauss sums (Greene 1987).  By the
+reflection identity, with a(-1) = (-1)^j for a = chi_j at odd q and 1 at
+even q,
+
+    (a)_nu    = g(a nu)                * a(-1) g°(a-bar) / q,
+    1/(a)°_nu = g(a-bar nu-bar) nu(-1) * a(-1) g°(a) / q,
+
+and g°(eps) = q cancels the /q.  The right-hand factors do not depend on
+nu, so they multiply the whole sum once: a sign, q^-K and K Gauss sums.
+The left-hand factors give each group, at nu = chi_t, a sign and a list of
+Gauss indices (g(chi_0) = 1 is left out); nu(lambda) is zeta_N^(t dlog
+lambda), and nu(0) = 0 leaves no term.
+
+The sum is taken in Z[x]/(x^M - 1) at x = 2^W, that is in the integers
+mod 2^(WM) - 1 (Kronecker substitution; Harvey 2009): each g(chi_j) is
+packed once per (psi, M, W) from its raw histogram, a group's entries are
+products of packed sums (cached per parameter set across lambda), a root
+of unity is a rotation, and the coefficients f-hat of the iteration
+transforms are packed over their common denominator D.  A coefficient of
+the result is at most B = sum over surviving terms of the product of the
+l1 norms of its factors (q - 1 per Gauss sum, 1 per root of unity), so
+slots of W >= bits(B) + 2 bits, rounded to whole bytes, hold every signed
+coefficient; the bound is asserted on the result.  One signed unpack and
+one canonicalization give the value over q^K D.
+
+The conductor M is that of the surviving terms: p N if they carry a
+Pochhammer factor, else N, in both cases lcm'd with the conductors of the
+weights; a sum with no surviving term is Cyclo.zero() (m = 1).
 
 The callers only build term lists and normalize:
 
@@ -37,13 +65,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from math import lcm
 from operator import mul
 
 from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
-from .cyclo import Cyclo
+from .cyclo import Cyclo, _pack, _spread, _unpack
 from .ffield import Field
-from .sums import gauss, jacobi, pochhammer
+from .sums import gauss, gauss_histogram, jacobi, pochhammer
 
 
 def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
@@ -69,34 +98,128 @@ def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
     f = psi.field
     if not all(lam in f.elements() for lam in lams):
         raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {tuple(lams)}")
+    if any(a.field != f for a, _, _ in terms):
+        raise ValueError("characters over different fields")
     N, n = max(f.N, 1), len(lams)
-    args = dict(zip(_unit_vectors(n), lams))
-    groups = {c: [] for c in args}
+    logs = {c: f.dlog.get(lam) for c, lam in zip(_unit_vectors(n), lams)}
+    groups = {c: [] for c in logs}
     for a, c, upper in terms:
-        groups.setdefault(tuple(c), []).append((a, upper))
-    tables = [(c, _table(members, args.get(c), psi)) for c, members in groups.items()]
-    total = Cyclo.zero()
-    for js in itertools.product(range(N), repeat=n):
-        entries = [table[sum(map(mul, c, js)) % N] for c, table in tables]
-        if weights is not None:
-            w = weights[js]
-            entries.append(None if w.is_zero() else w)
-        if all(x is not None for x in entries):
-            total = total + reduce(mul, entries)
-    return total
+        groups.setdefault(tuple(c), []).append((a.j, upper))
+    groups = [(c, tuple(sorted(members))) for c, members in groups.items()]
+    live = list(range(N**n))
+    if None in logs.values():  # nu(0) = 0 for every nu
+        live = []
+    elif weights is not None:
+        ws = [weights[js] for js in itertools.product(range(N), repeat=n)]
+        live = [k for k in live if not ws[k].is_zero()]
+    if not live:
+        return Cyclo.zero()
+    # the conductor of the surviving terms, their common denominator D and the
+    # exact bound B on the coefficients of the packed numerator
+    M, D = lcm(N, f.p * N if terms else 1), 1
+    if weights is not None:
+        M, D = lcm(M, *(ws[k].m for k in live)), lcm(*(ws[k].den for k in live))
+    fixed, sign, cols, B = [], 1, [], [1] * len(live)
+    for c, members in groups:
+        gauss_count = [len(members)] * N  # g(chi_0) = 1 is left out
+        for j, upper in members:
+            gauss_count[-j % N] -= 1
+            if j:
+                fixed.append((-j if upper else j) % N)
+                sign *= -1 if f.p != 2 and j % 2 else 1
+        l1 = [(f.q - 1) ** k for k in gauss_count]
+        idx = _indices(c, N)
+        idx = [idx[k] for k in live]
+        B = [b * l1[i] for b, i in zip(B, idx)]
+        cols.append((c, members, idx))
+    if weights is not None:
+        B = [b * D // ws[k].den * sum(map(abs, ws[k].num)) for b, k in zip(B, live)]
+    B = sum(B) * (f.q - 1) ** len(fixed)
+    W = (B.bit_length() + 9) // 8 * 8  # |coefficient| <= B < 2^(W - 2)
+    WM = W * M
+    R = (1 << WM) - 1
+    ones = int.from_bytes((1).to_bytes(W // 8, "little") * M, "little")
+    # the columns of entries the surviving terms read, nu(lambda) as a rotation
+    terms_at = []
+    for c, members, idx in cols:
+        row = _packed_rows(psi, M, W, members)
+        if logs.get(c):  # times nu(lambda) = zeta_M^(t dlog(lambda) M/N) at nu = chi_t
+            step = W * logs[c] * (M // N)
+            row = [((x << b) & R) + (x >> (WM - b))
+                   for x, b in zip(row, (t * step % WM for t in range(N)))]
+        terms_at.append([row[i] for i in idx])
+    if weights is not None:
+        terms_at.append([_pack_signed(ws[k], M, W, D, ones) % R for k in live])
+    acc = 0
+    for xs in zip(*terms_at):
+        x = xs[0]
+        for y in xs[1:]:
+            x *= y
+            x = (x & R) + (x >> WM)
+        acc += x
+    g = _packed_gauss(psi, M, W) if fixed else None
+    for k in fixed:
+        acc = _reduce(acc, WM) * g[k]
+    acc = _reduce(acc, WM)
+    if sign < 0:
+        acc = R - acc
+    off = 1 << (W - 1)
+    digits = [d - off for d in _unpack(_reduce(acc + off * ones, WM) % R, M, W // 8)]
+    assert max(map(abs, digits)) <= B, "slot width too small"
+    return Cyclo(M, digits, f.q ** len(fixed) * D)
 
 
-def _table(members, lam, psi: AddChar) -> list:
-    """One group's product at each character chi_0..chi_(N-1); None where it is zero."""
-    table = []
-    for nu in enumerate_mulchars(psi.field):
-        factors = [] if lam is None else [nu.eval(lam)]
-        if factors and factors[0].is_zero():
-            table.append(None)
-            continue
-        factors += [_factor(a, nu, upper, psi) for a, upper in members]
-        table.append(reduce(mul, factors))
-    return table
+def _reduce(x: int, WM: int) -> int:
+    """x mod 2^WM - 1 into [0, 2^WM - 1], for x >= 0."""
+    while x >> WM:
+        x = (x & ((1 << WM) - 1)) + (x >> WM)
+    return x
+
+
+def _pack_signed(w: Cyclo, M: int, W: int, D: int, ones: int) -> int:
+    """D w, over conductor M, at x = 2^W: signed digits of |.| < 2^(W - 1)."""
+    off, scale = 1 << (W - 1), D // w.den
+    return _pack([c * scale for c in _spread(w, M)], off, W // 8) - off * ones
+
+
+@lru_cache(maxsize=64)
+def _indices(c: tuple, N: int) -> tuple:
+    """c . j mod N for j over (Z/N)^n in itertools.product order."""
+    return tuple(sum(map(mul, c, js)) % N for js in itertools.product(range(N), repeat=len(c)))
+
+
+@lru_cache(maxsize=64)
+def _packed_rows(psi: AddChar, M: int, W: int, members: tuple) -> tuple[int, ...]:
+    """A group's nu-dependent part at each nu = chi_t, mod 2^(WM) - 1: the
+    product of g(a nu) over upper and g(a-bar nu-bar) nu(-1) over lower
+    members (j, upper) of a = chi_j."""
+    f, WM = psi.field, W * M
+    N, g = max(f.N, 1), _packed_gauss(psi, M, W) if members else None
+    lowers = sum(not upper for _, upper in members) if f.p != 2 else 0
+    out = []
+    for t in range(N):
+        x = 1
+        for j, upper in members:
+            k = (j + t if upper else -j - t) % N
+            if k:
+                x = _reduce(x * g[k], WM)
+        out.append((1 << WM) - 1 - x if t * lowers % 2 else x)
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _packed_gauss(psi: AddChar, M: int, W: int) -> tuple[int, ...]:
+    """g(chi_j) for every j at x = 2^W over conductor M, as residues mod
+    2^(WM) - 1, from the raw histogram (index 0: g = 1)."""
+    f = psi.field
+    N = max(f.N, 1)
+    stride, R = M // (f.p * N), (1 << W * M) - 1
+    out = [1]
+    for j in range(1, N):
+        v = [0] * M
+        v[::stride] = [-h for h in gauss_histogram(MulChar(f, j), psi)]
+        out.append(R - _pack(v, 0, W // 8))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ so a sum is one integer vector indexed by the term's exponent, reduced to
 canonical form once.  For g(eta) with eta = chi_j and psi = psi_a over F_q
 (q = p^e, N = q - 1) the term at x is zeta_(pN)^(Tr(a x) N + j dlog(x) p);
 for a Jacobi sum the term at (x_1..x_n) is zeta_N^(sum j_i dlog(x_i)).
+The Gauss-sum histogram is written once, in gauss_histogram: gauss
+canonicalizes it, and the Horn evaluator in hgf packs it unreduced (its l1
+norm is exactly q - 1, which bounds the packed slot width there).
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ from .cyclo import Cyclo
 @lru_cache(maxsize=None)
 def gauss(eta: MulChar, psi: AddChar) -> Cyclo:
     """g(eta) = -sum over x in k* of psi(x) eta(x); g(trivial) = 1."""
+    hist = gauss_histogram(eta, psi)
+    return Cyclo(len(hist), hist)
+
+
+def gauss_histogram(eta: MulChar, psi: AddChar) -> list[int]:
+    """The terms -psi(x) eta(x) of g(eta) counted by exponent of zeta_(pN):
+    every entry is <= 0 and their sum is -(q - 1)."""
     if psi.is_trivial():
         raise ValueError("psi must be nontrivial")
     if eta.field != psi.field:
@@ -41,7 +51,7 @@ def gauss(eta: MulChar, psi: AddChar) -> Cyclo:
     hist = [0] * M
     for x in f.units():
         hist[(f.trace_to_prime(f.mul(a, x)) * N + jp * dlog[x]) % M] -= 1
-    return Cyclo(M, hist)
+    return hist
 
 
 def gauss_circ(eta: MulChar, psi: AddChar) -> Cyclo:

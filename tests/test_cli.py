@@ -234,6 +234,7 @@ def test_iso_rejects_non_unit_part(runner):
     ["count", "--q", "4", "--family", "as", "--chi", "1,4"],
     ["count", "--q", "3", "--family", "general", "--delta", "1,2", "--z", "9,0,1;0,1,1",
      "--chi", "1,1,1"],
+    ["phi", "--q", "3", "--delta", "1,2", "--z", "1,0,1;0,1,1", "--chi", "1;1:1", "--psi", "0"],
 ])
 def test_bad_input_fails_closed(runner, args):
     result = runner.invoke(main, args)

@@ -1,5 +1,6 @@
 """Oracle tests for exact cyclotomic arithmetic."""
 
+import cmath
 import random
 from fractions import Fraction
 from math import lcm
@@ -88,10 +89,16 @@ def test_canonical_idempotent():
     assert a.num == b.num and a.den == b.den
 
 
+def embed_complex(x: Cyclo) -> complex:
+    """x under zeta_m -> exp(2 pi i / m): a float view for these checks only."""
+    z = cmath.exp(2j * cmath.pi / x.m)
+    return sum(c * z**i for i, c in enumerate(x.num) if c) / x.den
+
+
 def test_embed_complex():
-    assert abs(Cyclo.integer(-1).embed_complex() - (-1)) < 1e-12
-    assert abs(zeta(4).embed_complex() - 1j) < 1e-12
-    v = (zeta(3, 2) - zeta(3)).embed_complex()
+    assert abs(embed_complex(Cyclo.integer(-1)) - (-1)) < 1e-12
+    assert abs(embed_complex(zeta(4)) - 1j) < 1e-12
+    v = embed_complex(zeta(3, 2) - zeta(3))
     assert abs(v - (-1.7320508075688772j)) < 1e-9
 
 
@@ -101,8 +108,8 @@ def test_embed_complex_homomorphism():
         m = rng.choice([5, 8, 12])
         a = Cyclo(m, [rng.randrange(-3, 4) for _ in range(m)])
         b = Cyclo(m, [rng.randrange(-3, 4) for _ in range(m)])
-        assert abs((a * b).embed_complex() - a.embed_complex() * b.embed_complex()) < 1e-9
-        assert abs((a + b).embed_complex() - (a.embed_complex() + b.embed_complex())) < 1e-9
+        assert abs(embed_complex(a * b) - embed_complex(a) * embed_complex(b)) < 1e-9
+        assert abs(embed_complex(a + b) - (embed_complex(a) + embed_complex(b))) < 1e-9
 
 
 def test_in_subfield():

@@ -159,6 +159,21 @@ def test_hdelta_char_group_size():
     assert len(chars) == 2 * (2 * 3)
 
 
+def test_hdelta_char_rejects_mixed_fields():
+    f3, f5 = build_field(3), build_field(5)
+    ok = JmChar(MulChar(f3, 1), (), standard_psi(f3))
+    mixed = [
+        JmChar(MulChar(f3, 1), (1,), AddChar(f5, 4)),  # psi over another field
+        JmChar(MulChar(f5, 1), (1,), standard_psi(f5)),  # a second block over F_5
+    ]
+    for block in mixed:
+        with pytest.raises(ValueError, match="different fields"):
+            HDeltaChar(Partition((1, 2)), (ok, block))
+    with pytest.raises(ValueError, match="different fields"):
+        HDeltaChar(Partition((2,)), (mixed[0],))
+    HDeltaChar(Partition((1, 2)), (ok, JmChar(MulChar(f3, 1), (1,), standard_psi(f3))))
+
+
 # -- substitution matrices -------------------------------------------------
 
 

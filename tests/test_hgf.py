@@ -4,13 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgfq import hgf
 from hgfq.chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from hgfq.cyclo import Cyclo, zeta
 from hgfq.ffield import build_field, build_field_q
 from hgfq.hgf import (
     HgfParams,
     _factor,
+    _packed_gauss,
     dft,
     hgf_eval,
     humbert,
@@ -285,6 +289,8 @@ def _oracle(terms, lams, psi, weights=None):
             t = t * nu.eval(lam)
         if weights is not None:
             t = t * weights[tuple(nu.j for nu in nus)]
+        if t.is_zero():  # nu(0) = 0 or a zero weight: the term does not survive
+            continue
         for a, c, upper in terms:
             nu_c = trivial_char(f)
             for nu, k in zip(nus, c):
@@ -372,6 +378,25 @@ def test_humbert_matches_defining_sum(q):
             assert humbert(kind, up, gamma, delta, *xs, psi) == want, (kind, xs)
 
 
+def _iteration_cases(psi, i, alpha, betas):
+    """kind -> (terms, sign, constant or None where the identity degenerates),
+    for n = 2."""
+    prod_i = (1,) * i + (0,) * (2 - i)
+    firsts = [(b, _unit(2, k)) for k, b in enumerate(betas[:i])]
+    comp = alpha.inverse()
+    for b in betas[:i]:
+        comp = comp * b
+    return {
+        "i": ([(alpha, prod_i, True)] + [(b, c, False) for b, c in firsts], (-1) ** i,
+              None if comp.is_trivial() else jacobi(comp, *[b.inverse() for b in betas[:i]])),
+        "ii": ([(b, c, True) for b, c in firsts] + [(alpha, prod_i, False)], (-1) ** i,
+               None if comp.is_trivial() else jacobi(comp.inverse(), *betas[:i])),
+        "iii": ([(alpha, prod_i, True), (betas[0], prod_i, False)], -1,
+                None if alpha == betas[0] else jacobi(alpha, alpha.inverse() * betas[0])),
+        "iv": ([(alpha, prod_i, False)], -1, gauss(alpha.inverse(), psi)),
+    }
+
+
 @pytest.mark.parametrize("q", ORACLE_QS)
 @pytest.mark.parametrize("i", [1, 2])
 def test_iteration_lhs_matches_defining_sum(q, i):
@@ -382,24 +407,9 @@ def test_iteration_lhs_matches_defining_sum(q, i):
     fmap = {ts: Cyclo(f.N, [rng.randrange(-2, 3) for _ in range(f.N)])
             for ts in itertools.product(f.units(), repeat=2)}
     fhat = dft(fmap, f, 2)
-    prod_i = (1,) * i + (0,) * (2 - i)
     for _ in range(3):
         alpha, betas, xs = char(), [char(), char()], lams(2)
-        firsts = [(b, _unit(2, k)) for k, b in enumerate(betas[:i])]
-        comp = alpha.inverse()
-        for b in betas[:i]:
-            comp = comp * b
-        # kind -> (terms, sign, constant or None where the identity degenerates)
-        cases = {
-            "i": ([(alpha, prod_i, True)] + [(b, c, False) for b, c in firsts], (-1) ** i,
-                  None if comp.is_trivial() else jacobi(comp, *[b.inverse() for b in betas[:i]])),
-            "ii": ([(b, c, True) for b, c in firsts] + [(alpha, prod_i, False)], (-1) ** i,
-                   None if comp.is_trivial() else jacobi(comp.inverse(), *betas[:i])),
-            "iii": ([(alpha, prod_i, True), (betas[0], prod_i, False)], -1,
-                    None if alpha == betas[0] else jacobi(alpha, alpha.inverse() * betas[0])),
-            "iv": ([(alpha, prod_i, False)], -1, gauss(alpha.inverse(), psi)),
-        }
-        for kind, (terms, sign, const) in cases.items():
+        for kind, (terms, sign, const) in _iteration_cases(psi, i, alpha, betas).items():
             if const is None:
                 with pytest.raises(ValueError, match="degenerate"):
                     iteration_lhs(kind, fhat, f, 2, i, alpha, betas, xs, psi)
@@ -426,3 +436,141 @@ def test_humbert_rejects_wrong_counts(kind, n_upper, n_delta):
     f, chars, psi = _chars(5)
     with pytest.raises(ValueError, match=f"Phi_{kind} takes"):
         humbert(kind, chars[1:1 + n_upper], chars[1], chars[1:1 + n_delta], 2, 3, psi)
+
+
+# -- the packed evaluator against the oracle, conductor included --------------
+
+
+def _field_choice(q, alternate):
+    """F_q with psi_1, or with its second-smallest generator and a psi_a, a != 1."""
+    f = build_field_q(q)
+    if not alternate:
+        return f, standard_psi(f)
+    gens = f.generators()
+    f = f.with_generator(gens[1]) if len(gens) > 1 else f
+    return f, AddChar(f, next((u for u in sorted(f.dlog) if u != 1), 1))
+
+
+def _random_weights(f, rng):
+    """Coefficients on (Z/N)^2: a quarter zero, the rest over conductors 1, N
+    and 2N with denominators 1..3."""
+    N = max(f.N, 1)
+    out = {}
+    for js in itertools.product(range(N), repeat=2):
+        m = rng.choice([1, N, 2 * N])
+        out[js] = (Cyclo.zero() if rng.random() < 1 / 4
+                   else Cyclo(m, [rng.randrange(-3, 4) for _ in range(m)], rng.randrange(1, 4)))
+    return out
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_packed_horn_matches_oracle(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), label="q")
+    f, psi = _field_choice(q, data.draw(st.booleans(), label="alternate"))
+    chars = enumerate_mulchars(f)
+
+    def char():  # the trivial character at least a quarter of the time
+        forced = data.draw(st.integers(0, 3)) == 0
+        return chars[0] if forced else data.draw(st.sampled_from(chars))
+
+    def lams(n):  # lambda = 0 at least a quarter of the time
+        return tuple(0 if data.draw(st.integers(0, 3)) == 0 else data.draw(st.integers(1, q - 1))
+                     for _ in range(n))
+
+    family = data.draw(st.sampled_from(["mfn", "lauricella", "humbert", "iteration"]))
+    if family == "mfn":  # classical (a trivial last lower character) or not
+        m, n = data.draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 1), (3, 2)]))
+        up, lo, xs = [char() for _ in range(m)], [char() for _ in range(n)], lams(1)
+        if data.draw(st.booleans()):
+            lo.append(trivial_char(f))
+        terms = [(a, (1,), True) for a in up] + [(b, (1,), False) for b in lo]
+        got = hgf_eval(HgfParams(tuple(up), tuple(lo), psi), xs[0])
+        want = _oracle(terms, xs, psi) / (1 - q)
+    elif family == "lauricella":
+        kind = data.draw(st.sampled_from("ABCD"))
+        n = data.draw(st.integers(1, 3))
+        shape = {"A": "1nnn", "B": "nn1n", "C": "11nn", "D": "1n1n"}[kind]
+        args = [[char() for _ in range(1 if s == "1" else n)] for s in shape]
+        xs = lams(n)
+        got = lauricella(kind, *args, xs, psi)
+        want = _oracle(_lauricella_oracle_terms(kind, *args), xs, psi) / (1 - q) ** n
+    elif family == "humbert":
+        kind = data.draw(st.sampled_from([1, 2, 3]))
+        cs = {1: [(1, 1), (1, 0)], 2: [(1, 0), (0, 1)], 3: [(1, 0)]}[kind]
+        up, gamma, delta, xs = [char() for _ in cs], char(), [char(), char()], lams(2)
+        terms = ([(a, c, True) for a, c in zip(up, cs)] + [(gamma, (1, 1), False)]
+                 + [(delta[0], (1, 0), False), (delta[1], (0, 1), False)])
+        got = humbert(kind, up, gamma, delta, *xs, psi)
+        want = _oracle(terms, xs, psi) / (1 - q) ** 2
+    else:
+        kind, i = data.draw(st.sampled_from(["i", "ii", "iii", "iv"])), data.draw(st.integers(1, 2))
+        alpha, betas, xs = char(), [char(), char()], lams(2)
+        terms, sign, const = _iteration_cases(psi, i, alpha, betas)[kind]
+        if const is None:
+            return
+        fhat = _random_weights(f, random.Random(data.draw(st.integers(0, 1 << 16))))
+        got = iteration_lhs(kind, fhat, f, 2, i, alpha, betas, xs, psi)
+        want = (const * _oracle(terms, xs, psi, fhat)).scale(sign, max(f.N, 1) ** 2)
+    assert got.to_json() == want.to_json()
+
+
+def _reflection_sum(terms, lam, psi):
+    """The one-variable sum term by term, each factor from the reflection
+    identity (_factor): no inversion, so it stays fast at large conductors."""
+    total = Cyclo.zero()
+    for nu in enumerate_mulchars(psi.field):
+        t = nu.eval(lam)
+        if t.is_zero():
+            continue
+        for a, _, upper in terms:
+            t = t * _factor(a, nu, upper, psi)
+        total = total + t
+    return total
+
+
+@pytest.mark.parametrize("q, js_up, js_lo", [
+    (17, (1, 3, 6), (2, 5)),  # 3F2 at q = 17: the widest slot of the benchmark (56 bits)
+    (13, (1, 5, 2, 7, 3), (4, 9, 10, 8)),  # 5F4 at q = 13: slots wider than 64 bits
+])
+def test_packed_wide_slots_match_reflection_sum(q, js_up, js_lo):
+    f, chars, psi = _chars(q)
+    up, lo = [chars[j] for j in js_up], [chars[j] for j in js_lo]
+    terms = [(a, (1,), True) for a in up] + [(b, (1,), False) for b in lo + [chars[0]]]
+    for lam in (2, f.neg(1), 1, 0):
+        want = _reflection_sum(terms, lam, psi) / (1 - q)
+        assert mfn(up, lo, lam, psi).to_json() == want.to_json(), lam
+
+
+def _unpack_residue(x, M, W):
+    """The signed base-2^W digits of x mod 2^(WM) - 1 (each below 2^(W-2))."""
+    R, off = (1 << W * M) - 1, 1 << (W - 1)
+    y = (x + off * (R // ((1 << W) - 1))) % R
+    return [((y >> W * i) & ((1 << W) - 1)) - off for i in range(M)]
+
+
+def test_every_packed_gauss_sum_is_the_gauss_sum(monkeypatch):
+    seen = set()
+
+    def recording(psi, M, W):
+        seen.add((psi, M, W))
+        return _packed_gauss(psi, M, W)
+
+    monkeypatch.setattr(hgf, "_packed_gauss", recording)
+    hgf._packed_rows.cache_clear()
+    for q in (2, 3, 4, 5, 7, 8, 9, 13):
+        for alternate in (False, True):
+            f, psi = _field_choice(q, alternate)
+            chars = enumerate_mulchars(f)
+            a, b = chars[-1], chars[len(chars) // 2]
+            mfn([a, b, a], [b, a], f.neg(1), psi)
+            lauricella("D", [a], [b, a], [b], [a, a], (1, f.neg(1)), psi)
+            humbert(1, [a, b], b, [a, b], 1, 1, psi)
+            fhat = _random_weights(f, random.Random(q))
+            iteration_lhs("iv", fhat, f, 2, 1, a, [b, b], (1, 1), psi)
+    hgf._packed_rows.cache_clear()
+    assert len(seen) >= 16
+    for psi, M, W in seen:
+        for j, x in enumerate(_packed_gauss(psi, M, W)):
+            want = gauss(MulChar(psi.field, j), psi).lift(M)
+            assert Cyclo(M, _unpack_residue(x, M, W)).to_json() == want.to_json(), (psi, M, W, j)

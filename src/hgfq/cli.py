@@ -13,54 +13,28 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 import click
 
-from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
+from .chars import AddChar, MulChar, standard_psi
 from .cyclo import Cyclo
 from .ffield import DEFAULT_CAP, Field, build_field, build_field_q
-from .genhgf import (
-    HDeltaChar,
-    JmChar,
-    Partition,
-    WDeltaElem,
-    hdelta_chars,
-    mat_mul,
-    normalized_z,
-    phi_delta,
-    reduce_to_classical,
-    w_action_on_char,
-    w_to_matrix,
-)
-from .hgf import dft, hgf_eval, humbert, idft, iteration_lhs, iteration_rhs, lauricella, mfn, params
-from .sums import (
-    gauss,
-    gauss_circ,
-    jacobi,
-    jacobi_product_formula,
-    pochhammer,
-    pochhammer_circ,
-)
-from .varieties import (
-    FAMILIES,
-    ASStar,
-    FermatStar,
-    GeneralXDz,
-    GroupChar,
-    Humbert1,
-    Humbert3,
-    LauricellaA,
-    LauricellaC,
-    LauricellaD,
-    MXnLambda,
-    enumerate_groupchars,
-    hdelta_to_groupchar,
-    make_context,
-    n_chi_closed_form,
-    transport_check,
-    verify_iso,
-)
+from .hgf import hgf_eval, humbert, lauricella, mfn, params
+from .sums import gauss, gauss_circ, jacobi
+
+if TYPE_CHECKING:
+    from .genhgf import HDeltaChar, Partition
+    from .varieties import GroupChar
+
+# Only the layers every value command runs are imported here.  The commands
+# that need genhgf (phi), varieties (count, iso) or a verification suite
+# import it in their body, so a gauss or hgf call does not compile them.
+
+# the keys of varieties.FAMILIES, spelled out so that parsing needs no import
+_ISO_FAMILIES = ("gauss", "kummer", "fd", "phi1", "phi3", "fa")
+# the keys of suites.CLAIMS, sorted
+_SUITES = ("gauss-sums", "symmetry", "varieties")
 
 
 # -- small shared helpers ----------------------------------------------------
@@ -93,11 +67,6 @@ def _addchar(f: Field, a: int) -> AddChar:
 
 def _cyclo_json(v: Cyclo) -> dict:
     return v.to_json()
-
-
-def _cyclo_str(v: Cyclo) -> str:
-    d = v.to_json()
-    return f"m={d['m']};num={','.join(map(str, d['num']))};den={d['den']}"
 
 
 def _echo_json(data):
@@ -175,7 +144,7 @@ def gauss_cmd(q, p, e, cap, as_json, chi, psi_a, circ):
     if as_json:
         _echo_json([{"chi": j, "value": _cyclo_json(v)} for j, v in enumerate(values)])
     else:
-        _echo_csv(("chi", "value"), [(j, _cyclo_str(v)) for j, v in enumerate(values)])
+        _echo_csv(("chi", "value"), [(j, v.to_text()) for j, v in enumerate(values)])
 
 
 @main.command("jacobi")
@@ -193,7 +162,7 @@ def jacobi_cmd(q, p, e, cap, as_json, chi):
     rows = []
     for a, b in itertools.product(range(f.N), repeat=2):
         v = jacobi(MulChar(f, a), MulChar(f, b))
-        rows.append((a, b, _cyclo_str(v)))
+        rows.append((a, b, v.to_text()))
     if as_json:
         _echo_json([{"chi": [a, b], "value": val} for a, b, val in rows])
     else:
@@ -230,7 +199,7 @@ def hgf_cmd(q, p, e, cap, as_json, upper, lower, lam, raw):
             for lamv in ([lam] if lam is not None else list(f.elements())):
                 v = value(uidx, lidx, lamv)
                 rows.append((";".join(map(str, uidx)), ";".join(map(str, lidx)),
-                             lamv, _cyclo_str(v)))
+                             lamv, v.to_text()))
     if as_json:
         _echo_json([{"upper": u, "lower": l, "lam": lamv, "value": val}
                     for u, l, lamv, val in rows])
@@ -277,6 +246,8 @@ def humbert_cmd(q, p, e, cap, kind, upper, gamma, delta, lam1, lam2):
 
 def _parse_hdelta_char(f: Field, delta: Partition, text, psi) -> HDeltaChar:
     """Block syntax: 'j' or 'j:a1,a2,...' per block, blocks joined by ';'."""
+    from .genhgf import HDeltaChar, JmChar
+
     texts = text.split(";")
     if len(texts) != delta.l:
         raise ValueError(f"block count mismatch: {len(texts)} blocks for {delta.l} parts")
@@ -307,6 +278,8 @@ def _parse_hdelta_char(f: Field, delta: Partition, text, psi) -> HDeltaChar:
 @click.option("--psi", "psi_a", type=int, default=1)
 def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
     """Evaluate the general character sum Phi_Delta(chi; z)."""
+    from .genhgf import Partition, normalized_z, phi_delta
+
     f = _get_field(q, p, e, cap)
     parts = _parse_ints(delta)
     part = Partition(parts)
@@ -327,6 +300,10 @@ def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
 
 
 def _make_variety(f: Field, family, m, n, lam, lams, lam1, lam2, delta, z_text):
+    from .genhgf import Partition
+    from .varieties import (ASStar, FermatStar, GeneralXDz, Humbert1, Humbert3, LauricellaA,
+                            LauricellaC, LauricellaD, MXnLambda)
+
     lam_list = _parse_ints(lams) if lams else ()
     if family == "fermat":
         return FermatStar(f, 1 if n is None else n)
@@ -351,6 +328,8 @@ def _make_variety(f: Field, family, m, n, lam, lams, lam1, lam2, delta, z_text):
 
 
 def _parse_groupchar(v, chi_text) -> GroupChar:
+    from .varieties import GroupChar
+
     codes = _parse_ints(chi_text)
     if len(codes) != len(v.shape):
         raise click.UsageError(
@@ -381,6 +360,8 @@ def _parse_groupchar(v, chi_text) -> GroupChar:
 def count_cmd(q, p, e, cap, family, m, n, lam, lams, lam1, lam2, delta, z_text,
               chi, naive):
     """Character-weighted point count n_chi (and closed form when available)."""
+    from .varieties import n_chi_closed_form
+
     f = _get_field(q, p, e, cap)
     v = _make_variety(f, family, m, n, lam, lams, lam1, lam2, delta, z_text)
     out = {"q": f.q, "family": family, "shape": v.shape}
@@ -426,7 +407,7 @@ def _parse_sigma(text, arity):
 
 @main.command("iso")
 @field_options
-@click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
+@click.option("--family", required=True, type=click.Choice(_ISO_FAMILIES))
 @click.option("--lam", type=int, default=None)
 @click.option("--lams", default=None)
 @click.option("--lam1", type=int, default=None)
@@ -443,6 +424,8 @@ def _parse_sigma(text, arity):
 def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
             check, sample, seed):
     """Build a variety isomorphism for a symmetry element and verify it."""
+    from .varieties import FAMILIES, enumerate_groupchars, make_context, transport_check, verify_iso
+
     f = _get_field(q, p, e, cap)
     given = {"lam": lam, "lams": _parse_ints(lams), "lam1": lam1, "lam2": lam2}
     ctx = make_context(family, f, **{k: given[k] for k in FAMILIES[family].params})
@@ -484,280 +467,29 @@ def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
 # -- verification suites -----------------------------------------------------
 
 
-def _record(claim, ok_count, total, witnesses):
-    rec = {"claim": claim, "lhs": ok_count, "rhs": total, "equal": ok_count == total}
-    if witnesses:
-        rec["witnesses"] = witnesses[:10]
-    return rec
-
-
-def _claim_gauss_reflection(q, seed, cap):
-    f = build_field_q(q, cap)
-    psi = standard_psi(f)
-    ok, wit = 0, []
-    for j in range(f.N):
-        eta = MulChar(f, j)
-        lhs = gauss(eta, psi) * gauss_circ(eta.inverse(), psi)
-        rhs = eta.eval_int(-1).scale(f.q)
-        if lhs == rhs:
-            ok += 1
-        else:
-            wit.append({"chi": j, "lhs": _cyclo_str(lhs), "rhs": _cyclo_str(rhs)})
-    return _record(f"gauss.reflection.q{q}", ok, f.N, wit)
-
-
-def _claim_jacobi_gauss(q, seed, cap):
-    f = build_field_q(q, cap)
-    psi = standard_psi(f)
-    ok, tot, wit = 0, 0, []
-    for a, b in itertools.product(range(f.N), repeat=2):
-        tot += 1
-        lhs = jacobi(MulChar(f, a), MulChar(f, b))
-        rhs = jacobi_product_formula(MulChar(f, a), MulChar(f, b), psi=psi)
-        if lhs == rhs:
-            ok += 1
-        else:
-            wit.append({"chi": [a, b]})
-    return _record(f"jacobi.gauss-product.q{q}", ok, tot, wit)
-
-
-def _claim_poch_reflection(q, seed, cap):
-    f = build_field_q(q, cap)
-    psi = standard_psi(f)
-    ok, tot, wit = 0, 0, []
-    for a, n in itertools.product(range(f.N), repeat=2):
-        tot += 1
-        alpha, nu = MulChar(f, a), MulChar(f, n)
-        lhs = pochhammer(alpha, nu, psi) * pochhammer_circ(
-            alpha.inverse(), nu.inverse(), psi)
-        if lhs == nu.eval(f.neg(1)):
-            ok += 1
-        else:
-            wit.append({"alpha": a, "nu": n})
-    return _record(f"pochhammer.reflection.q{q}", ok, tot, wit)
-
-
-def _claim_hgf_low_order(q, seed, cap):
-    f = build_field_q(q, cap)
-    psi = standard_psi(f)
-    ok, tot, wit = 0, 0, []
-    units = list(f.dlog)
-    for lam in units:
-        tot += 1
-        if mfn([], [], lam, psi) == psi.eval(f.neg(lam)):
-            ok += 1
-        else:
-            wit.append({"case": "0F0", "lam": lam})
-    for a in range(1, f.N):
-        alpha = MulChar(f, a)
-        for lam in units:
-            tot += 1
-            lhs = mfn([alpha], [], lam, psi)
-            if lhs == alpha.inverse().eval(f.sub(1, lam)):
-                ok += 1
-            else:
-                wit.append({"case": "1F0", "alpha": a, "lam": lam})
-    return _record(f"hgf.low-order.q{q}", ok, tot, wit)
-
-
-def _claim_symmetry(q, seed, cap, parts):
-    f = build_field_q(q, cap)
-    delta = Partition(parts)
-    rng = random.Random(seed)
-    n = delta.n
-    dd = min(n, 2)
-    ok, tot, wit = 0, 0, []
-    ws = _w_samples(f, delta, rng, 6)
-    zs = [_z_sample(f, dd, n, rng) for _ in range(4)]
-    for w in ws:
-        mw = w_to_matrix(f, w)
-        zws = [mat_mul(f, z, mw) for z in zs]
-        for chi in hdelta_chars(f, delta):
-            for z, zw in zip(zs, zws):
-                tot += 1
-                lhs = phi_delta(w_action_on_char(chi, w), z)
-                rhs = phi_delta(chi, zw)
-                if lhs == rhs:
-                    ok += 1
-                else:
-                    wit.append({"w": repr(w), "z": z})
-    return _record(f"phi.symmetry.q{q}.delta{'-'.join(map(str, parts))}", ok, tot, wit)
-
-
-def _w_samples(f: Field, delta: Partition, rng: random.Random, count: int):
-    units = [u for u in f.elements() if u in f.dlog]
-    out = []
-    for _ in range(count):
-        sigmas, cs = [], []
-        for size, mult in delta.grouped():
-            perm = list(range(mult))
-            rng.shuffle(perm)
-            sigmas.append(tuple(perm))
-            cs.append(tuple(
-                tuple([rng.choice(units)] + [rng.randrange(f.q) for _ in range(size - 2)])
-                if size > 1 else ()
-                for _ in range(mult)))
-        out.append(WDeltaElem(delta, tuple(sigmas), tuple(cs)))
-    return out
-
-
-def _z_sample(f: Field, d: int, n: int, rng: random.Random):
-    while True:
-        z = [[rng.randrange(f.q) for _ in range(n)] for _ in range(d)]
-        if any(any(row) for row in z):
-            return z
-
-
-def _claim_reduction(q, seed, cap, parts):
-    f = build_field_q(q, cap)
-    units = [u for u in f.elements() if u in f.dlog]
-    nlam = 1 if sum(parts) == 4 else 2
-    ok, tot, wit = 0, 0, []
-    for lams in itertools.product(units, repeat=nlam):
-        try:
-            z = normalized_z(f, parts, lams)
-        except ValueError:
-            continue
-        for chi in hdelta_chars(f, Partition(parts)):
-            try:
-                rhs = reduce_to_classical(chi, z)
-            except ValueError:
-                continue
-            tot += 1
-            if phi_delta(chi, z) == rhs:
-                ok += 1
-            else:
-                wit.append({"lams": list(lams)})
-    return _record(f"phi.reduction.q{q}.delta{'-'.join(map(str, parts))}", ok, tot, wit)
-
-
-def _claim_counts_match_phi(q, seed, cap, parts):
-    f = build_field_q(q, cap)
-    rng = random.Random(seed)
-    delta = Partition(parts)
-    ok, tot, wit = 0, 0, []
-    for _ in range(3):
-        z = _z_sample(f, min(delta.n, 2), delta.n, rng)
-        v = GeneralXDz(f, delta, z)
-        for chi in hdelta_chars(f, delta):
-            tot += 1
-            if v.n_chi(hdelta_to_groupchar(chi)) == phi_delta(chi, z):
-                ok += 1
-            else:
-                wit.append({"z": z})
-    return _record(f"count.matches-phi.q{q}.delta{'-'.join(map(str, parts))}",
-                   ok, tot, wit)
-
-
-def _claim_counts_total(q, seed, cap):
-    f = build_field_q(q, cap)
-    fams = [("fermat2", FermatStar(f, 2)), ("as", ASStar(f))]
-    for lam in list(f.dlog)[:1]:
-        fams.append(("2x2", MXnLambda(f, 2, 2, lam)))
-        fams.append(("1x2", MXnLambda(f, 1, 2, lam)))
-    ok, tot, wit = 0, 0, []
-    for name, v in fams:
-        tot += 1
-        total = Cyclo.zero()
-        for chi in enumerate_groupchars(v):
-            total = total + v.n_chi(chi)
-        if total == Cyclo.integer(v.naive_count(1)):
-            ok += 1
-        else:
-            wit.append({"family": name})
-    return _record(f"count.total.q{q}", ok, tot, wit)
-
-
-def _claim_gauss_iso(q, seed, cap):
-    f = build_field_q(q, cap)
-    lam = next(u for u in f.dlog if u != 1)
-    ctx = make_context("gauss", f, lam=lam)
-    ok, tot, wit = 0, 0, []
-    for sigma in ctx.symmetries():
-        iso = ctx.build(sigma)
-        for chi in enumerate_groupchars(iso.transport.source):
-            tot += 1
-            if transport_check(iso.transport, chi):
-                ok += 1
-            else:
-                wit.append({"sigma": sigma})
-    return _record(f"iso.gauss-transport.q{q}", ok, tot, wit)
-
-
-def _claim_dft_roundtrip(q, seed, cap):
-    f = build_field_q(q, cap)
-    rng = random.Random(seed)
-    units = list(f.dlog)
-    ok, tot, wit = 0, 0, []
-    for trial in range(5):
-        f_map = {pt: Cyclo.integer(rng.randrange(-3, 4))
-                 for pt in itertools.product(units, repeat=2)}
-        tot += 1
-        back = idft(dft(f_map, f, 2), f, 2)
-        if all(back[k] == f_map[k] for k in f_map):
-            ok += 1
-        else:
-            wit.append({"trial": trial})
-    return _record(f"dft.roundtrip.q{q}", ok, tot, wit)
-
-
-_CLAIMS = {
-    "gauss-sums": [
-        ("_claim_gauss_reflection", {"q": 3}),
-        ("_claim_gauss_reflection", {"q": 4}),
-        ("_claim_gauss_reflection", {"q": 5}),
-        ("_claim_gauss_reflection", {"q": 7}),
-        ("_claim_jacobi_gauss", {"q": 3}),
-        ("_claim_jacobi_gauss", {"q": 4}),
-        ("_claim_jacobi_gauss", {"q": 5}),
-        ("_claim_poch_reflection", {"q": 3}),
-        ("_claim_poch_reflection", {"q": 5}),
-        ("_claim_hgf_low_order", {"q": 3}),
-        ("_claim_hgf_low_order", {"q": 4}),
-    ],
-    "symmetry": [
-        ("_claim_symmetry", {"q": 3, "parts": (1, 1, 2)}),
-        ("_claim_symmetry", {"q": 3, "parts": (2, 2)}),
-        ("_claim_symmetry", {"q": 4, "parts": (1, 1, 2)}),
-        ("_claim_reduction", {"q": 3, "parts": (1, 1, 1, 1)}),
-        ("_claim_reduction", {"q": 3, "parts": (1, 1, 2)}),
-        ("_claim_reduction", {"q": 3, "parts": (2, 2)}),
-    ],
-    "varieties": [
-        ("_claim_counts_match_phi", {"q": 3, "parts": (1, 1, 2)}),
-        ("_claim_counts_match_phi", {"q": 3, "parts": (2, 2)}),
-        ("_claim_counts_total", {"q": 3}),
-        ("_claim_counts_total", {"q": 4}),
-        ("_claim_gauss_iso", {"q": 3}),
-        ("_claim_gauss_iso", {"q": 4}),
-        ("_claim_dft_roundtrip", {"q": 3}),
-    ],
-}
-
-
-def _run_claim(entry):
-    name, kwargs, seed, cap = entry
-    fn = globals()[name]
-    return fn(seed=seed, cap=cap, **kwargs)
-
-
 @main.command("verify")
-@click.option("--suite", required=True, help="|".join(sorted(_CLAIMS)))
+@click.option("--suite", required=True, help="|".join(_SUITES))
 @click.option("--seed", type=int, default=0)
 @click.option("--cap", type=int, default=DEFAULT_CAP)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, help="parallel worker processes")
 def verify_cmd(suite, seed, cap, jobs):
     """Run a named verification suite; exit 0 iff every claim holds."""
-    if suite not in _CLAIMS:
+    if suite not in _SUITES:
         raise click.UsageError(
-            f"unknown suite {suite!r}; choose from {sorted(_CLAIMS)}")
-    entries = [(name, kwargs, seed, cap) for name, kwargs in _CLAIMS[suite]]
+            f"unknown suite {suite!r}; choose from {list(_SUITES)}")
+    from . import suites
+
+    entries = [(name, kwargs, seed, cap) for name, kwargs in suites.CLAIMS[suite]]
     jobs = min(jobs, os.cpu_count() or 1, len(entries))
+    # imported before the pool forks, so that no worker compiles them again
+    suites.load_layers(suite)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_claim, entries))
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(suites.run_claim, entries))
     else:
-        records = [_run_claim(e) for e in entries]
+        records = [suites.run_claim(e) for e in entries]
     all_ok = all(r["equal"] for r in records)
     _echo_json({"suite": suite, "pass": all_ok, "claims": records})
     sys.exit(0 if all_ok else 1)

@@ -252,6 +252,10 @@ class Cyclo:
     def to_json(self) -> dict:
         return {"m": self.m, "num": list(self.num), "den": self.den}
 
+    def to_text(self) -> str:
+        """One-line form ``m=..;num=c0,c1,...;den=..`` of CSV tables and witnesses."""
+        return f"m={self.m};num={','.join(map(str, self.num))};den={self.den}"
+
     def __repr__(self):
         if not any(self.num[1:]):
             return f"Cyclo({Fraction(self.num[0], self.den)})"

@@ -386,7 +386,7 @@ class Field:
 
 
 class ExtensionField:
-    """Degree-r extension of a base field, with canonical embedding and Frobenius."""
+    """Degree-r extension of a base field, with its canonical embedding."""
 
     def __init__(self, base: Field, r: int, cap: int = DEFAULT_CAP):
         if r < 1:
@@ -425,10 +425,6 @@ class ExtensionField:
         if x == 0:
             return 0
         return self.field.exp[(self.base.dlog[x] * self._embed_stride) % self.field.N]
-
-    def frobenius(self, x: int) -> int:
-        """x -> x^q, the generator of Gal(k_r / k)."""
-        return self.field.pow(x, self.base.q)
 
     def __repr__(self):
         return f"ExtensionField({self.base!r}, r={self.r})"

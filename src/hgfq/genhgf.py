@@ -123,48 +123,6 @@ def theta_list(field: Field, upto: int, x) -> list[int]:
     return th
 
 
-def theta_bar(field: Field, i: int, x) -> int:
-    """x_0^i * theta_i(x); a polynomial in the entries of x."""
-    return field.mul(field.pow(x[0], i), theta(field, i, x))
-
-
-def theta_multinomial(field: Field, i: int, x) -> int:
-    """Direct multinomial-sum evaluation of theta_i, as an independent check."""
-    if i >= field.p:
-        raise ValueError("index must be smaller than the characteristic")
-    from math import factorial
-
-    inv0 = field.inv(x[0])
-    X = [0] + [field.mul(xi, inv0) for xi in list(x)[1:]]
-    while len(X) <= i:
-        X.append(0)
-    total = 0
-    for ks in _weighted_compositions(i):
-        s = sum(ks)
-        num = (-1) ** (s - 1) * factorial(s - 1)
-        den = 1
-        for kj in ks:
-            den *= factorial(kj)
-        term = field.div(field.from_int(num), field.from_int(den))
-        for j, kj in enumerate(ks, start=1):
-            term = field.mul(term, field.pow(X[j], kj))
-        total = field.add(total, term)
-    return total
-
-
-def _weighted_compositions(i: int):
-    """All (k_1..k_i) >= 0 with k_1 + 2 k_2 + ... + i k_i = i."""
-    def rec(j, remaining, acc):
-        if j > i:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        for kj in range(remaining // j + 1):
-            yield from rec(j + 1, remaining - j * kj, acc + [kj])
-
-    yield from rec(1, i, [])
-
-
 def p_poly_list(field: Field, upto: int, y) -> list[int]:
     """[p_1, ..., p_upto]: exp-series coefficients via i*p_i = sum k*y_k*p_(i-k)."""
     if upto >= field.p:
@@ -179,12 +137,6 @@ def p_poly_list(field: Field, upto: int, y) -> list[int]:
             acc = field.add(acc, field.mul(field.from_int(k), field.mul(y[k], ps[i - k])))
         ps.append(field.mul(acc, field.inv(field.from_int(i))))
     return ps[1:]
-
-
-def p_poly(field: Field, i: int, y) -> int:
-    if i == 0:
-        return 1
-    return p_poly_list(field, i, y)[i - 1]
 
 
 def iota(field: Field, h) -> tuple:

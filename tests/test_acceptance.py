@@ -125,6 +125,7 @@ class _PhiFast:
                 for b, i in enumerate(combo))
             self.chars.append(HDeltaChar(self.delta, blocks))
         self.index = {chi: i for i, chi in enumerate(self.chars)}
+        self._columns = {}
 
     def _support(self, z):
         f = self.f
@@ -148,25 +149,31 @@ class _PhiFast:
 
     def _block_exponents(self, b, keys):
         """Exponent of every block-character option on every key, mod M."""
+        return np.stack([self._column(b, key[b]) for key in keys], axis=1)
+
+    def _column(self, b, h):
+        """Exponent of every option of block b at its coefficient tuple h.
+
+        The tuples recur across the z of one shape, so each column is
+        computed once per (b, h)."""
+        col = self._columns.get((b, h))
+        if col is not None:
+            return col
         f, M, N = self.f, self.M, self.N
-        pre = []
-        for key in keys:
-            h = key[b]
-            dl = f.dlog[h[0]]
-            ths = theta_list(f, len(h) - 1, list(h)) if len(h) > 1 else []
-            pre.append((dl, ths))
+        dl = f.dlog[h[0]]
+        ths = theta_list(f, len(h) - 1, list(h)) if len(h) > 1 else []
         opts = self.block_opts[b]
-        arr = np.zeros((len(opts), len(keys)), dtype=np.int64)
+        col = np.zeros(len(opts), dtype=np.int64)
         for oi, (j, a) in enumerate(opts):
-            for ki, (dl, ths) in enumerate(pre):
-                e = (M // N) * ((j * dl) % N)
-                if a:
-                    acc = 0
-                    for aj, th in zip(a, ths):
-                        acc = f.add(acc, f.mul(aj, th))
-                    e += (M // f.p) * f.trace_to_prime(f.mul(self.psi.a, acc))
-                arr[oi, ki] = e % M
-        return arr
+            e = (M // N) * ((j * dl) % N)
+            if a:
+                acc = 0
+                for aj, th in zip(a, ths):
+                    acc = f.add(acc, f.mul(aj, th))
+                e += (M // f.p) * f.trace_to_prime(f.mul(self.psi.a, acc))
+            col[oi] = e % M
+        self._columns[(b, h)] = col
+        return col
 
     def counts(self, z):
         """(num_chars, M) integer matrix: row i counts zeta_M powers in

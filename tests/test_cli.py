@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from hgfq import cli, suites, varieties
 from hgfq.cli import main
 
 
@@ -259,7 +264,7 @@ def test_verify_jobs_are_clamped(runner, monkeypatch):
         def map(self, fn, entries):
             return [{"claim": e[0], "lhs": 0, "rhs": 0, "equal": True} for e in entries]
 
-    monkeypatch.setattr("hgfq.cli.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for suite, jobs, want in (("gauss-sums", 1000, 4), ("varieties", 2, 2), ("varieties", 5, 4)):
         assert runner.invoke(main, ["verify", "--suite", suite, "--jobs", str(jobs)]).exit_code == 0
@@ -300,3 +305,72 @@ def test_verify_symmetry_suite(runner):
     result = runner.invoke(main, ["verify", "--suite", "symmetry"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["pass"] is True
+
+
+# -- what each command imports ---------------------------------------------------
+
+_OPTIONAL = ("hgfq.genhgf", "hgfq.varieties", "concurrent.futures.process")
+
+# Runs in a fresh interpreter, since this test process has imported every layer.
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    def loaded():
+        return [m for m in %r if m in sys.modules]
+
+    from hgfq.cli import main
+
+    stages = {"import": loaded()}
+
+    def run(*args):
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(list(args), standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 0, (args, exc.code)
+
+    run("field", "--q", "9")
+    run("gauss", "--q", "5", "--chi", "1")
+    run("gauss", "--q", "5", "--table")
+    run("jacobi", "--q", "5", "--chi", "1,2")
+    run("hgf", "--q", "5", "--upper", "1,1", "--lower", "0", "--lam", "2")
+    run("lauricella", "--q", "5", "--kind", "D", "--alpha", "1", "--beta", "1,2",
+        "--gamma", "3", "--delta", "0,0", "--lams", "2,3")
+    run("humbert", "--q", "5", "--kind", "1", "--upper", "1,2", "--gamma", "3",
+        "--delta", "0,0", "--lam1", "2", "--lam2", "3")
+    run("verify", "--suite", "gauss-sums")
+    stages["values"] = loaded()
+    run("phi", "--q", "3", "--delta", "1,1,2", "--lams", "2", "--chi", "1;1;0:1")
+    stages["phi"] = loaded()
+    run("count", "--family", "mxn", "--m", "2", "--n", "2", "--q", "3", "--lam", "2",
+        "--chi", "1,1,0,0")
+    stages["count"] = loaded()
+    print(json.dumps(stages))
+""" % (_OPTIONAL,))
+
+
+@pytest.fixture(scope="module")
+def import_stages():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_optional_layer(import_stages):
+    assert import_stages["import"] == []
+
+
+def test_value_commands_load_only_their_layers(import_stages):
+    assert import_stages["values"] == []
+    assert import_stages["phi"] == ["hgfq.genhgf"]
+    assert import_stages["count"] == ["hgfq.genhgf", "hgfq.varieties"]
+
+
+def test_literal_names_match_their_tables():
+    assert cli._ISO_FAMILIES == tuple(varieties.FAMILIES)
+    assert cli._SUITES == tuple(sorted(suites.CLAIMS))
+    assert set(suites.LAYERS) == set(suites.CLAIMS)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -26,15 +27,13 @@ from hgfq.genhgf import (
     mu_matrix,
     mu_matrix_prime,
     normalized_z,
-    p_poly,
+    p_poly_list,
     phi2_from_zpp,
     phi_delta,
     reduce_to_classical,
     series_mul,
     theta,
-    theta_bar,
     theta_list,
-    theta_multinomial,
     w_action_on_char,
     w_to_matrix,
 )
@@ -65,6 +64,53 @@ def test_partition_characteristic_guard():
 # -- log/exp coordinates ---------------------------------------------------
 
 
+def _theta_bar(field, i, x):
+    """x_0^i * theta_i(x); a polynomial in the entries of x."""
+    return field.mul(field.pow(x[0], i), theta(field, i, x))
+
+
+def _weighted_compositions(i):
+    """All (k_1..k_i) >= 0 with k_1 + 2 k_2 + ... + i k_i = i."""
+    def rec(j, remaining, acc):
+        if j > i:
+            if remaining == 0:
+                yield tuple(acc)
+            return
+        for kj in range(remaining // j + 1):
+            yield from rec(j + 1, remaining - j * kj, acc + [kj])
+
+    yield from rec(1, i, [])
+
+
+def _theta_multinomial(field, i, x):
+    """Direct multinomial-sum evaluation of theta_i, independent of the recurrence."""
+    if i >= field.p:
+        raise ValueError("index must be smaller than the characteristic")
+    inv0 = field.inv(x[0])
+    X = [0] + [field.mul(xi, inv0) for xi in list(x)[1:]]
+    while len(X) <= i:
+        X.append(0)
+    total = 0
+    for ks in _weighted_compositions(i):
+        s = sum(ks)
+        num = (-1) ** (s - 1) * factorial(s - 1)
+        den = 1
+        for kj in ks:
+            den *= factorial(kj)
+        term = field.div(field.from_int(num), field.from_int(den))
+        for j, kj in enumerate(ks, start=1):
+            term = field.mul(term, field.pow(X[j], kj))
+        total = field.add(total, term)
+    return total
+
+
+def _p_poly(field, i, y):
+    """The i-th exp-series coefficient p_i(y), with p_0 = 1."""
+    if i == 0:
+        return 1
+    return p_poly_list(field, i, y)[i - 1]
+
+
 def test_theta1_is_ratio():
     f = build_field(7)
     for x0 in f.units():
@@ -80,7 +126,11 @@ def test_theta2_spot_f5():
 def test_theta_bar_is_polynomial_scaling():
     f = build_field(5)
     x = (2, 3, 1)
-    assert theta_bar(f, 2, x) == f.mul(f.pow(2, 2), theta(f, 2, x))
+    assert _theta_bar(f, 2, x) == f.mul(f.pow(2, 2), theta(f, 2, x))
+    # the polynomial itself: x_0^2 theta_2(x) = x_0 x_2 - x_1^2 / 2
+    for x0, x1, x2 in itertools.product(f.units(), f.elements(), f.elements()):
+        want = f.sub(f.mul(x0, x2), f.div(f.mul(x1, x1), 2))
+        assert _theta_bar(f, 2, (x0, x1, x2)) == want
 
 
 def test_theta_index_bound():
@@ -109,12 +159,12 @@ def test_theta_matches_multinomial_expansion():
     for _ in range(20):
         x = tuple([rng.choice(list(f.units()))] + [rng.randrange(7) for _ in range(3)])
         for i in (1, 2, 3):
-            assert theta(f, i, x) == theta_multinomial(f, i, x)
+            assert theta(f, i, x) == _theta_multinomial(f, i, x)
 
 
 def test_p_poly_spot_f5():
     f = build_field(5)
-    assert p_poly(f, 2, (2, 3)) == 0  # 2*p2 = 2*2 + 2*3 = 10 = 0
+    assert _p_poly(f, 2, (2, 3)) == 0  # 2*p2 = 2*2 + 2*3 = 10 = 0
 
 
 def test_iota_spot_f3():

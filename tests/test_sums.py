@@ -7,7 +7,7 @@ import pytest
 
 from hgfq.chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from hgfq.cyclo import Cyclo, zeta
-from hgfq.ffield import build_field, build_field_q
+from hgfq.ffield import build_field, build_field_q, extend
 from hgfq.sums import (
     gauss,
     gauss_circ,
@@ -198,3 +198,37 @@ def test_jacobi_histogram_matches_definition(q):
         triples = random.Random(q).sample(triples, 125)
     for triple in triples:
         assert _same(jacobi_direct(*triple), _jacobi_by_definition(*triple)), triple
+
+
+# -- Hasse-Davenport lifting (Ireland-Rosen, ch. 11.4) ---------------------------
+
+
+def _norm_lift(ext, chi):
+    """chi o N on the extension, from the norm x * x^q * ... * x^(q^(r-1)) read
+    back into the base field through embed."""
+    big, q = ext.field, ext.base.q
+    down = {ext.embed(a): a for a in ext.base.elements()}
+
+    def norm(x):
+        n = 1
+        for i in range(ext.r):
+            n = big.mul(n, big.pow(x, q**i))
+        return down[n]
+
+    values = {x: chi(norm(x)) for x in big.units()}
+    g = big.generator
+    lifted = MulChar(big, next(j for j in range(big.N) if MulChar(big, j)(g) == values[g]))
+    assert all(lifted(x) == v for x, v in values.items())
+    return lifted
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2),
+                                 (4, 3), (5, 2), (7, 2), (8, 2), (9, 2)])
+def test_hasse_davenport_lifting(q, r):
+    # g = -sum chi psi, so g(eps) = 1 and the classical -g_(q^r)(chi o N) = (-g_q(chi))^r
+    # reads g_(q^r)(chi o N) = g_q(chi)^r; psi on F_(q^r) is psi on F_q after the trace
+    f = build_field_q(q)
+    ext = extend(f, r)
+    for chi in enumerate_mulchars(f):
+        lifted = _norm_lift(ext, chi)
+        assert gauss(lifted, standard_psi(ext.field)) == gauss(chi, standard_psi(f)) ** r, chi

@@ -32,15 +32,27 @@ are i and j, with opposite exponents (so X_j = c_j X_i), is solved in
 closed form as X_i = s / (1 + sum c_j), with s one minus the sum's known
 terms (every value when 1 + sum c_j = s = 0, none when only the factor is
 0), after which each monomial solves its X_j; any other slot is enumerated.
-Each relation is checked once all its slots are assigned.
+Each relation is checked once all its slots are assigned.  The solver works
+on discrete logs: a monomial is a congruence among the logs, and a Fermat
+sum goes through exp and the field's Zech-table add.
 Over k* it gives support(), the reduced system's solutions (a_j = X_i for
-the additive slots); over the N-th powers of ext* it gives points(), each
-solution expanded by the N-th roots and Artin-Schreier preimages.
-point_ok runs the same relation check on (x^N, t^q - t), and tau_of is
-prod x_i^-e per monomial.  GeneralXDz is parametrised by s instead.
+the additive slots); over the N-th powers of ext* it gives the fibers of
+points(), each solution with the N-th roots and Artin-Schreier preimages
+of its entries, so point_count() multiplies the fibers' sizes and never
+builds a point.
+
+Log coordinates.  A point over ext = F_(q^r) carries each unit coordinate
+as its discrete log L mod q^r - 1 and every other coordinate (t, u, s) as
+its field code; to_codes() reads one back.  point_ok reads X = N L and
+checks the relations on X alone, so their verdict is kept per X, and then
+the Artin-Schreier links t^q - t = X_i; tau_of is -sum e L_i per
+monomial.  GeneralXDz is parametrised by s instead, with its t's as logs.
+Field codes appear only where a report shows a point: failures,
+witnesses and composition ratios.
 
 Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
-in the unit coordinates, x -> (x . Q) * root_N(d_u), and affine in the
+in the unit coordinates, x -> (x . Q) * root_N(d_u), that is
+L -> L . Q + log root_N(d_u) mod q^r - 1, and affine in the
 Artin-Schreier coordinates, u -> u . add_mat + r(d_a), with canonical N-th
 roots and Artin-Schreier roots r.  verify_iso checks that it permutes the
 rational points; read through the transposes of its matrices, it sends
@@ -58,10 +70,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .chars import AddChar, MulChar, char_sum, trivial_char
+from .chars import AddChar, MulChar, char_sum
 from .cyclo import Cyclo
 from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
                      extend)
@@ -77,144 +89,10 @@ from .genhgf import (
     w_to_matrix,
 )
 from .hgf import HgfParams, hgf_eval, humbert, lauricella
+from .monomial import (_gauge_last_matrix, char_star, compose_perms, fmat_inv, imat_add,
+                       imat_identity, imat_inverse, imat_mul, imat_transpose, imat_zero,
+                       invert_perm, monomial_map, perm_matrix)
 from .sums import gauss, jacobi
-
-
-# -- integer matrices -------------------------------------------------------
-
-
-def imat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def imat_zero(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
-def imat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def imat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            a = A[i][t]
-            if a:
-                for j in range(cols):
-                    out[i][j] += a * B[t][j]
-    return out
-
-
-def imat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def imat_inverse(A):
-    """Exact inverse of an integer matrix with unit determinant."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    out = [[x for x in row[n:]] for row in M]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("inverse is not integral")
-    return [[int(x) for x in row] for row in out]
-
-
-def perm_matrix(sigma):
-    """P with P[i][j] = 1 iff i = sigma(j); right multiplication permutes columns."""
-    n = len(sigma)
-    P = imat_zero(n, n)
-    for j, i in enumerate(sigma):
-        P[i][j] = 1
-    return P
-
-
-def compose_perms(s1, s2):
-    """(s1 s2)(j) = s1(s2(j)); matches P_{s1} P_{s2} = P_{s1 s2}."""
-    return tuple(s1[j] for j in s2)
-
-
-def invert_perm(sigma):
-    inv = [0] * len(sigma)
-    for j, i in enumerate(sigma):
-        inv[i] = j
-    return tuple(inv)
-
-
-def _gauge_last_matrix(n):
-    """Identity with the last column zeroed and -1s along the last row."""
-    M = imat_identity(n)
-    M[n - 1][n - 1] = 0
-    for j in range(n - 1):
-        M[n - 1][j] = -1
-    return M
-
-
-# -- field matrices ---------------------------------------------------------
-
-
-def fmat_inv(fb: Field, A):
-    """Exact inverse of a square matrix over the field; raises on singular."""
-    n = len(A)
-    M = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = fb.inv(M[col][col])
-        M[col] = [fb.mul(inv, x) for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [fb.sub(x, fb.mul(f, y)) for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-# -- the monomial calculus --------------------------------------------------
-
-
-def monomial_map(fb: Field, xs, A):
-    """(x * A)_j = prod_i x_i^A[i][j]; negative exponents require units."""
-    if len(xs) != len(A):
-        raise ValueError("arity mismatch between point and exponent matrix")
-    cols = len(A[0]) if A else 0
-    out = []
-    for j in range(cols):
-        v = 1
-        for x, row in zip(xs, A):
-            if row[j]:
-                v = fb.mul(v, fb.pow(x, row[j]))
-        out.append(v)
-    return tuple(out)
-
-
-def char_star(chars, A):
-    """(chi * A)_j = prod_i chi_i^A[i][j]; the character-side monomial action."""
-    if len(chars) != len(A):
-        raise ValueError("arity mismatch between characters and exponent matrix")
-    f = chars[0].field
-    cols = len(A[0]) if A else 0
-    out = []
-    for j in range(cols):
-        c = trivial_char(f)
-        for chi, row in zip(chars, A):
-            if row[j]:
-                c = c * chi ** row[j]
-        out.append(c)
-    return tuple(out)
 
 
 # -- group characters -------------------------------------------------------
@@ -287,12 +165,15 @@ def groupchar_to_hdelta(delta: Partition, gc: GroupChar, psi: AddChar) -> HDelta
 
 
 @lru_cache(maxsize=None)
-def _nth_roots_table(ext: ExtensionField):
-    """value -> tuple of nonzero y in the extension with y^N = value (N of the base)."""
+def _root_logs_table(ext: ExtensionField):
+    """log X -> the discrete logs of the y in the extension with y^N = X (N of
+    the base), the y by ascending code; one key per N-th power, in the order
+    its first root comes."""
     f, N = ext.field, ext.base.N
-    table = {}
-    for y in f.units():
-        table.setdefault(f.pow(y, N), []).append(y)
+    dlog, M, table = f.dlog, f.N, {}
+    for y in range(1, f.q):
+        L = dlog[y]
+        table.setdefault(N * L % M, []).append(L)
     return {k: tuple(v) for k, v in table.items()}
 
 
@@ -306,21 +187,14 @@ def _as_preimages_table(ext: ExtensionField):
     return {k: tuple(v) for k, v in table.items()}
 
 
-def _nth_roots(ext, value):
-    return _nth_roots_table(ext).get(value, ())
-
-
-def _as_preimages(ext, value):
-    return _as_preimages_table(ext).get(value, ())
-
-
 # -- variety base -----------------------------------------------------------
 
 
 class Variety:
     """Base: a family member over a fixed field with its acting group.
 
-    Subclasses provide support(), points(ext) and point_ok(ext, pt)."""
+    Subclasses provide support(), _fibers(ext) and point_ok(ext, pt); points
+    are in log coordinates (see the module docstring)."""
 
     def __init__(self, field: Field, shape: str):
         self.field = field
@@ -359,45 +233,60 @@ class Variety:
 
     # points -----------------------------------------------------------------
 
+    def points(self, ext: ExtensionField):
+        """The points over ext in log coordinates: each fiber's product."""
+        for lists in self._fibers(ext):
+            yield from itertools.product(*lists)
+
+    def point_count(self, ext: ExtensionField) -> int:
+        """The number of points over ext, from the fibers' sizes alone."""
+        return sum(prod(map(len, lists)) for lists in self._fibers(ext))
+
+    def to_codes(self, ext: ExtensionField, pt):
+        """pt with its unit slots read back from discrete logs to field codes."""
+        n, exp = self.shape.count("u"), ext.field.exp
+        return tuple(exp[L] for L in pt[:n]) + tuple(pt[n:])
+
     def tau_of(self, ext: ExtensionField, pt):
         return ()
 
     def naive_count(self, r: int = 1) -> int:
-        ext = extend(self.field, r)
-        return sum(1 for _ in self.points(ext))
+        return self.point_count(extend(self.field, r))
 
 
 def _holds(f: Field, rel, X, logs) -> bool:
-    """Whether the relation rel holds at the unit values X in f; logs are the
-    discrete logs of the monomial coefficients in f."""
+    """Whether the relation rel holds at the unit values with discrete logs X
+    in f; logs are the discrete logs of the monomial coefficients in f."""
     j, exps = rel
     if j is None:
-        s = X[exps[0][0]]
+        exp = f.exp
+        s = exp[X[exps[0][0]]]
         for i, _ in exps[1:]:
-            s = f.add(s, X[i])
+            s = f.add(s, exp[X[i]])
         return s == 1
     d = logs[j]
     for i, e in exps:
-        d += e * f.dlog[X[i]]
+        d += e * X[i]
     return d % f.N == 0
 
 
-def _solve_for(f: Field, rel, slot, X, logs) -> int:
-    """The value at slot that makes rel hold, given the values of its other slots."""
+def _solve_for(f: Field, rel, slot, X, logs):
+    """The discrete log at slot that makes rel hold, given the logs of its
+    other slots; None when the value there would be 0."""
     j, exps = rel
     if j is None:
         s = 1
         for i, _ in exps:
             if i != slot:
-                s = f.sub(s, X[i])
-        return s
+                s = f.sub(s, f.exp[X[i]])
+        return f.dlog.get(s)
     d, e_slot = logs[j], 0
     for i, e in exps:
         if i == slot:
             e_slot = e
         else:
-            d += e * f.dlog[X[i]]
-    return f.exp[(-e_slot * d) % f.N]
+            d += e * X[i]
+    return (-e_slot * d) % f.N
 
 
 @dataclass(frozen=True)
@@ -412,22 +301,25 @@ class _Pair:
 
 
 def _solve_pair(f: Field, pair: _Pair, slot, X, logs, domain):
-    """The values at slot that pair allows: X_slot (1 + sum c_j) = s, with s one
+    """The logs at slot that pair allows: X_slot (1 + sum c_j) = s, with s one
     minus the known terms of the sum; every domain value when 1 + sum c_j =
-    s = 0, none when only 1 + sum c_j = 0."""
+    s = 0, none when only 1 + sum c_j = 0 or only s = 0."""
+    exp, N = f.exp, f.N
     s = u = 1
     for i in pair.known:
-        s = f.sub(s, X[i])
+        s = f.sub(s, exp[X[i]])
     for j, (m, exps) in pair.ties:
         d, e_slot = logs[m], 0
         for i, e in exps:
             if i == slot:
                 e_slot = e
             elif i != j:
-                d += e * f.dlog[X[i]]
-        u = f.add(u, f.exp[(e_slot * d) % f.N])
+                d += e * X[i]
+        u = f.add(u, exp[(e_slot * d) % N])
     if u:
-        v = f.div(s, u)
+        if not s:
+            return ()
+        v = (f.dlog[s] - f.dlog[u]) % N
         return (v,) if v in domain else ()
     return domain if s == 0 else ()
 
@@ -455,6 +347,7 @@ class RelationVariety(Variety):
         self._rels += [(None, tuple((i, 1) for i in s)) for s in self.sums]
         self._plan = self._make_plan(n_units)
         self._coef_logs = {}
+        self._verdicts = {}
 
     def _make_plan(self, n_units):
         """Steps (slot, how, checks): the slot is enumerated (how None), solved
@@ -511,8 +404,8 @@ class RelationVariety(Variety):
         return logs
 
     def _solve(self, f: Field, logs, domain):
-        """Every tuple of unit values in domain that satisfies all relations in
-        f, with logs the discrete logs of the monomial coefficients in f."""
+        """Every tuple of discrete logs in domain that satisfies all relations
+        in f, with logs the discrete logs of the monomial coefficients in f."""
         plan = self._plan
         X = [0] * len(plan)
 
@@ -538,42 +431,54 @@ class RelationVariety(Variety):
     def support(self):
         if self._support is None:
             f = self.field
+            exp = f.exp
             self._support = [
-                (X + tuple(X[i] for i in self.links), 1)
-                for X in self._solve(f, [f.dlog[c] for c, _ in self.monomials], f.dlog)
+                (tuple(exp[x] for x in X) + tuple(exp[X[i]] for i in self.links), 1)
+                for X in self._solve(f, [f.dlog[c] for c, _ in self.monomials], range(f.N))
             ]
         return self._support
 
-    def points(self, ext: ExtensionField):
-        roots = _nth_roots_table(ext)
+    def _fibers(self, ext: ExtensionField):
+        """Per solution X over ext, the root logs of each X_i and the
+        Artin-Schreier preimages of each linked X_i."""
+        roots = _root_logs_table(ext)
+        exp = ext.field.exp
         pre = _as_preimages_table(ext) if self.links else {}
         for X in self._solve(ext.field, self._logs(ext), roots):
-            lists = [roots[v] for v in X] + [pre.get(X[i], ()) for i in self.links]
-            yield from itertools.product(*lists)
+            yield [roots[x] for x in X] + [pre.get(exp[X[i]], ()) for i in self.links]
 
     def point_ok(self, ext: ExtensionField, pt) -> bool:
+        """Whether pt, in log coordinates, lies on the variety over ext.  The
+        relations are read on X = N * log x alone, so their verdict is kept
+        per X; the Artin-Schreier links are checked on every point."""
         n = len(self._plan)  # the unit slots, one plan step each
-        if len(pt) != len(self.shape) or 0 in pt[:n]:
+        if len(pt) != len(self.shape):
             return False
-        f, q, N = ext.field, self.field.q, self.field.N
-        X = [f.pow(x, N) for x in pt[:n]]
-        logs = self._logs(ext)
-        for rel in self._rels:
-            if not _holds(f, rel, X, logs):
-                return False
-        for t, i in zip(pt[n:], self.links):
-            if f.pow(t, q) != f.add(t, X[i]):
-                return False
+        f, N = ext.field, self.field.N
+        M = f.N
+        X = tuple([N * L % M for L in pt[:n]])
+        verdicts = self._verdicts.setdefault(ext, {})
+        ok = verdicts.get(X)
+        if ok is None:
+            logs = self._logs(ext)
+            ok = verdicts[X] = all(_holds(f, rel, X, logs) for rel in self._rels)
+        if not ok:
+            return False
+        if self.links:
+            pre, exp = _as_preimages_table(ext), f.exp
+            for t, i in zip(pt[n:], self.links):
+                if t not in pre.get(exp[X[i]], ()):
+                    return False
         return True
 
     def tau_of(self, ext: ExtensionField, pt):
-        f = ext.field
-        out = []
-        for _, exps in self.monomials:
+        """prod x_i^-e per monomial, as discrete logs in ext."""
+        M, out = ext.field.N, []
+        for _, exps in self._rels[: len(self.monomials)]:
             d = 0
-            for i, e in exps.items():
-                d -= e * f.dlog[pt[i]]
-            out.append(f.exp[d % f.N])
+            for i, e in exps:
+                d -= e * pt[i]
+            out.append(d % M)
         return tuple(out)
 
 
@@ -769,24 +674,25 @@ class GeneralXDz(Variety):
             self._support = list(cnt.items())
         return self._support
 
-    def points(self, ext):
+    def _fibers(self, ext):
+        """Per s with points over ext, the root logs of each block's t, the
+        Artin-Schreier preimages of its u's and s itself, one slot at a time."""
         f = ext.field
+        roots, pre = _root_logs_table(ext), _as_preimages_table(ext)
         zed = [[ext.embed(v) for v in row] for row in self.z]
         for s in itertools.product(f.elements(), repeat=self.d):
             tchoices, uchoices = [], []
             for coeffs in self._sz_blocks(f, zed, s):
-                troots = _nth_roots(ext, coeffs[0])
+                troots = roots.get(f.dlog.get(coeffs[0]), ())
                 if not troots:
                     break
-                ulists = [_as_preimages(ext, th) for th in theta_list(f, len(coeffs) - 1, coeffs)]
+                ulists = [pre.get(th, ()) for th in theta_list(f, len(coeffs) - 1, coeffs)]
                 if not all(ulists):
                     break
                 tchoices.append(troots)
                 uchoices.extend(ulists)
             else:
-                for ts in itertools.product(*tchoices):
-                    for us in itertools.product(*uchoices):
-                        yield tuple(ts) + tuple(us) + tuple(s)
+                yield tchoices + uchoices + [(v,) for v in s]
 
     def point_ok(self, ext, pt):
         f = ext.field
@@ -796,7 +702,7 @@ class GeneralXDz(Variety):
         s = pt[self.delta.n :]
         zed = [[ext.embed(v) for v in row] for row in self.z]
         for t, coeffs in zip(ts, self._sz_blocks(f, zed, s)):
-            if coeffs[0] == 0 or t == 0 or f.pow(t, self.field.N) != coeffs[0]:
+            if coeffs[0] == 0 or (self.field.N * t - f.dlog[coeffs[0]]) % f.N:
                 return False
             for th in theta_list(f, len(coeffs) - 1, coeffs):
                 u = next(us)
@@ -981,15 +887,26 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
 # -- isomorphisms -----------------------------------------------------------
 
 
-def _linear_map(ext: ExtensionField, vec, A):
-    """(vec . A)_j = sum_i vec_i A[i][j], with A's base-field entries embedded."""
-    f = ext.field
+def _columns(A, entry):
+    """The columns of A, each a tuple of (row, entry(a)) over its nonzero
+    entries a; None when A is None."""
+    if A is None:
+        return None
+    return [tuple((i, entry(row[j])) for i, row in enumerate(A) if row[j])
+            for j in range(len(A[0]) if A else 0)]
+
+
+def _linear_map(f: Field, vec, cols):
+    """(vec . A)_j in f, with cols the columns of A as (row, discrete log of
+    the entry) pairs."""
+    exp, dlog, N = f.exp, f.dlog, f.N
     out = []
-    for j in range(len(A[0]) if A else 0):
+    for col in cols:
         acc = 0
-        for v, row in zip(vec, A):
-            if row[j]:
-                acc = f.add(acc, f.mul(ext.embed(row[j]), v))
+        for i, lc in col:
+            v = vec[i]
+            if v:
+                acc = f.add(acc, exp[(lc + dlog[v]) % N])
         out.append(acc)
     return tuple(out)
 
@@ -1003,8 +920,12 @@ class MonomialMap:
 
     where d_elem = (d_u, d_a) is laid out by the target's shape, root_N is the
     canonical N-th root, r(t) the Artin-Schreier root with r^q - r = t, and a
-    matrix left as None is the identity.  Read through the transposes, the same
-    data transport characters:
+    matrix left as None is the identity.  apply takes and returns points in
+    log coordinates, where the unit part is L -> L . Q + log root_N(d_u)
+    mod q^r - 1; offsets(ext) holds the scalars' logs, the shifts and the
+    matrices' columns with the embedded entries of add_mat and s_mat, once
+    per extension.  Read through the transposes, the same data transport
+    characters:
 
         factor(chi) * n_chi(source; transform(chi)) == n_chi(target; chi),
 
@@ -1022,6 +943,10 @@ class MonomialMap:
     ext_r: int | None = 1
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the source's unit and Artin-Schreier slot counts
+        self._slots = (self.source.shape.count("u"), self.source.shape.count("a"))
+
     def factor(self, chi: GroupChar) -> Cyclo:
         return chi.eval(self.d_elem)
 
@@ -1037,28 +962,47 @@ class MonomialMap:
         return GroupChar(mults + tuple(adds))
 
     def offsets(self, ext):
-        """(root_N(d_u), r(d_a)) in ext, once per ext; raises ValueError when
+        """The map's data in ext, once per ext: the discrete logs of
+        root_N(d_u), the shifts r(d_a), and the columns of Q (entries as
+        they are) and of add_mat and s_mat (entries as the discrete logs of
+        their embeddings), each None for an identity.  Raises ValueError when
         d_u has no canonical N-th root there."""
-        offsets = self._cache.get(ext)
-        if offsets is None:
-            roots = [canonical_nth_root(ext, d) if kind == "u" else artin_schreier_root(ext, d)
-                     for kind, d in zip(self.target.shape, self.d_elem)]
+        data = self._cache.get(ext)
+        if data is None:
+            f = ext.field
             n = self.target.shape.count("u")
-            offsets = self._cache[ext] = (roots[:n], roots[n:])
-        return offsets
+            scalars = tuple(f.dlog[canonical_nth_root(ext, d)] for d in self.d_elem[:n])
+            shifts = tuple(artin_schreier_root(ext, d) for d in self.d_elem[n:])
+
+            def entry_log(c):
+                return f.dlog[ext.embed(c)]
+
+            data = self._cache[ext] = (scalars, shifts, _columns(self.Q, int),
+                                       _columns(self.add_mat, entry_log),
+                                       _columns(self.s_mat, entry_log))
+        return data
 
     def apply(self, ext: ExtensionField, pt):
+        """The image of pt, both in log coordinates: log x -> (log x) . Q +
+        log root_N(d_u) mod (q^r - 1) on the unit slots."""
         f = ext.field
-        scalars, shifts = self.offsets(ext)
-        n_u, n_a = self.source.shape.count("u"), self.source.shape.count("a")
+        M = f.N
+        scalars, shifts, q_cols, add_cols, s_cols = self.offsets(ext)
+        n_u, n_a = self._slots
         mult, add, s = pt[:n_u], pt[n_u : n_u + n_a], pt[n_u + n_a :]
-        if self.Q is not None:
-            mult = monomial_map(f, mult, self.Q)
-        if self.add_mat is not None:
-            add = _linear_map(ext, add, self.add_mat)
-        if self.s_mat is not None:
-            s = _linear_map(ext, s, self.s_mat)
-        return (*map(f.mul, scalars, mult), *map(f.add, add, shifts), *s)
+        if q_cols is not None:
+            logs = []
+            for col in q_cols:
+                acc = 0
+                for i, e in col:
+                    acc += e * mult[i]
+                logs.append(acc)
+            mult = logs
+        if add_cols is not None:
+            add = _linear_map(f, add, add_cols)
+        if s_cols is not None:
+            s = _linear_map(f, s, s_cols)
+        return (*[(L + c) % M for L, c in zip(mult, scalars)], *map(f.add, add, shifts), *s)
 
 
 def transport_check(transport: MonomialMap, chi: GroupChar) -> bool:
@@ -1693,11 +1637,21 @@ def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
 # -- verification ------------------------------------------------------------
 
 
+def _packed(pt, base: int) -> int:
+    """pt as one int with its entries as digits in base: a compact set key
+    (a tuple of fresh log ints takes about five times the memory)."""
+    k = 0
+    for v in pt:
+        k = k * base + v
+    return k
+
+
 def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
     """Enumerate source points, push them through the map, and check that the
     images satisfy the target equations, the map is injective, the counts
     match, the tau-components correspond, and (optionally) that composition
-    with a second symmetry agrees with the directly built composite."""
+    with a second symmetry agrees with the directly built composite.  Points
+    stay in log coordinates; failures and ratios report field codes."""
     import random
 
     pm = iso.transport if isinstance(iso, Isomorphism) else iso
@@ -1709,35 +1663,42 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
         report["pass"] = False
         report["failures"].append({"kind": kind, **data})
 
-    ext = extend(pm.source.field, pm.ext_r)
-    f = ext.field
+    src, tgt = pm.source, pm.target
+    ext = extend(src.field, pm.ext_r)
+    exp, M = ext.field.exp, ext.field.N
+
+    def codes(logs):
+        return tuple(exp[L] for L in logs)
+
     images = set()
     tau_pairs = {}
     n_points = 0
     src_points = []
-    for pt in pm.source.points(ext):
+    for pt in src.points(ext):
         n_points += 1
         src_points.append(pt)
         img = pm.apply(ext, pt)
-        if not pm.target.point_ok(ext, img):
-            fail("image not on target", point=pt, image=img)
+        if not tgt.point_ok(ext, img):
+            fail("image not on target", point=src.to_codes(ext, pt), image=tgt.to_codes(ext, img))
             break
-        if img in images:
-            fail("not injective", image=img)
+        key = _packed(img, ext.field.q)
+        if key in images:
+            fail("not injective", image=tgt.to_codes(ext, img))
             break
-        images.add(img)
-        src_tau = pm.source.tau_of(ext, pt)
+        images.add(key)
+        src_tau = src.tau_of(ext, pt)
         if src_tau:
-            tgt_tau = pm.target.tau_of(ext, img)
+            tgt_tau = tgt.tau_of(ext, img)
             known = tau_pairs.setdefault(src_tau, tgt_tau)
             if known != tgt_tau:
-                fail("tau components not respected", point=pt, expected=known, got=tgt_tau)
+                fail("tau components not respected", point=src.to_codes(ext, pt),
+                     expected=codes(known), got=codes(tgt_tau))
                 break
     report["checked"] = n_points
     if report["pass"] and len(set(tau_pairs.values())) != len(tau_pairs):
-        fail("tau components collapse", pairs=sorted(tau_pairs.items()))
+        fail("tau components collapse", pairs=sorted((codes(a), codes(b)) for a, b in tau_pairs.items()))
     if report["pass"]:
-        n_target = sum(1 for _ in pm.target.points(ext))
+        n_target = tgt.point_count(ext)
         if n_target != n_points:
             fail("point count mismatch", source=n_points, target=n_target)
     if report["pass"] and compose_with is not None and isinstance(iso, Isomorphism):
@@ -1754,22 +1715,23 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
         if report["pass"]:
             pts = src_points if len(src_points) <= sample else rng.sample(src_points, sample)
             per_tau = {}
+            nm, N = src.shape.count("u"), src.field.N
             for pt in pts:
                 a = iso2.transport.apply(ext, pm.apply(ext, pt))
                 b = iso12.transport.apply(ext, pt)
-                nm = pm.source.shape.count("u")
                 if a[nm:] != b[nm:]:
-                    fail("additive parts of composite disagree", point=pt)
+                    fail("additive parts of composite disagree", point=src.to_codes(ext, pt))
                     break
-                ratio = tuple(f.div(x, y) for x, y in zip(a[:nm], b[:nm]))
-                if any(f.pow(r, pm.source.field.N) != 1 for r in ratio):
-                    fail("composite differs by a non-root factor", point=pt, ratio=ratio)
+                ratio = tuple((x - y) % M for x, y in zip(a[:nm], b[:nm]))
+                if any(N * r % M for r in ratio):
+                    fail("composite differs by a non-root factor", point=src.to_codes(ext, pt),
+                         ratio=codes(ratio))
                     break
-                key = pm.source.tau_of(ext, pt)
+                key = src.tau_of(ext, pt)
                 if per_tau.setdefault(key, ratio) != ratio:
-                    fail("composite ratio not constant on a tau component", tau=key)
+                    fail("composite ratio not constant on a tau component", tau=codes(key))
                     break
-            report["composition_ratios"] = sorted(set(per_tau.values()))
+            report["composition_ratios"] = sorted({codes(r) for r in per_tau.values()})
     return report
 
 
@@ -1862,6 +1824,7 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
     for r in degrees:
         ext = extend(field, r)
         f = ext.field
+        M = f.N
         try:
             transport.offsets(ext)
         except ValueError:
@@ -1871,17 +1834,19 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
         images = [transport.apply(ext, pt) for pt in small_points]
         covered = set()
         for t in twists:
-            units = [ext.embed(c) for c in t]
+            # a twist of N-th roots of one adds to the logs and keeps X = N log x
+            shift = [f.dlog[ext.embed(c)] for c in t]
             for pt, image in zip(small_points, images):
-                img = tuple(f.mul(x, c) for x, c in zip(image, units))
+                img = tuple((L + c) % M for L, c in zip(image, shift))
                 report["checked"] += 1
                 if not big.point_ok(ext, img):
-                    fail("image not on big", degree=r, twist=t, point=pt)
+                    fail("image not on big", degree=r, twist=t, point=small.to_codes(ext, pt))
                     break
-                if img in covered:
-                    fail("pieces overlap", degree=r, twist=t, image=img)
+                key = _packed(img, f.q)
+                if key in covered:
+                    fail("pieces overlap", degree=r, twist=t, image=big.to_codes(ext, img))
                     break
-                covered.add(img)
+                covered.add(key)
         total = totals[r]
         if len(covered) != total:
             fail("pieces do not cover", degree=r, covered=len(covered), total=total)

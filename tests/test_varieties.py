@@ -2,14 +2,18 @@
 
 import functools
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgfq import varieties
 from hgfq.chars import AddChar, MulChar, standard_psi
 from hgfq.cyclo import Cyclo
-from hgfq.ffield import artin_schreier_root, build_field, build_field_q, canonical_nth_root, extend
+from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_field_q,
+                         canonical_nth_root, extend)
 from hgfq.genhgf import (Partition, WDeltaElem, hdelta_chars, phi_delta, theta_list,
                          w_action_on_char)
 from hgfq.varieties import (
@@ -337,17 +341,27 @@ def test_points_and_point_ok_match_the_equations(q, r):
     for v in _equation_families(base):
         if f.q ** len(v.shape) > _SCAN_CAP:
             continue
-        on = set()
+        on, n = set(), v.shape.count("u")
         for pt in itertools.product(range(f.q), repeat=len(v.shape)):
             ok = _on_variety(v, f, pw, art, ext.embed, pt)
-            assert v.point_ok(ext, pt) == ok, (type(v).__name__, pt)
+            if 0 in pt[:n]:
+                # a zero unit coordinate has no discrete log, and no point has one
+                assert not ok, (type(v).__name__, pt)
+                continue
+            assert v.point_ok(ext, _to_logs(ext, v, pt)) == ok, (type(v).__name__, pt)
             if ok:
                 on.add(pt)
-        pts = list(v.points(ext))
+        pts = [v.to_codes(ext, pt) for pt in v.points(ext)]
         assert len(pts) == len(set(pts)), type(v).__name__
         assert set(pts) == on, type(v).__name__
         scanned += 1
     assert scanned >= 9
+
+
+def _to_logs(ext, v, pt):
+    """pt with its unit slots as discrete logs in ext, the inverse of to_codes."""
+    n = v.shape.count("u")
+    return tuple(ext.field.dlog[x] for x in pt[:n]) + tuple(pt[n:])
 
 
 def _relations(v):
@@ -361,7 +375,7 @@ def _enumeration_points(v, ext):
     of some relation is solved from it, every other slot is enumerated."""
     f, n = ext.field, len(v.shape) - len(v.links)
     logs = [f.dlog[ext.embed(c)] for c, _ in v.monomials]
-    roots = varieties._nth_roots_table(ext)
+    roots = varieties._root_logs_table(ext)
     pre = varieties._as_preimages_table(ext)
     rels, out = _relations(v), set()
 
@@ -370,7 +384,7 @@ def _enumeration_points(v, ext):
         if any(not u and not varieties._holds(f, rel, X, logs) for u, rel in zip(unknown, rels)):
             return
         if None not in X:
-            lists = [roots[x] for x in X] + [pre.get(X[i], ()) for i in v.links]
+            lists = [roots[x] for x in X] + [pre.get(f.exp[X[i]], ()) for i in v.links]
             out.update(itertools.product(*lists))
             return
         solved = next(((u[0], rel) for u, rel in zip(unknown, rels) if len(u) == 1), None)
@@ -432,7 +446,8 @@ def test_pair_steps_match_enumeration(k):
     f, n = v.field, len(v.shape) - len(v.links)
     logs = [f.dlog[c] for c, _ in v.monomials]
     want = {X for X in itertools.product(list(f.units()), repeat=n)
-            if all(varieties._holds(f, rel, X, logs) for rel in _relations(v))}
+            if all(varieties._holds(f, rel, tuple(f.dlog[x] for x in X), logs)
+                   for rel in _relations(v))}
     assert {g[:n] for g, _ in v.support()} == want
 
 
@@ -834,8 +849,9 @@ def test_point_action_matches_scalar_oracle(family, q, params):
     for sym in ctx.symmetries():
         iso = ctx.build(sym)
         ratios = set()
-        for pt in itertools.chain(iso.transport.source.points(ext), probes):
-            image = iso.transport.apply(ext, pt)
+        src, tgt = iso.transport.source, iso.transport.target
+        for pt in itertools.chain((src.to_codes(ext, p) for p in src.points(ext)), probes):
+            image = tgt.to_codes(ext, iso.transport.apply(ext, _to_logs(ext, src, pt)))
             units, add = _scalar_oracle_image(ctx, iso, ext, pt)
             assert image[n:] == add, (sym, pt)
             ratios.add(tuple(f.div(a, b) for a, b in zip(image[:n], units)))
@@ -931,10 +947,11 @@ def test_general_right_action_matches_scalar_oracle():
         scalars = [canonical_nth_root(ext, h[0]) for h in h_blocks]
         shifts = [artin_schreier_root(ext, th)
                   for s, h in zip(parts, h_blocks) for th in theta_list(f, s - 1, list(h))]
-        for pt in v.points(ext):
+        for logs in v.points(ext):
+            pt = v.to_codes(ext, logs)
             want = (tuple(g.mul(c, t) for c, t in zip(scalars, pt[:l]))
                     + tuple(g.add(u, sh) for u, sh in zip(pt[l:], shifts)) + pt[l + len(shifts):])
-            assert iso.transport.apply(ext, pt) == want
+            assert iso.transport.target.to_codes(ext, iso.transport.apply(ext, logs)) == want
             checked += 1
     assert checked > 0
 
@@ -1025,11 +1042,364 @@ def test_decomposition_images_match_scalar_oracle(case, lams):
         ext = extend(f, r)
         g = ext.field
         roots = [canonical_nth_root(ext, c) for c in d]
-        for pt in small.points(ext):
-            image = transport.apply(ext, pt)
+        for logs in small.points(ext):
+            pt = small.to_codes(ext, logs)
+            image = big.to_codes(ext, transport.apply(ext, logs))
             for t in twists:
                 scalars = [g.mul(x, ext.embed(c)) for x, c in zip(roots, t)]
                 want = tuple(g.mul(c, v) for c, v in zip(scalars, monomial_map(g, pt, Q)))
                 assert tuple(g.mul(x, ext.embed(c)) for x, c in zip(image, t)) == want
                 checked += 1
     assert checked > 0
+
+
+# -- the code-coordinate oracles ---------------------------------------------
+# The point-level routines as they read on field codes: every coordinate is
+# raised with Field.pow and multiplied with Field.mul.  The library carries
+# unit coordinates as discrete logs; its reports must be identical to these.
+
+
+def _code_points(v, ext):
+    return [v.to_codes(ext, pt) for pt in v.points(ext)]
+
+
+def _code_point_ok(v, ext, pt):
+    f, q, N = ext.field, v.field.q, v.field.N
+    if isinstance(v, GeneralXDz):
+        l, n = v.delta.l, v.delta.n
+        us, s = iter(pt[l:n]), pt[n:]
+        zed = [[ext.embed(c) for c in row] for row in v.z]
+        for t, coeffs in zip(pt[:l], v._sz_blocks(f, zed, s)):
+            if coeffs[0] == 0 or t == 0 or f.pow(t, N) != coeffs[0]:
+                return False
+            for th in theta_list(f, len(coeffs) - 1, coeffs):
+                u = next(us)
+                if f.sub(f.pow(u, q), u) != th:
+                    return False
+        return True
+    n = v.shape.count("u")
+    if len(pt) != len(v.shape) or 0 in pt[:n]:
+        return False
+    X = [f.pow(x, N) for x in pt[:n]]
+    for c, exps in v.monomials:
+        if functools.reduce(f.mul, [f.pow(X[i], e) for i, e in exps.items()], ext.embed(c)) != 1:
+            return False
+    if any(functools.reduce(f.add, [X[i] for i in s], 0) != 1 for s in v.sums):
+        return False
+    return all(f.pow(t, q) == f.add(t, X[i]) for t, i in zip(pt[n:], v.links))
+
+
+def _code_tau_of(v, ext, pt):
+    f = ext.field
+    if not isinstance(v, varieties.RelationVariety):
+        return ()
+    return tuple(functools.reduce(f.mul, [f.pow(pt[i], -e) for i, e in exps.items()], 1)
+                 for _, exps in v.monomials)
+
+
+def _code_linear_map(ext, vec, A):
+    f = ext.field
+    return tuple(functools.reduce(f.add, [f.mul(ext.embed(row[j]), x) for x, row in zip(vec, A)
+                                          if row[j]], 0)
+                 for j in range(len(A[0]) if A else 0))
+
+
+def _code_apply(pm, ext, pt):
+    """x -> (x . Q) * root_N(d_u), u -> u . add_mat + r(d_a), s -> s . s_mat, on codes."""
+    f = ext.field
+    n_t = pm.target.shape.count("u")
+    scalars = [canonical_nth_root(ext, d) for d in pm.d_elem[:n_t]]
+    shifts = [artin_schreier_root(ext, d) for d in pm.d_elem[n_t:]]
+    n_u, n_a = pm.source.shape.count("u"), pm.source.shape.count("a")
+    mult, add, s = pt[:n_u], pt[n_u:n_u + n_a], pt[n_u + n_a:]
+    if pm.Q is not None:
+        mult = monomial_map(f, mult, pm.Q)
+    if pm.add_mat is not None:
+        add = _code_linear_map(ext, add, pm.add_mat)
+    if pm.s_mat is not None:
+        s = _code_linear_map(ext, s, pm.s_mat)
+    return (*map(f.mul, scalars, mult), *map(f.add, add, shifts), *s)
+
+
+def _oracle_verify_iso(iso, compose_with=None, sample=48, seed=0):
+    """verify_iso on field codes, with the target's points enumerated."""
+    pm = iso.transport
+    report = {"pass": True, "checked": 0, "failures": []}
+
+    def fail(kind, **data):
+        report["pass"] = False
+        report["failures"].append({"kind": kind, **data})
+
+    ext = extend(pm.source.field, pm.ext_r)
+    f = ext.field
+    images, tau_pairs, src_points = set(), {}, _code_points(pm.source, ext)
+    n_points = 0
+    for pt in src_points:
+        n_points += 1
+        img = _code_apply(pm, ext, pt)
+        if not _code_point_ok(pm.target, ext, img):
+            fail("image not on target", point=pt, image=img)
+            break
+        if img in images:
+            fail("not injective", image=img)
+            break
+        images.add(img)
+        src_tau = _code_tau_of(pm.source, ext, pt)
+        if src_tau:
+            tgt_tau = _code_tau_of(pm.target, ext, img)
+            known = tau_pairs.setdefault(src_tau, tgt_tau)
+            if known != tgt_tau:
+                fail("tau components not respected", point=pt, expected=known, got=tgt_tau)
+                break
+    src_points = src_points[:n_points]
+    report["checked"] = n_points
+    if report["pass"] and len(set(tau_pairs.values())) != len(tau_pairs):
+        fail("tau components collapse", pairs=sorted(tau_pairs.items()))
+    if report["pass"]:
+        n_target = len(_code_points(pm.target, ext))
+        if n_target != n_points:
+            fail("point count mismatch", source=n_points, target=n_target)
+    if report["pass"] and compose_with is not None:
+        rng = random.Random(seed)
+        ctx = iso.source_ctx
+        iso2 = iso.target_ctx.build(compose_with)
+        iso12 = ctx.build(ctx.compose_sym(iso.symmetry, compose_with))
+        if iso12.target_ctx.x != iso2.target_ctx.x:
+            fail("normalized representative does not compose")
+        if iso12.transport.Q != imat_mul(pm.Q, iso2.transport.Q):
+            fail("exponent matrices do not compose")
+        if report["pass"]:
+            pts = src_points if len(src_points) <= sample else rng.sample(src_points, sample)
+            per_tau, nm = {}, pm.source.shape.count("u")
+            for pt in pts:
+                a = _code_apply(iso2.transport, ext, _code_apply(pm, ext, pt))
+                b = _code_apply(iso12.transport, ext, pt)
+                if a[nm:] != b[nm:]:
+                    fail("additive parts of composite disagree", point=pt)
+                    break
+                ratio = tuple(f.div(x, y) for x, y in zip(a[:nm], b[:nm]))
+                if any(f.pow(r, pm.source.field.N) != 1 for r in ratio):
+                    fail("composite differs by a non-root factor", point=pt, ratio=ratio)
+                    break
+                key = _code_tau_of(pm.source, ext, pt)
+                if per_tau.setdefault(key, ratio) != ratio:
+                    fail("composite ratio not constant on a tau component", tau=key)
+                    break
+            report["composition_ratios"] = sorted(set(per_tau.values()))
+    return report
+
+
+def _oracle_decompositions(case, field, lams=None):
+    """reducible_decompositions on field codes, with big's points enumerated."""
+    big, small, Q, d, degrees, twists = varieties._DECOMPOSITIONS[case](field, lams)
+    report = {"case": case, "pass": True, "checked": 0, "failures": []}
+
+    def fail(kind, **data):
+        report["pass"] = False
+        report["failures"].append({"kind": kind, **data})
+
+    def count(r):
+        return len(_code_points(big, extend(field, r)))
+
+    transport = varieties.MonomialMap(small, big, d, Q)
+    for chi in enumerate_groupchars(big):
+        if not transport_check(transport, chi):
+            fail("count identity", chi=[p.j for p in chi.parts])
+    totals = {r: count(r) for r in degrees}
+    if not any(totals.values()):
+        degrees, r = (), 1
+        while not degrees and field.q**r <= DEFAULT_CAP:
+            if r not in totals:
+                totals[r] = count(r)
+                degrees = (r,) if totals[r] else ()
+            r += 1
+    for r in degrees:
+        ext = extend(field, r)
+        f = ext.field
+        try:
+            [canonical_nth_root(ext, c) for c in d]
+        except ValueError:
+            fail("d has no N-th root", degree=r)
+            continue
+        images = [(pt, _code_apply(transport, ext, pt)) for pt in _code_points(small, ext)]
+        covered = set()
+        for t in twists:
+            units = [ext.embed(c) for c in t]
+            for pt, image in images:
+                img = tuple(f.mul(x, c) for x, c in zip(image, units))
+                report["checked"] += 1
+                if not _code_point_ok(big, ext, img):
+                    fail("image not on big", degree=r, twist=t, point=pt)
+                    break
+                if img in covered:
+                    fail("pieces overlap", degree=r, twist=t, image=img)
+                    break
+                covered.add(img)
+        if len(covered) != totals[r]:
+            fail("pieces do not cover", degree=r, covered=len(covered), total=totals[r])
+    if report["checked"] == 0:
+        fail("no point checked")
+    return report
+
+
+def _as_json(report):
+    return json.dumps(report, sort_keys=True)
+
+
+# every symmetry of each: Gauss and Kummer at q = 3, 4, Phi1 and Phi3 at
+# q = 3, F_D (2, 3) and F_A (2,) at q = 4
+_ISO_CHECK_SET = [
+    ("gauss", 3, dict(lam=2)), ("gauss", 4, dict(lam=2)),
+    ("kummer", 3, dict(lam=2)), ("kummer", 4, dict(lam=2)),
+    ("phi1", 3, dict(lam1=2, lam2=2)), ("phi3", 3, dict(lam1=2, lam2=2)),
+    ("fd", 4, dict(lams=(2, 3))), ("fa", 4, dict(lams=(2,))),
+]
+
+
+@pytest.mark.parametrize("family,q,params", _ISO_CHECK_SET)
+def test_verify_iso_matches_code_oracle(family, q, params):
+    ctx = make_context(family, build_field_q(q), **params)
+    syms = ctx.symmetries()
+    for k, sym in enumerate(syms):
+        other = syms[(k + 1) % len(syms)]
+        got = verify_iso(ctx.build(sym), compose_with=other, sample=8, seed=1)
+        want = _oracle_verify_iso(ctx.build(sym), compose_with=other, sample=8, seed=1)
+        assert _as_json(got) == _as_json(want), sym
+        assert got["pass"], (sym, got["failures"])
+
+
+@pytest.mark.parametrize("corrupt", ["Q", "d"])
+def test_verify_iso_failures_match_code_oracle(corrupt):
+    # the witnesses of a broken map are reported as field codes
+    ctx = KummerContext(build_field(3), lam=2)
+    reports = []
+    for check in (verify_iso, _oracle_verify_iso):
+        iso = ctx.build(((1, 0), 2))
+        if corrupt == "Q":
+            iso.transport.Q = _bump_last_column(iso.transport.Q)
+        else:
+            d = iso.transport.d_elem
+            iso.transport.d_elem = (ctx.field.neg(d[0]),) + d[1:]
+        reports.append(check(iso, sample=8, seed=1))
+    got, want = reports
+    assert not got["pass"]
+    assert got["failures"][0]["kind"] == "image not on target"
+    assert _as_json(got) == _as_json(want)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("case,lams", _DECOMPOSITION_CASES)
+def test_decompositions_match_code_oracle(q, case, lams):
+    f = build_field_q(q)
+    got = reducible_decompositions(case, f, lams)
+    assert got["pass"], got["failures"]
+    assert _as_json(got) == _as_json(_oracle_decompositions(case, f, lams))
+
+
+@pytest.mark.parametrize(
+    "case,lams,corrupt",
+    [(case, lams, corrupt) for case, lams in _DECOMPOSITION_CASES for corrupt in ("Q", "d", "twists")],
+)
+def test_decomposition_failures_match_code_oracle(monkeypatch, case, lams, corrupt):
+    build = varieties._DECOMPOSITIONS[case]
+
+    def corrupted(fb, lams):
+        big, small, Q, d, degrees, twists = build(fb, lams)
+        if corrupt == "Q":
+            Q = _bump_last_column(Q)
+        elif corrupt == "d":
+            d = (fb.neg(d[0]),) + tuple(d[1:])
+        else:
+            twists = twists[:-1]
+        return big, small, Q, d, degrees, twists
+
+    monkeypatch.setitem(varieties._DECOMPOSITIONS, case, corrupted)
+    got = reducible_decompositions(case, build_field(3), lams)
+    assert not got["pass"]
+    assert _as_json(got) == _as_json(_oracle_decompositions(case, build_field(3), lams))
+
+
+# -- counting points without building them -----------------------------------
+
+
+def _count_test_varieties(f):
+    rng = random.Random(f.q)
+    general = [GeneralXDz(f, parts, [[rng.randrange(f.q) for _ in range(sum(parts))]
+                                     for _ in range(2)])
+               for parts in ((1, 1, 2), (2, 2), (1, 2))]
+    return _equation_families(f) + general
+
+
+@pytest.mark.parametrize("q,r", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
+def test_point_count_matches_enumeration(q, r):
+    f = build_field_q(q)
+    ext = extend(f, r)
+    nonzero = 0
+    for v in _count_test_varieties(f):
+        n = v.point_count(ext)
+        assert n == sum(1 for _ in v.points(ext)), (type(v).__name__, q, r)
+        nonzero += n > 0
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", range(len(_pair_test_varieties())))
+def test_point_count_matches_enumeration_on_pair_grid(k):
+    v, r, _ = _pair_test_varieties()[k]
+    ext = extend(v.field, r)
+    assert v.point_count(ext) == sum(1 for _ in v.points(ext))
+
+
+# -- properties of the log coordinates ----------------------------------------
+
+
+def _draw_ext(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7]))
+    r = data.draw(st.integers(1, max(1, {2: 6, 3: 4, 4: 3, 5: 2, 7: 2}[q])))
+    return extend(build_field_q(q), r)
+
+
+def _rooted_units(ext):
+    """The base units with a canonical N-th root in ext."""
+    out = []
+    for a in ext.base.units():
+        try:
+            canonical_nth_root(ext, a)
+        except ValueError:
+            continue
+        out.append(a)
+    return out
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_log_map_matches_monomial_map(data):
+    ext = _draw_ext(data)
+    f, base = ext.field, ext.base
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    Q = [[data.draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(n)]
+    d = tuple(data.draw(st.sampled_from(_rooted_units(ext))) for _ in range(m))
+    xs = tuple(data.draw(st.integers(1, f.q - 1)) for _ in range(n))
+    pm = varieties.MonomialMap(FermatStar(base, n), FermatStar(base, m), d, Q)
+    got = tuple(f.exp[L] for L in pm.apply(ext, tuple(f.dlog[x] for x in xs)))
+    want = tuple(f.mul(canonical_nth_root(ext, c), y)
+                 for c, y in zip(d, monomial_map(f, xs, Q)))
+    assert got == want
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_log_point_ok_matches_code_oracle(data):
+    ext = _draw_ext(data)
+    f, base = ext.field, ext.base
+    vs = _count_test_varieties(base)
+    v = vs[data.draw(st.integers(0, len(vs) - 1))]
+    n = v.shape.count("u")
+    pts = list(itertools.islice(v.points(ext), 40))
+    if pts and data.draw(st.booleans()):
+        pt = v.to_codes(ext, data.draw(st.sampled_from(pts)))
+    else:
+        width = len(v.shape) + (v.d if isinstance(v, GeneralXDz) else 0)
+        pt = tuple(data.draw(st.integers(1 if i < n else 0, f.q - 1)) for i in range(width))
+    assert v.point_ok(ext, _to_logs(ext, v, pt)) == _code_point_ok(v, ext, pt)
+    assert v.tau_of(ext, _to_logs(ext, v, pt)) == tuple(
+        f.dlog[c] for c in _code_tau_of(v, ext, pt))

@@ -247,11 +247,31 @@ class Field:
             self._trace = self._trace_table()
 
     def _set_generator(self, gen: int):
-        """The exp/dlog tables on gen and, for e > 1, the Zech table."""
+        """The exp/dlog tables on gen and, for e > 1, the Zech table.
+
+        Each power is the previous one times gen: for p = 2 a shift-and-xor
+        on codes (bit i is the coefficient of x^i) reduced by the modulus
+        code, otherwise a product of coefficient tuples with gen's converted
+        once."""
         self.generator = gen
-        exp = [1] * self.N
-        for i in range(1, self.N):
-            exp[i] = self._mul_poly_codes(exp[i - 1], gen)
+        p, exp = self.p, [1] * self.N
+        if p == 2:
+            mod, top, x = _poly_to_code(self.modulus, 2), 1 << self.e, 1
+            for i in range(1, self.N):
+                y, a, b = 0, x, gen
+                while b:
+                    if b & 1:
+                        y ^= a
+                    b >>= 1
+                    a <<= 1
+                    if a & top:
+                        a ^= mod
+                exp[i] = x = y
+        else:
+            g, x = _code_to_poly(gen, p), (1,)
+            for i in range(1, self.N):
+                x = _poly_mul_mod(x, g, self.modulus, p)
+                exp[i] = _poly_to_code(x, p)
         self.exp = exp
         self.dlog = {c: i for i, c in enumerate(exp)}
         if self.e > 1:
@@ -379,7 +399,7 @@ class Field:
         return hash((self.p, self.e, self.generator))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Field)
             and (self.p, self.e, self.generator) == (other.p, other.e, other.generator)
         )

@@ -27,23 +27,39 @@ The left-hand factors give each group, at nu = chi_t, a sign and a list of
 Gauss indices (g(chi_0) = 1 is left out); nu(lambda) is zeta_N^(t dlog
 lambda), and nu(0) = 0 leaves no term.
 
+The value's constant and its normalization are data too (Const): a sign,
+more Gauss indices, a power of q, a root of unity zeta_N^rot and an integer
+denominator such as (q - 1)^n.  A Jacobi sum in the constant is
+j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with P = prod eta_i
+(Greene 1987; 1/g°(eps) = 1/q covers a trivial P), valid unless every
+eta_i is trivial; a character value chi(x) is zeta_N^(j dlog x).
+
 The sum is taken in Z[x]/(x^M - 1) at x = 2^W, that is in the integers
 mod 2^(WM) - 1 (Kronecker substitution; Harvey 2009): each g(chi_j) is
 packed once per (psi, M, W) from its raw histogram, a group's entries are
 products of packed sums (cached per parameter set across lambda), a root
 of unity is a rotation, and the coefficients f-hat of the iteration
-transforms are packed over their common denominator D.  A coefficient of
-the result is at most B = sum over surviving terms of the product of the
-l1 norms of its factors (q - 1 per Gauss sum, 1 per root of unity), so
+transforms are packed over their common denominator D.  The constant's
+Gauss sums multiply the packed sum once, its root of unity rotates it and
+its sign negates it, so the numerator is one packed integer.  A
+coefficient of it is at most B = the sum over surviving terms of the
+product of the l1 norms of their factors, times those of the constant's
+Gauss sums (q - 1 per nontrivial Gauss sum, 1 per root of unity), so
 slots of W >= bits(B) + 2 bits, rounded to whole bytes, hold every signed
-coefficient; the bound is asserted on the result.  One signed unpack and
-one canonicalization give the value over q^K D.
+coefficient; the bound is exact per value and asserted on the result.  One
+signed unpack and one canonicalization give the value: the numerator
+over q^K D den, times q^qpow.
 
-The conductor M is that of the surviving terms: p N if they carry a
-Pochhammer factor, else N, in both cases lcm'd with the conductors of the
+The set-up that no character changes (the logs of lambda, the surviving
+indices, each group's column of c . j) is built once per (field, group
+vectors, lambda) and shared by the characters of a table.
+
+The conductor M is that of the surviving terms and the constant: p N if
+they carry a Pochhammer factor or the constant a Gauss sum (g(chi_0) = 1
+included), else N, in both cases lcm'd with the conductors of the
 weights; a sum with no surviving term is Cyclo.zero() (m = 1).
 
-The callers only build term lists and normalize:
+The callers only build term lists and constants:
 
  - the one-variable series F(a_1..a_m; b_1..b_(n+1); lambda): every a_i
    upper and every b_j lower at c = (1,), times 1/(1-q);
@@ -54,7 +70,11 @@ The callers only build term lists and normalize:
    characters as in `_HUMBERT`, gamma at (1, 1) and delta at e_1, e_2,
    times 1/(1-q)^2;
  - the four convolution ("iteration") transforms, whose sum also carries
-   the Fourier coefficient f-hat of each character tuple.
+   the Fourier coefficient f-hat of each character tuple, times a Jacobi
+   or Gauss sum, a sign and 1/N^n.
+
+Each evaluator takes a further constant that joins its own, as the count
+theorems in varieties do.
 
 Also here: the discrete Fourier transform on (k*)^n with its inversion,
 the right-hand sides of the iteration transforms, shift of parameters into
@@ -68,6 +88,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from .cyclo import Cyclo, _pack, _spread, _unpack
@@ -85,42 +106,76 @@ def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
     return -value if a.field.p != 2 and nu.j % 2 else value
 
 
-def _unit_vectors(n: int) -> list[tuple[int, ...]]:
-    return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+@lru_cache(maxsize=None)
+def _unit_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
-def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
-    """The Horn sum of the module docstring, unnormalized.
+class Const(NamedTuple):
+    """sign * prod over k in gauss of g(chi_k) * q^qpow * zeta_N^rot / den.
+
+    The constant a Horn value is multiplied by, kept as data so that it joins
+    the packed sum before the one canonicalization.  Each listed index k is
+    a factor g(chi_k) over conductor p N, g(chi_0) = 1 included."""
+
+    sign: int = 1
+    gauss: tuple[int, ...] = ()
+    qpow: int = 0
+    rot: int = 0
+    den: int = 1
+
+    def times(self, sign=1, gauss=(), qpow=0, rot=0, den=1) -> "Const":
+        return Const(self.sign * sign, self.gauss + tuple(gauss), self.qpow + qpow,
+                     self.rot + rot, self.den * den)
+
+    def gauss_sum(self, eta: MulChar) -> "Const":
+        """Times g(eta)."""
+        return self.times(gauss=(eta.j,))
+
+    def char_value(self, chi: MulChar, x: int) -> "Const":
+        """Times chi(x), for x a unit."""
+        return self.times(rot=chi.j * chi.field.dlog[x])
+
+    def jacobi(self, *etas: MulChar) -> "Const":
+        """Times j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with
+        P = prod eta_i, unless every eta_i is trivial (a trivial P is covered:
+        1/g°(eps) = 1/q)."""
+        f = etas[0].field
+        N, P = max(f.N, 1), sum(e.j for e in etas)
+        if not any(e.j for e in etas):
+            raise ValueError("the product formula needs a nontrivial character")
+        return self.times(-1 if f.p != 2 and P % 2 else 1, [e.j for e in etas] + [-P % N], -1)
+
+
+ONE = Const()
+
+
+def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
+    """const times the Horn sum of the module docstring.
 
     terms: (character, combination vector c, upper) triples; weights, if
     given, maps each tuple j of character indices to a coefficient.
     """
     f = psi.field
-    if not all(lam in f.elements() for lam in lams):
-        raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {tuple(lams)}")
     if any(a.field != f for a, _, _ in terms):
         raise ValueError("characters over different fields")
-    N, n = max(f.N, 1), len(lams)
-    logs = {c: f.dlog.get(lam) for c, lam in zip(_unit_vectors(n), lams)}
-    groups = {c: [] for c in logs}
+    groups = {c: [] for c in _unit_vectors(len(lams))}
     for a, c, upper in terms:
         groups.setdefault(tuple(c), []).append((a.j, upper))
-    groups = [(c, tuple(sorted(members))) for c, members in groups.items()]
-    live = list(range(N**n))
-    if None in logs.values():  # nu(0) = 0 for every nu
-        live = []
-    elif weights is not None:
-        ws = [weights[js] for js in itertools.product(range(N), repeat=n)]
+    N, logs, live, cols = _frame(f, tuple(groups), tuple(lams))
+    if weights is not None and live:
+        ws = [weights[js] for js in itertools.product(range(N), repeat=len(lams))]
         live = [k for k in live if not ws[k].is_zero()]
+        cols = [[col[k] for k in live] for col in cols]
     if not live:
         return Cyclo.zero()
-    # the conductor of the surviving terms, their common denominator D and the
-    # exact bound B on the coefficients of the packed numerator
-    M, D = lcm(N, f.p * N if terms else 1), 1
+    # the conductor of the surviving terms and of the constant, their common
+    # denominator D and the exact bound B on the coefficients of the numerator
+    M, D = lcm(N, f.p * N if terms or const.gauss else 1), 1
     if weights is not None:
         M, D = lcm(M, *(ws[k].m for k in live)), lcm(*(ws[k].den for k in live))
-    fixed, sign, cols, B = [], 1, [], [1] * len(live)
-    for c, members in groups:
+    fixed, sign, B = [], const.sign, [1] * len(live)
+    for members, idx in zip(groups.values(), cols):
         gauss_count = [len(members)] * N  # g(chi_0) = 1 is left out
         for j, upper in members:
             gauss_count[-j % N] -= 1
@@ -128,10 +183,9 @@ def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
                 fixed.append((-j if upper else j) % N)
                 sign *= -1 if f.p != 2 and j % 2 else 1
         l1 = [(f.q - 1) ** k for k in gauss_count]
-        idx = _indices(c, N)
-        idx = [idx[k] for k in live]
         B = [b * l1[i] for b, i in zip(B, idx)]
-        cols.append((c, members, idx))
+    qpow = const.qpow - len(fixed)  # each reflection factor carries a 1/q
+    fixed += [k % N for k in const.gauss if k % N]
     if weights is not None:
         B = [b * D // ws[k].den * sum(map(abs, ws[k].num)) for b, k in zip(B, live)]
     B = sum(B) * (f.q - 1) ** len(fixed)
@@ -141,10 +195,10 @@ def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
     ones = int.from_bytes((1).to_bytes(W // 8, "little") * M, "little")
     # the columns of entries the surviving terms read, nu(lambda) as a rotation
     terms_at = []
-    for c, members, idx in cols:
-        row = _packed_rows(psi, M, W, members)
-        if logs.get(c):  # times nu(lambda) = zeta_M^(t dlog(lambda) M/N) at nu = chi_t
-            step = W * logs[c] * (M // N)
+    for (c, members), log, idx in zip(groups.items(), logs, cols):
+        row = _packed_rows(psi, M, W, tuple(sorted(members)))
+        if log:  # times nu(lambda) = zeta_M^(t dlog(lambda) M/N) at nu = chi_t
+            step = W * log * (M // N)
             row = [((x << b) & R) + (x >> (WM - b))
                    for x, b in zip(row, (t * step % WM for t in range(N)))]
         terms_at.append([row[i] for i in idx])
@@ -157,16 +211,36 @@ def _horn(terms, lams, psi: AddChar, weights=None) -> Cyclo:
             x *= y
             x = (x & R) + (x >> WM)
         acc += x
+    acc = _reduce(acc, WM)
     g = _packed_gauss(psi, M, W) if fixed else None
     for k in fixed:
-        acc = _reduce(acc, WM) * g[k]
+        acc *= g[k]
+        acc = (acc & R) + (acc >> WM)
+    b = W * (const.rot % N * (M // N))  # times zeta_N^rot
     acc = _reduce(acc, WM)
+    acc = ((acc << b) & R) + (acc >> (WM - b))
     if sign < 0:
         acc = R - acc
     off = 1 << (W - 1)
     digits = [d - off for d in _unpack(_reduce(acc + off * ones, WM) % R, M, W // 8)]
     assert max(map(abs, digits)) <= B, "slot width too small"
-    return Cyclo(M, digits, f.q ** len(fixed) * D)
+    if qpow > 0:
+        digits = [d * f.q**qpow for d in digits]
+    return Cyclo(M, digits, f.q ** max(-qpow, 0) * D * const.den)
+
+
+@lru_cache(maxsize=256)
+def _frame(f: Field, cs: tuple, lams: tuple):
+    """The part of a Horn sum's set-up that no character changes, per field,
+    group vectors cs (the unit vectors first, one per lambda) and arguments:
+    N, dlog(lambda_i) per group (None past the unit vectors), the surviving
+    indices j (none if some lambda_i = 0) and each group's column of c . j."""
+    if not all(lam in f.elements() for lam in lams):
+        raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {lams}")
+    N, n = max(f.N, 1), len(lams)
+    logs = tuple(f.dlog.get(lam) for lam in lams)
+    live = range(N**n) if None not in logs else range(0)
+    return N, logs + (None,) * (len(cs) - n), live, [_indices(c, N) for c in cs]
 
 
 def _reduce(x: int, WM: int) -> int:
@@ -249,10 +323,11 @@ def params(upper, lower, psi=None, classical=False) -> HgfParams:
     return HgfParams(tuple(upper), lower, psi)
 
 
-def hgf_eval(p: HgfParams, lam: int) -> Cyclo:
-    """The one-variable hypergeometric sum at lambda (field element code)."""
+def hgf_eval(p: HgfParams, lam: int, const: Const = ONE) -> Cyclo:
+    """The one-variable hypergeometric sum at lambda (field element code),
+    times const."""
     terms = [(a, (1,), True) for a in p.upper] + [(b, (1,), False) for b in p.lower]
-    return _horn(terms, (lam,), p.psi) / (1 - p.field.q)
+    return _horn(terms, (lam,), p.psi, const=const.times(-1, den=p.field.q - 1))
 
 
 def mfn(upper, lower, lam, psi=None) -> Cyclo:
@@ -306,20 +381,21 @@ def _lauricella_terms(p: LauricellaParams) -> list:
     return terms
 
 
-def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...]) -> Cyclo:
+def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...], const: Const = ONE) -> Cyclo:
     terms = _lauricella_terms(p)
     if len(lams) != p.n:
         raise ValueError("wrong number of arguments")
-    return _horn(terms, lams, p.psi) / (1 - p.field.q) ** p.n
+    const = const.times((-1) ** p.n, den=(p.field.q - 1) ** p.n)
+    return _horn(terms, lams, p.psi, const=const)
 
 
-def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
+def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None, const: Const = ONE) -> Cyclo:
     chars = list(alpha) + list(beta) + list(gamma) + list(delta)
     if not chars:
         raise ValueError("no characters given")
     psi = psi or standard_psi(chars[0].field)
     p = LauricellaParams(kind, tuple(alpha), tuple(beta), tuple(gamma), tuple(delta), psi)
-    return lauricella_eval(p, tuple(lams))
+    return lauricella_eval(p, tuple(lams), const)
 
 
 # Per kind, the combinations of (mu, nu) of the upper characters; gamma sits
@@ -351,14 +427,15 @@ def _humbert_terms(p: HumbertParams) -> list:
             + [(d, c, False) for d, c in zip(p.delta, _unit_vectors(2))])
 
 
-def humbert_eval(p: HumbertParams, lam1: int, lam2: int) -> Cyclo:
-    return _horn(_humbert_terms(p), (lam1, lam2), p.psi) / (1 - p.field.q) ** 2
+def humbert_eval(p: HumbertParams, lam1: int, lam2: int, const: Const = ONE) -> Cyclo:
+    const = const.times(den=(p.field.q - 1) ** 2)
+    return _horn(_humbert_terms(p), (lam1, lam2), p.psi, const=const)
 
 
-def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
+def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None, const: Const = ONE) -> Cyclo:
     psi = psi or standard_psi(gamma.field)
     p = HumbertParams(kind, tuple(upper), gamma, tuple(delta), psi)
-    return humbert_eval(p, lam1, lam2)
+    return humbert_eval(p, lam1, lam2, const)
 
 
 # -- discrete Fourier transform -------------------------------------------
@@ -415,8 +492,7 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
             comp = comp * b
         if comp.is_trivial():
             raise ValueError("degenerate: alpha-bar beta_1..beta_i is trivial")
-        const = jacobi(comp, *[b.inverse() for b in betas[:i]])
-        sign = (-1) ** i
+        etas, sign = (comp, *[b.inverse() for b in betas[:i]]), (-1) ** i
     elif kind == "ii":
         terms = [(b, c, True) for b, c in firsts] + [(alpha, prod_i, False)]
         comp = alpha
@@ -424,22 +500,23 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
             comp = comp * b.inverse()
         if comp.inverse().is_trivial():
             raise ValueError("degenerate: alpha-bar beta_1..beta_i is trivial")
-        const = jacobi(comp, *betas[:i])
-        sign = (-1) ** i
+        etas, sign = (comp, *betas[:i]), (-1) ** i
     elif kind == "iii":
         beta = betas[0]
         terms = [(alpha, prod_i, True), (beta, prod_i, False)]
         if (alpha * beta.inverse()).is_trivial():
             raise ValueError("degenerate: alpha beta-bar is trivial")
-        const = jacobi(alpha, alpha.inverse() * beta)
-        sign = -1
+        etas, sign = (alpha, alpha.inverse() * beta), -1
     elif kind == "iv":
         terms = [(alpha, prod_i, False)]
-        const = gauss(alpha.inverse(), psi)
-        sign = -1
+        etas, sign = (), -1
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return (const * _horn(terms, lams, psi, fhat)).scale(sign, field.N**n)
+    const = ONE.jacobi(*etas) if etas else ONE.gauss_sum(alpha.inverse())
+    value = _horn(terms, lams, psi, fhat, const.times(sign, den=field.N**n))
+    if value.m == 1:  # no term survives: zero over the conductor jacobi or gauss gives
+        return Cyclo.zero((jacobi(*etas) if etas else gauss(alpha.inverse(), psi)).m)
+    return value
 
 
 def iteration_rhs(kind, f_map, field, n, i, alpha, betas, lams, psi=None):

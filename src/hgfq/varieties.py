@@ -88,7 +88,7 @@ from .genhgf import (
     theta_list,
     w_to_matrix,
 )
-from .hgf import HgfParams, hgf_eval, humbert, lauricella
+from .hgf import Const, HgfParams, hgf_eval, humbert, lauricella
 from .monomial import (_gauge_last_matrix, char_star, compose_perms, fmat_inv, imat_add,
                        imat_identity, imat_inverse, imat_mul, imat_transpose, imat_zero,
                        invert_perm, monomial_map, perm_matrix)
@@ -722,6 +722,11 @@ def _psi_coefficient(field: Field, part: AddChar, psi: AddChar) -> int:
 def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) -> Cyclo:
     """The closed-form right-hand side of the family's count theorem.
 
+    For the six Horn-type families (MXnLambda, LauricellaD/A/C, Humbert1/3)
+    the theorem's constant, a sign times Jacobi sums, Gauss sums and
+    character values, is an hgf.Const handed to the series evaluator, so it
+    joins the packed sum before its one canonicalization; every Jacobi sum
+    there has a nontrivial product of its characters by the hypotheses.
     Raises ValueError("theorem hypothesis not met") outside the theorem's
     non-degeneracy hypotheses."""
     from .chars import standard_psi
@@ -755,11 +760,11 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
         cs = [_psi_coefficient(f, p, psi) for p in chi.parts[2 * m + l :]]
         hyp(all(c != 0 for c in cs))
         hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
-        coef = Cyclo.integer((-1) ** (v.n + 1))
+        k = Const((-1) ** (v.n + 1))
         for g, c in zip(gammas, cs):
-            coef = coef * gauss(g, psi) * g.inverse().eval(c)
+            k = k.gauss_sum(g).char_value(g.inverse(), c)
         for a, b in zip(alphas, betas):
-            coef = coef * jacobi(a, b)
+            k = k.jacobi(a, b)
         cprod = 1
         for c in cs:
             cprod = f.mul(cprod, c)
@@ -768,17 +773,17 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             tuple(b.inverse() for b in betas) + tuple(g.inverse() for g in gammas),
             psi,
         )
-        return coef * hgf_eval(params, f.mul(cprod, v.lam))
+        return hgf_eval(params, f.mul(cprod, v.lam), k)
 
     if isinstance(v, LauricellaD):
         n = v.n
         alphas = list(chi.parts[: n + 1])
         betas = list(chi.parts[n + 1 :])
         hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
-        coef = Cyclo.integer(-1)
+        k = Const(-1)
         for a, b in zip(alphas, betas):
-            coef = coef * jacobi(a, b)
-        val = lauricella(
+            k = k.jacobi(a, b)
+        return lauricella(
             "D",
             [alphas[0]],
             alphas[1:],
@@ -786,8 +791,8 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             [b.inverse() for b in betas[1:]],
             v.lams,
             psi,
+            k,
         )
-        return coef * val
 
     if isinstance(v, LauricellaA):
         n = v.n
@@ -799,10 +804,10 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             prod = prod * a
         hyp(not prod.is_trivial())
         hyp(all(not (b * g).is_trivial() for b, g in zip(betas, gammas)))
-        coef = jacobi(*alphas).scale((-1) ** n)
+        k = Const((-1) ** n).jacobi(*alphas)
         for b, g in zip(betas, gammas):
-            coef = coef * jacobi(b, g)
-        val = lauricella(
+            k = k.jacobi(b, g)
+        return lauricella(
             "A",
             [alphas[0]],
             betas,
@@ -810,8 +815,8 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             [g.inverse() for g in gammas],
             v.lams,
             psi,
+            k,
         )
-        return coef * val
 
     if isinstance(v, LauricellaC):
         n = v.n
@@ -824,8 +829,7 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
         for b in betas[1:]:
             prod_b = prod_b * b
         hyp(not prod_a.is_trivial() and not prod_b.is_trivial())
-        coef = (jacobi(*alphas) * jacobi(*betas)).scale((-1) ** n)
-        val = lauricella(
+        return lauricella(
             "C",
             [alphas[0]],
             [betas[0]],
@@ -833,16 +837,15 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             [b.inverse() for b in betas[1:]],
             v.lams,
             psi,
+            Const((-1) ** n).jacobi(*alphas).jacobi(*betas),
         )
-        return coef * val
 
     if isinstance(v, Humbert1):
         a1, a2, b1, b2, g = chi.parts[:5]
         c = _psi_coefficient(f, chi.parts[5], psi)
         hyp(c != 0)
         hyp(not (a1 * b1).is_trivial() and not (a2 * b2).is_trivial())
-        coef = -gauss(g, psi) * g.inverse().eval(c) * jacobi(a1, b1) * jacobi(a2, b2)
-        val = humbert(
+        return humbert(
             1,
             [a1, a2],
             b1.inverse(),
@@ -850,8 +853,8 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             v.lam1,
             f.mul(c, v.lam2),
             psi,
+            Const(-1).gauss_sum(g).char_value(g.inverse(), c).jacobi(a1, b1).jacobi(a2, b2),
         )
-        return coef * val
 
     if isinstance(v, Humbert3):
         a, b, g1, g2 = chi.parts[:4]
@@ -859,14 +862,7 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
         c2 = _psi_coefficient(f, chi.parts[5], psi)
         hyp(c1 != 0 and c2 != 0)
         hyp(not (a * b).is_trivial())
-        coef = (
-            -gauss(g1, psi)
-            * g1.inverse().eval(c1)
-            * gauss(g2, psi)
-            * g2.inverse().eval(c2)
-            * jacobi(a, b)
-        )
-        val = humbert(
+        return humbert(
             3,
             [a],
             g1.inverse(),
@@ -874,8 +870,9 @@ def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) ->
             f.mul(c1, v.lam1),
             f.mul(c1, f.mul(c2, v.lam2)),
             psi,
+            Const(-1).gauss_sum(g1).char_value(g1.inverse(), c1).gauss_sum(g2)
+            .char_value(g2.inverse(), c2).jacobi(a, b),
         )
-        return coef * val
 
     if isinstance(v, GeneralXDz):
         chi_h = groupchar_to_hdelta(v.delta, chi, psi)

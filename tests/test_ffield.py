@@ -15,6 +15,7 @@ from hgfq.ffield import (
     build_field_q,
     canonical_nth_root,
     extend,
+    is_prime,
 )
 
 
@@ -198,6 +199,31 @@ def test_second_generator_rebuild():
         assert g2.dlog[g2.exp[i]] == i
     for a in g2.units():
         assert g2.mul(a, g2.inv(a)) == 1
+
+
+# -- the exp table against products of whole polynomials -----------------------
+
+
+def _exp_by_products(f):
+    """The powers of the generator, each the previous one times the generator
+    by a product of whole polynomials, codes converted on every step."""
+    exp = [1] * f.N
+    for i in range(1, f.N):
+        exp[i] = f._mul_poly_codes(exp[i - 1], f.generator)
+    return exp
+
+
+_EXTENSIONS_TO_4096 = [(p, e) for p in range(2, 65) if is_prime(p)
+                       for e in range(2, 13) if p**e <= 4096]
+
+
+@pytest.mark.parametrize("p,e", _EXTENSIONS_TO_4096)
+def test_exp_table_matches_polynomial_products(p, e):
+    f = build_field(p, e)
+    for g in (f, f.with_generator(f.generators()[-1])):
+        exp = _exp_by_products(g)
+        assert g.exp == exp, (p, e, g.generator)
+        assert g.dlog == {c: i for i, c in enumerate(exp)}, (p, e, g.generator)
 
 
 def test_json_shape():

@@ -515,6 +515,36 @@ def test_packed_horn_matches_oracle(data):
     assert got.to_json() == want.to_json()
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_horn_constant_matches_canonical_product(data):
+    """_horn with a constant against the defining sum times the canonical
+    Cyclo product sign * prod g(chi_k) * zeta_N^rot * q^qpow / den."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), label="q")
+    f, psi = _field_choice(q, data.draw(st.booleans(), label="alternate"))
+    N, chars = max(f.N, 1), enumerate_mulchars(f)
+    n = data.draw(st.integers(1, 2), label="n")
+    cs = [(1,) * n] + [_unit(n, i) for i in range(n)]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(chars), st.sampled_from(cs), st.booleans()),
+                               max_size=3), label="terms")
+    xs = tuple(data.draw(st.integers(0, q - 1)) for _ in range(n))
+    const = hgf.Const(data.draw(st.sampled_from([1, -1])),
+                      tuple(data.draw(st.lists(st.integers(0, N - 1), max_size=3))),
+                      data.draw(st.integers(-2, 2)), data.draw(st.integers(-2 * N, 2 * N)),
+                      data.draw(st.integers(1, 3)))
+    got = hgf._horn(terms, xs, psi, const=const)
+    if 0 in xs:  # no term survives
+        assert got.to_json() == Cyclo.zero().to_json()
+        return
+    want = _oracle(terms, xs, psi) * Cyclo.integer(const.sign) * zeta(N, const.rot)
+    for k in const.gauss:
+        want = want * gauss(MulChar(f, k), psi)
+    want = want * Cyclo.rational(q ** max(const.qpow, 0), q ** max(-const.qpow, 0) * const.den)
+    assert got.to_json() == want.to_json()
+    if not terms and not const.gauss:
+        assert got.m == N
+
+
 def _reflection_sum(terms, lam, psi):
     """The one-variable sum term by term, each factor from the reflection
     identity (_factor): no inversion, so it stays fast at large conductors."""

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_fi
                          canonical_nth_root, extend)
 from hgfq.genhgf import (Partition, WDeltaElem, hdelta_chars, phi_delta, theta_list,
                          w_action_on_char)
+from hgfq.hgf import HgfParams, hgf_eval, humbert, lauricella
+from hgfq.sums import gauss, jacobi
 from hgfq.varieties import (
     ASStar,
     FAContext,
@@ -209,6 +212,135 @@ def test_general_closed_form_is_phi():
     v = GeneralXDz(f, delta, z)
     for chi in enumerate_groupchars(v):
         assert n_chi_closed_form(v, chi, psi) == v.n_chi(chi)
+
+
+# -- the closed forms against canonical products of their constants ----------
+
+
+def _closed_form_by_products(v, chi, psi):
+    """The count theorems of the six Horn-type families as canonical Cyclo
+    products: Jacobi sums, Gauss sums and character values times the
+    normalized series value, each product canonicalized."""
+    f = v.field
+
+    def hyp(cond):
+        if not cond:
+            raise ValueError("theorem hypothesis not met")
+
+    def coefficient(part):
+        return f.div(part.a, psi.a)
+
+    def product(chars):
+        out = chars[0]
+        for c in chars[1:]:
+            out = out * c
+        return out
+
+    if isinstance(v, MXnLambda):
+        m, l = v.m, v.l
+        alphas, betas = list(chi.parts[:m]), list(chi.parts[m:2 * m])
+        gammas = list(chi.parts[2 * m:2 * m + l])
+        cs = [coefficient(p) for p in chi.parts[2 * m + l:]]
+        hyp(all(c != 0 for c in cs))
+        hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
+        coef = Cyclo.integer((-1) ** (v.n + 1))
+        for g, c in zip(gammas, cs):
+            coef = coef * gauss(g, psi) * g.inverse().eval(c)
+        for a, b in zip(alphas, betas):
+            coef = coef * jacobi(a, b)
+        cprod = 1
+        for c in cs:
+            cprod = f.mul(cprod, c)
+        params = HgfParams(tuple(alphas), tuple(b.inverse() for b in betas)
+                           + tuple(g.inverse() for g in gammas), psi)
+        return coef * hgf_eval(params, f.mul(cprod, v.lam))
+    if isinstance(v, LauricellaD):
+        n = v.n
+        alphas, betas = list(chi.parts[:n + 1]), list(chi.parts[n + 1:])
+        hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
+        coef = Cyclo.integer(-1)
+        for a, b in zip(alphas, betas):
+            coef = coef * jacobi(a, b)
+        return coef * lauricella("D", [alphas[0]], alphas[1:], [betas[0].inverse()],
+                                 [b.inverse() for b in betas[1:]], v.lams, psi)
+    if isinstance(v, LauricellaA):
+        n = v.n
+        alphas, betas = list(chi.parts[:n + 1]), list(chi.parts[n + 1:2 * n + 1])
+        gammas = list(chi.parts[2 * n + 1:])
+        hyp(not product(alphas).is_trivial())
+        hyp(all(not (b * g).is_trivial() for b, g in zip(betas, gammas)))
+        coef = jacobi(*alphas).scale((-1) ** n)
+        for b, g in zip(betas, gammas):
+            coef = coef * jacobi(b, g)
+        return coef * lauricella("A", [alphas[0]], betas, [a.inverse() for a in alphas[1:]],
+                                 [g.inverse() for g in gammas], v.lams, psi)
+    if isinstance(v, LauricellaC):
+        n = v.n
+        alphas, betas = list(chi.parts[:n + 1]), list(chi.parts[n + 1:])
+        hyp(not product(alphas).is_trivial() and not product(betas).is_trivial())
+        coef = (jacobi(*alphas) * jacobi(*betas)).scale((-1) ** n)
+        return coef * lauricella("C", [alphas[0]], [betas[0]], [a.inverse() for a in alphas[1:]],
+                                 [b.inverse() for b in betas[1:]], v.lams, psi)
+    if isinstance(v, Humbert1):
+        a1, a2, b1, b2, g = chi.parts[:5]
+        c = coefficient(chi.parts[5])
+        hyp(c != 0)
+        hyp(not (a1 * b1).is_trivial() and not (a2 * b2).is_trivial())
+        coef = -gauss(g, psi) * g.inverse().eval(c) * jacobi(a1, b1) * jacobi(a2, b2)
+        return coef * humbert(1, [a1, a2], b1.inverse(), [b2.inverse(), g.inverse()],
+                              v.lam1, f.mul(c, v.lam2), psi)
+    a, b, g1, g2 = chi.parts[:4]  # Humbert3
+    c1, c2 = coefficient(chi.parts[4]), coefficient(chi.parts[5])
+    hyp(c1 != 0 and c2 != 0)
+    hyp(not (a * b).is_trivial())
+    coef = (-gauss(g1, psi) * g1.inverse().eval(c1) * gauss(g2, psi) * g2.inverse().eval(c2)
+            * jacobi(a, b))
+    return coef * humbert(3, [a], g1.inverse(), [b.inverse(), g2.inverse()],
+                          f.mul(c1, v.lam1), f.mul(c1, f.mul(c2, v.lam2)), psi)
+
+
+def _closed_form_json(closed_form, v, chi, psi):
+    try:
+        return closed_form(v, chi, psi).to_json()
+    except ValueError as err:
+        assert str(err) == "theorem hypothesis not met"
+        return None
+
+
+def _horn_families(f):
+    lam, mu = f.generator, f.inv(f.generator)
+    return [MXnLambda(f, 1, 1, lam), MXnLambda(f, 0, 1, mu), MXnLambda(f, 0, 2, lam),
+            MXnLambda(f, 1, 2, mu), MXnLambda(f, 2, 2, lam), LauricellaD(f, 1, (lam,)),
+            LauricellaA(f, 1, (mu,)), LauricellaC(f, 1, (lam,)), Humbert1(f, lam, mu),
+            Humbert3(f, mu, lam)]
+
+
+# past q = 5 a family with more characters than this is checked on a seeded
+# sample of _CF_SAMPLE of them: Humbert1 alone has 294,912 at q = 9
+_CF_ALL, _CF_SAMPLE = 1000, 200
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_closed_forms_match_canonical_products(q, alternate):
+    """to_json() of every closed form, conductor included, and the set of
+    characters outside the theorem's hypotheses."""
+    rng = random.Random(q)
+    f = build_field_q(q)
+    psi = standard_psi(f)
+    if alternate:  # the second-smallest generator, where there is one, and psi_a, a != 1
+        gens = f.generators()
+        f = f.with_generator(gens[1]) if len(gens) > 1 else f
+        psi = AddChar(f, next(u for u in sorted(f.dlog) if u != 1))
+    for v in _horn_families(f):
+        met, chars = 0, list(enumerate_groupchars(v))
+        if q > 5 and len(chars) > _CF_ALL:
+            chars = rng.sample(chars, _CF_SAMPLE)
+        for chi in chars:
+            got = _closed_form_json(n_chi_closed_form, v, chi, psi)
+            assert got == _closed_form_json(_closed_form_by_products, v, chi, psi), (v, chi)
+            met += got is not None
+        assert met > 0, v
 
 
 # -- the relation solver against the defining equations ---------------------
@@ -1347,6 +1479,52 @@ def test_point_count_matches_enumeration_on_pair_grid(k):
     v, r, _ = _pair_test_varieties()[k]
     ext = extend(v.field, r)
     assert v.point_count(ext) == sum(1 for _ in v.points(ext))
+
+
+def _rebuilt(v, ext):
+    """v's family over ext.field, its coefficients embedded."""
+    K, e = ext.field, ext.embed
+    if isinstance(v, FermatStar):
+        return FermatStar(K, v.n)
+    if isinstance(v, ASStar):
+        return ASStar(K)
+    if isinstance(v, MXnLambda):
+        return MXnLambda(K, v.m, v.n, e(v.lam))
+    if isinstance(v, (LauricellaD, LauricellaA, LauricellaC)):
+        return type(v)(K, v.n, [e(x) for x in v.lams])
+    if isinstance(v, (Humbert1, Humbert3)):
+        return type(v)(K, e(v.lam1), e(v.lam2))
+    return GeneralXDz(K, v.delta, [[e(x) for x in row] for row in v.z])
+
+
+def _count_from_rebuilt_support(v, ext):
+    """#X(ext) from the solutions g of the reduced system over ext (the support
+    of the rebuilt family): g carries, per unit slot, the x in ext with
+    x^N = g_i and, per additive slot, the t with t^q - t = g_j, both counted
+    by scanning ext (N and q of v's field)."""
+    K, q, N = ext.field, v.field.q, v.field.N
+    roots = Counter(K.pow(x, N) for x in K.units())
+    preimages = Counter(K.sub(K.pow(t, q), t) for t in K.elements())
+    total = 0
+    for g, c in _rebuilt(v, ext).support():
+        for kind, x in zip(v.shape, g):
+            c *= roots[x] if kind == "u" else preimages[x]
+        total += c
+    return total
+
+
+_EXTENSIONS_TO_81 = [(q, r) for q in (2, 3, 4, 5, 7, 8, 9) for r in range(1, 7) if q**r <= 81]
+
+
+@pytest.mark.parametrize("q,r", _EXTENSIONS_TO_81)
+def test_point_count_matches_rebuilt_support(q, r):
+    ext = extend(build_field_q(q), r)
+    nonzero = 0
+    for v in _count_test_varieties(ext.base):
+        n = v.point_count(ext)
+        assert n == _count_from_rebuilt_support(v, ext), (type(v).__name__, q, r)
+        nonzero += n > 0
+    assert nonzero > 0
 
 
 # -- properties of the log coordinates ----------------------------------------

@@ -16,6 +16,13 @@ the slots, so the counts are gathered by exponent of zeta_M and
 canonicalized once.  M is N = max(q - 1, 1) when every slot is
 multiplicative, p when every slot is additive and N p when they are mixed,
 the conductor of the product of the slot values.
+
+Each slot reads its exponents from a table of q entries, cached per
+(field, j, M) for chi_j and per (field, a, M) for psi_a in two lru_caches
+of _TABLES_KEPT (512) tables each, so a call does no O(q) set-up once its
+tables are built and each cache holds at most 512 q entries.  char_sum and
+genhgf.phi_delta share the kernel _sum_tables, one pass over the points
+with one lookup per slot.
 """
 
 from __future__ import annotations
@@ -113,26 +120,55 @@ def char_sum(parts, points) -> Cyclo:
     if not points:
         return Cyclo.zero()
     f = parts[0].field
-    N = max(f.N, 1)
     kinds = {type(part) for part in parts}
-    M = (N if MulChar in kinds else 1) * (f.p if AddChar in kinds else 1)
-    zero = -M * len(parts)  # chi(0) = 0: makes the exponent of its point negative
+    M = (max(f.N, 1) if MulChar in kinds else 1) * (f.p if AddChar in kinds else 1)
     tables = []
     for part in parts:
         if part.field != f:
             raise ValueError("characters over different fields")
         if isinstance(part, MulChar):
-            step = M // N
-            tables.append([zero] + [part.j * f.dlog[x] % N * step for x in range(1, f.q)])
+            tables.append(_mul_table(f, part.j, M))
         else:
-            step = M // f.p
-            tables.append([f.trace_to_prime(f.mul(part.a, x)) * step for x in f.elements()])
+            tables.append(_add_table(f, part.a, M))
+    return _sum_tables(tables, points, M)
+
+
+def _sum_tables(tables, points, M: int) -> Cyclo:
+    """sum over (g, c) in points of c * zeta_M^(sum_i tables[i][g[i]]), the
+    points whose exponent is negative (a slot reading chi(0) = 0) left out."""
     counts = [0] * M
     for g, c in points:
         e = sum(map(list.__getitem__, tables, g))
         if e >= 0:
             counts[e % M] += c
     return Cyclo(M, counts)
+
+
+# Exponent tables kept per cache: a slot's table depends on its field, its
+# index and the conductor M, and a table of characters walks at most
+# q - 1 indices (q codes) at one or two conductors per field.  The bound
+# keeps the memory of each cache within 512 q entries.  The tables are
+# lists, because list.__getitem__ is the fastest lookup to map over; they are
+# shared between calls and only ever read.
+_TABLES_KEPT = 512
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _mul_table(field: Field, j: int, M: int) -> list[int]:
+    """x -> the exponent of chi_j(x) in zeta_M, for x in 0..q-1, M a multiple
+    of N = max(q - 1, 1).  chi_j(0) = 0 reads -M * 2^32: a sum over fewer
+    than 2^32 slots, each of the others in 0..M-1, stays negative."""
+    N = max(field.N, 1)
+    step, dlog = M // N, field.dlog
+    return [-M << 32] + [j * dlog[x] % N * step for x in range(1, field.q)]
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _add_table(field: Field, a: int, M: int) -> list[int]:
+    """x -> the exponent of psi_a(x) = zeta_p^Tr(ax) in zeta_M, for x in
+    0..q-1, M a multiple of p."""
+    step = M // field.p
+    return [field.trace_to_prime(field.mul(a, x)) * step for x in field.elements()]
 
 
 def trivial_char(field: Field) -> MulChar:

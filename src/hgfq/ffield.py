@@ -247,13 +247,15 @@ class Field:
             self._trace = self._trace_table()
 
     def _set_generator(self, gen: int):
-        """The exp/dlog tables on gen and, for e > 1, the Zech table.
+        """The exp/dlog tables on gen and, for e > 1, the Zech table; the
+        hash, which reads the generator, is computed here once.
 
         Each power is the previous one times gen: for p = 2 a shift-and-xor
         on codes (bit i is the coefficient of x^i) reduced by the modulus
         code, otherwise a product of coefficient tuples with gen's converted
         once."""
         self.generator = gen
+        self._hash = hash((self.p, self.e, gen))
         p, exp = self.p, [1] * self.N
         if p == 2:
             mod, top, x = _poly_to_code(self.modulus, 2), 1 << self.e, 1
@@ -396,7 +398,7 @@ class Field:
         return f"Field(q={self.q})"
 
     def __hash__(self):
-        return hash((self.p, self.e, self.generator))
+        return self._hash
 
     def __eq__(self, other):
         return other is self or (

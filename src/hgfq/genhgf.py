@@ -13,20 +13,26 @@ where z is a d x n matrix read in blocks of N_i columns and the block value
 is zero whenever its leading entry s.z_0 vanishes.
 
 Phi depends on chi only through the log coordinates of the blocks of [s z],
-so phi_delta enumerates k^d once per (field, parts, z) and keeps, in a
-bounded lru_cache keyed on z by value, the histogram of
-g = (h_0 of each block, then theta_1(h), ..., theta_(m-1)(h) block by block)
-over the points with every h_0 != 0, in the slot layout of
-GeneralXDz.support().  Each character is then one chars.char_sum over the
-histogram with the slots HDeltaChar.slots().  This enumeration is kept
-apart from GeneralXDz.support(), so that point counts checked against Phi
-compare two independent computations.
+so phi_delta enumerates k^d once per (field, parts, z) and keeps, in an
+lru_cache of _HISTOGRAMS_KEPT (64) entries keyed on z by value, the
+histogram of g = (h_0 of each block, then theta_1(h), ..., theta_(m-1)(h)
+block by block) over the points with every h_0 != 0, in the slot layout of
+GeneralXDz.support().  The characteristic and z are validated inside that
+cached builder, once per key; lru_cache keeps no exception, so a bad z
+raises on every call, and an unhashable entry raises ValueError too.  Each
+character is then one pass of the chars.char_sum kernel over the histogram,
+with the slot tables (alpha_j of each block, then psi_(a a_k)) read from the
+caches of chars, so a call costs about one lookup per slot per histogram
+key.  This enumeration is kept apart from GeneralXDz.support(), so that
+point counts checked against Phi compare two independent computations.
 
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
-characters realizes the transformation formulas.  The closed-form
-reductions express Phi for six small (d, n, partition) shapes through the
-one- and two-variable hypergeometric sums.
+characters realizes the transformation formulas.  mu_matrix and
+mu_matrix_prime are memoized per (field, c, m) in lru_caches of _MU_KEPT
+(1024) entries and return tuples of tuples.  The closed-form reductions
+express Phi for six small (d, n, partition) shapes through the one- and
+two-variable hypergeometric sums.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chars import AddChar, MulChar, char_sum, standard_psi, trivial_char
+from .chars import (AddChar, MulChar, _add_table, _mul_table, _sum_tables, standard_psi,
+                    trivial_char)
 from .cyclo import Cyclo
 from .ffield import Field
 from .hgf import humbert, lauricella, mfn
@@ -290,20 +297,32 @@ def _scol(field: Field, s, z, col: int) -> int:
 def phi_delta(chi: HDeltaChar, z) -> Cyclo:
     """Phi(chi; z) = sum over s in k^d of chi([s z]).
 
-    The sum is chars.char_sum with the slots chi.slots() over the cached
-    histogram (_phi_histogram) of the points g = (h_0 of each block, then the
-    theta_i(h) block by block) of the blocks h of [s z], built once per
-    (field, parts, z) and shared by every character.  The conductor is that
-    of the product of the block values: M = N p when some part exceeds 1,
-    else M = N, with N = max(q - 1, 1); with no point in the support the sum
-    is Cyclo.zero().  The histogram is not GeneralXDz.support(), which
+    The sum runs over the cached histogram (_phi_histogram) of the points
+    g = (h_0 of each block, then the theta_i(h) block by block) of the
+    blocks h of [s z], built once per (field, parts, z) and shared by every
+    character.  Each slot of g reads a cached exponent table, alpha_j of each
+    block and psi_(a a_k) of each additive coefficient (the slots
+    chi.slots()), through the kernel of chars.char_sum.  The conductor is
+    that of the product of the block values: M = N p when some part exceeds
+    1, else M = N, with N = max(q - 1, 1); with no point in the support the
+    sum is Cyclo.zero().  The histogram is not GeneralXDz.support(), which
     enumerates the same points on its own, so n_chi and Phi stay independent
     checks of each other.  chi_of_sz remains the one-point definition.
     """
     f = chi.field
-    chi.delta.check_char(f)
-    chi.delta.check_z(f, z)
-    return char_sum(chi.slots(), _phi_histogram(f, chi.delta.parts, tuple(map(tuple, z))))
+    parts = chi.delta.parts
+    try:
+        points = _phi_histogram(f, parts, tuple(map(tuple, z)))
+    except TypeError:  # z is not a matrix, or has an unhashable entry
+        raise ValueError(f"z must be a matrix of field codes 0..{f.q - 1}") from None
+    if not points:
+        return Cyclo.zero()
+    M = max(f.N, 1) * (f.p if parts[-1] > 1 else 1)
+    tables = [_mul_table(f, b.alpha.j, M) for b in chi.blocks]
+    for b in chi.blocks:
+        a = b.psi.a
+        tables += [_add_table(f, f.mul(a, ak), M) for ak in b.a]
+    return _sum_tables(tables, points, M)
 
 
 # Histograms kept for the most recent (field, parts, z); a symmetry check
@@ -315,9 +334,15 @@ _HISTOGRAMS_KEPT = 64
 def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
     """[(g, number of s), ...] over s in k^d, with g = (h_0 of each block,
     then theta_1(h), ..., theta_(m-1)(h) block by block) for the blocks h of
-    [s z], leaving out the points where some block has h_0 = 0."""
+    [s z], leaving out the points where some block has h_0 = 0.
+
+    The characteristic and z are checked here, once per key: lru_cache keeps
+    no exception, so a rejected z raises again on every call."""
     f = field
-    n = sum(parts)
+    delta = Partition(parts)
+    delta.check_char(f)
+    delta.check_z(f, z)
+    n = delta.n
     starts = list(itertools.accumulate(parts, initial=0))
     hist = {}
     for s in itertools.product(f.elements(), repeat=len(z)):
@@ -342,7 +367,13 @@ def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...
 # -- the symmetry group ----------------------------------------------------
 
 
-def mu_matrix(field: Field, c: tuple[int, ...], m: int):
+# Substitution matrices kept per cache; a symmetry check walks a handful of
+# c-vectors per block size.
+_MU_KEPT = 1024
+
+
+@lru_cache(maxsize=_MU_KEPT)
+def mu_matrix(field: Field, c: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
     """m x m matrix of power-series power coefficients; c = (c_1..c_(m-1))."""
     if m > 1 and (len(c) != m - 1 or c[0] == 0):
         raise ValueError("need c_1 != 0 and length m-1")
@@ -351,14 +382,14 @@ def mu_matrix(field: Field, c: tuple[int, ...], m: int):
     poly = (1,) + (0,) * (m - 1)  # T^0
     base = (0,) + tuple(c)
     for i in range(m):
-        rows.append(tuple(poly))
+        rows.append(poly)
         poly = series_mul(field, poly, base)
-    return [list(r) for r in rows]
+    return tuple(rows)
 
 
-def mu_matrix_prime(field: Field, c: tuple[int, ...], m: int):
-    full = mu_matrix(field, c, m)
-    return [row[1:] for row in full[1:]]
+@lru_cache(maxsize=_MU_KEPT)
+def mu_matrix_prime(field: Field, c: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(row[1:] for row in mu_matrix(field, c, m)[1:])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgfq.chars import AddChar, MulChar, standard_psi, trivial_char
+from hgfq.chars import AddChar, MulChar, char_sum, standard_psi, trivial_char
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import build_field, build_field_q
 from hgfq.genhgf import (
@@ -38,6 +38,7 @@ from hgfq.genhgf import (
     w_to_matrix,
 )
 from hgfq.varieties import GeneralXDz
+from test_chars import _char_sum_literal
 
 
 # -- partitions ------------------------------------------------------------
@@ -230,14 +231,14 @@ def test_hdelta_char_rejects_mixed_fields():
 def test_mu_identity():
     f = build_field(5)
     m = 4
-    ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
     assert mu_matrix(f, (1, 0, 0), m) == ident
 
 
 def test_mu_m2_diagonal():
     f = build_field(7)
     for c in f.units():
-        assert mu_matrix(f, (c,), 2) == [[1, 0], [0, c]]
+        assert mu_matrix(f, (c,), 2) == ((1, 0), (0, c))
 
 
 def test_mu_scaling_is_diagonal():
@@ -268,7 +269,7 @@ def test_mu_composition_law():
                 ]
             )
         )
-        assert mat_mul(f, mu_matrix(f, a, m), Mb) == mu_matrix(f, c, m)
+        assert tuple(map(tuple, mat_mul(f, mu_matrix(f, a, m), Mb))) == mu_matrix(f, c, m)
 
 
 def _dot(field, xs, ys):
@@ -290,7 +291,7 @@ def test_mu_prime_drops_border():
     f = build_field(5)
     full = mu_matrix(f, (2, 1), 3)
     prime = mu_matrix_prime(f, (2, 1), 3)
-    assert prime == [row[1:] for row in full[1:]]
+    assert prime == tuple(row[1:] for row in full[1:])
 
 
 def test_act_mu_matches_direct_composition():
@@ -335,10 +336,18 @@ def test_phi_shape_validation():
     f = build_field(3)
     psi = standard_psi(f)
     chi = HDeltaChar(Partition((1, 1)), tuple(JmChar(MulChar(f, 0), (), psi) for _ in range(2)))
-    # a wrong column count, then entries outside 0..q-1
-    for z in ([[1]], [[5, 0], [0, 1]], [[-1, 1]], [[1, 3]]):
-        with pytest.raises(ValueError):
-            phi_delta(chi, z)
+    # z is checked inside the cached histogram builder: a valid z cached
+    # first must not let a bad one through, and lru_cache keeps no exception,
+    # so every bad z raises on every call
+    good = [[1, 2], [0, 1]]
+    want = phi_delta(chi, good)
+    # a wrong column count, entries outside 0..q-1, and an unhashable entry
+    for z in ([[1]], [[5, 0], [0, 1]], [[-1, 1]], [[1, 3]], [[1, 2, 0], [0, 1, 1]],
+              [[[1], 2], [0, 1]]):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                phi_delta(chi, z)
+    assert _same(phi_delta(chi, good), want)
 
 
 # -- the histogram evaluation against the literal sum ----------------------
@@ -353,6 +362,37 @@ def _phi_literal(chi, z):
 
 def _same(a, b):
     return (a.m, a.num, a.den) == (b.m, b.num, b.den)
+
+
+def test_cached_tables_never_cross_fields_or_conductors():
+    # the slot exponent tables are cached per (field, index, conductor M):
+    # calls that alternate between two generators of one field, two psi and
+    # the conductors M = N, p and N p must each read their own tables
+    rng = random.Random(7)
+    cases = []
+    for q in (5, 9):
+        base = build_field_q(q)
+        fields = (base, base.with_generator(base.generators()[1]))
+        for a, j in itertools.product((1, 2), (1, 3)):
+            for f in fields:
+                psi, chi = AddChar(f, a), MulChar(f, j)
+                for parts in ((chi, MulChar(f, 2)), (psi, AddChar(f, 3)), (chi, psi)):
+                    points = [(tuple(rng.randrange(q) for _ in parts), rng.randrange(-2, 4))
+                              for _ in range(12)]
+                    cases.append(("sum", parts, points))
+                for parts in ((1, 1), (1, 2)):
+                    delta = Partition(parts)
+                    blocks = tuple(JmChar(MulChar(f, j * (i + 1)), (a,) * (size - 1), psi)
+                                   for i, size in enumerate(parts))
+                    z = [[rng.randrange(1, q) for _ in range(delta.n)] for _ in range(2)]
+                    cases.append(("phi", HDeltaChar(delta, blocks), z))
+    for _ in range(2):  # the second round reads only cached tables
+        for kind, x, y in cases:
+            if kind == "sum":
+                got, want = char_sum(x, y), _char_sum_literal(x, y)
+            else:
+                got, want = phi_delta(x, y), _phi_literal(x, y)
+            assert _same(got, want), (kind, x, y)
 
 
 # Every partition of the acceptance grid and of the benchmark's tables.

@@ -34,6 +34,12 @@ j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with P = prod eta_i
 (Greene 1987; 1/g°(eps) = 1/q covers a trivial P), valid unless every
 eta_i is trivial; a character value chi(x) is zeta_N^(j dlog x).
 
+The reflection factors and the constant's Gauss sums pair off before any
+product: g(chi_k) g(chi_-k) = chi_k(-1) q for k != 0 is a sign and a
+power of q.  The constant of a count theorem (in varieties) carries g(chi)
+for every character chi its series reads, whose reflection factor is
+g(chi-bar), so there only the Jacobi sums' g(P-bar) are multiplied.
+
 The sum is taken in Z[x]/(x^M - 1) at x = 2^W, that is in the integers
 mod 2^(WM) - 1 (Kronecker substitution; Harvey 2009): each g(chi_j) is
 packed once per (psi, M, W) from its raw histogram, a group's entries are
@@ -43,8 +49,8 @@ transforms are packed over their common denominator D.  The constant's
 Gauss sums multiply the packed sum once, its root of unity rotates it and
 its sign negates it, so the numerator is one packed integer.  A
 coefficient of it is at most B = the sum over surviving terms of the
-product of the l1 norms of their factors, times those of the constant's
-Gauss sums (q - 1 per nontrivial Gauss sum, 1 per root of unity), so
+product of the l1 norms of their factors, times those of the unpaired
+fixed Gauss sums (q - 1 per nontrivial Gauss sum, 1 per root of unity), so
 slots of W >= bits(B) + 2 bits, rounded to whole bytes, hold every signed
 coefficient; the bound is exact per value and asserted on the result.  One
 signed unpack and one canonicalization give the value: the numerator
@@ -59,7 +65,10 @@ they carry a Pochhammer factor or the constant a Gauss sum (g(chi_0) = 1
 included), else N, in both cases lcm'd with the conductors of the
 weights; a sum with no surviving term is Cyclo.zero() (m = 1).
 
-The callers only build term lists and constants:
+The evaluator reads each term as a member (j, c, upper), a = chi_j by its
+index, and checks no field: each caller checks that its characters live
+over psi's field and converts them to indices once.  The callers only
+build term lists and constants:
 
  - the one-variable series F(a_1..a_m; b_1..b_(n+1); lambda): every a_i
    upper and every b_j lower at c = (1,), times 1/(1-q);
@@ -73,8 +82,9 @@ The callers only build term lists and constants:
    the Fourier coefficient f-hat of each character tuple, times a Jacobi
    or Gauss sum, a sign and 1/N^n.
 
-Each evaluator takes a further constant that joins its own, as the count
-theorems in varieties do.
+Each evaluator takes a further constant that joins its own.  The count
+theorems in varieties call _horn directly, with members and a constant
+read from a character's integer indices.
 
 Also here: the discrete Fourier transform on (k*)^n with its inversion,
 the right-hand sides of the iteration transforms, shift of parameters into
@@ -128,40 +138,38 @@ class Const(NamedTuple):
         return Const(self.sign * sign, self.gauss + tuple(gauss), self.qpow + qpow,
                      self.rot + rot, self.den * den)
 
-    def gauss_sum(self, eta: MulChar) -> "Const":
-        """Times g(eta)."""
-        return self.times(gauss=(eta.j,))
-
-    def char_value(self, chi: MulChar, x: int) -> "Const":
-        """Times chi(x), for x a unit."""
-        return self.times(rot=chi.j * chi.field.dlog[x])
-
-    def jacobi(self, *etas: MulChar) -> "Const":
+    def jacobi(self, f: Field, *js: int) -> "Const":
         """Times j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with
-        P = prod eta_i, unless every eta_i is trivial (a trivial P is covered:
-        1/g°(eps) = 1/q)."""
-        f = etas[0].field
-        N, P = max(f.N, 1), sum(e.j for e in etas)
-        if not any(e.j for e in etas):
+        eta_i = chi_(j_i) over f, 0 <= j_i < N, and P = prod eta_i, unless
+        every eta_i is trivial (a trivial P is covered: 1/g°(eps) = 1/q)."""
+        N, P = max(f.N, 1), sum(js)
+        if not any(js):
             raise ValueError("the product formula needs a nontrivial character")
-        return self.times(-1 if f.p != 2 and P % 2 else 1, [e.j for e in etas] + [-P % N], -1)
+        return self.times(-1 if f.p != 2 and P % 2 else 1, [*js, -P % N], -1)
 
 
 ONE = Const()
 
 
+def _members(terms, psi: AddChar) -> list:
+    """(character, c, upper) terms as the (index, c, upper) members _horn
+    takes, each character over psi's field."""
+    if any(a.field != psi.field for a, _, _ in terms):
+        raise ValueError("characters over different fields")
+    return [(a.j, c, upper) for a, c, upper in terms]
+
+
 def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
     """const times the Horn sum of the module docstring.
 
-    terms: (character, combination vector c, upper) triples; weights, if
-    given, maps each tuple j of character indices to a coefficient.
+    terms: (j, combination vector c, upper) members, the character chi_j by
+    its index 0 <= j < N over psi's field; weights, if given, maps each
+    tuple j of character indices to a coefficient.
     """
     f = psi.field
-    if any(a.field != f for a, _, _ in terms):
-        raise ValueError("characters over different fields")
     groups = {c: [] for c in _unit_vectors(len(lams))}
-    for a, c, upper in terms:
-        groups.setdefault(tuple(c), []).append((a.j, upper))
+    for j, c, upper in terms:
+        groups.setdefault(tuple(c), []).append((j, upper))
     N, logs, live, cols = _frame(f, tuple(groups), tuple(lams))
     if weights is not None and live:
         ws = [weights[js] for js in itertools.product(range(N), repeat=len(lams))]
@@ -185,7 +193,17 @@ def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
         l1 = [(f.q - 1) ** k for k in gauss_count]
         B = [b * l1[i] for b, i in zip(B, idx)]
     qpow = const.qpow - len(fixed)  # each reflection factor carries a 1/q
-    fixed += [k % N for k in const.gauss if k % N]
+    # the fixed Gauss factors, less the pairs g(chi_k) g(chi_-k) = chi_k(-1) q
+    count = [0] * N
+    for k in fixed + [k % N for k in const.gauss]:
+        count[k] += 1
+    for k in range(1, N // 2 + 1):
+        pairs = count[k] // 2 if 2 * k == N else min(count[k], count[N - k])
+        count[k] -= pairs
+        count[N - k] -= pairs
+        qpow += pairs
+        sign *= -1 if f.p != 2 and k * pairs % 2 else 1
+    fixed = [k for k in range(1, N) for _ in range(count[k])]
     if weights is not None:
         B = [b * D // ws[k].den * sum(map(abs, ws[k].num)) for b, k in zip(B, live)]
     B = sum(B) * (f.q - 1) ** len(fixed)
@@ -262,7 +280,10 @@ def _indices(c: tuple, N: int) -> tuple:
     return tuple(sum(map(mul, c, js)) % N for js in itertools.product(range(N), repeat=len(c)))
 
 
-@lru_cache(maxsize=64)
+# Rows kept: a table of count theorems walks up to N^k member sets of a
+# group of k members, about 250 with the slot widths they take at q = 5, and
+# shares them between its arguments lambda.
+@lru_cache(maxsize=256)
 def _packed_rows(psi: AddChar, M: int, W: int, members: tuple) -> tuple[int, ...]:
     """A group's nu-dependent part at each nu = chi_t, mod 2^(WM) - 1: the
     product of g(a nu) over upper and g(a-bar nu-bar) nu(-1) over lower
@@ -326,7 +347,7 @@ def params(upper, lower, psi=None, classical=False) -> HgfParams:
 def hgf_eval(p: HgfParams, lam: int, const: Const = ONE) -> Cyclo:
     """The one-variable hypergeometric sum at lambda (field element code),
     times const."""
-    terms = [(a, (1,), True) for a in p.upper] + [(b, (1,), False) for b in p.lower]
+    terms = [(a.j, (1,), True) for a in p.upper] + [(b.j, (1,), False) for b in p.lower]
     return _horn(terms, (lam,), p.psi, const=const.times(-1, den=p.field.q - 1))
 
 
@@ -386,7 +407,7 @@ def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...], const: Const = O
     if len(lams) != p.n:
         raise ValueError("wrong number of arguments")
     const = const.times((-1) ** p.n, den=(p.field.q - 1) ** p.n)
-    return _horn(terms, lams, p.psi, const=const)
+    return _horn(_members(terms, p.psi), lams, p.psi, const=const)
 
 
 def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None, const: Const = ONE) -> Cyclo:
@@ -429,7 +450,7 @@ def _humbert_terms(p: HumbertParams) -> list:
 
 def humbert_eval(p: HumbertParams, lam1: int, lam2: int, const: Const = ONE) -> Cyclo:
     const = const.times(den=(p.field.q - 1) ** 2)
-    return _horn(_humbert_terms(p), (lam1, lam2), p.psi, const=const)
+    return _horn(_members(_humbert_terms(p), p.psi), (lam1, lam2), p.psi, const=const)
 
 
 def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None, const: Const = ONE) -> Cyclo:
@@ -512,8 +533,8 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
         etas, sign = (), -1
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    const = ONE.jacobi(*etas) if etas else ONE.gauss_sum(alpha.inverse())
-    value = _horn(terms, lams, psi, fhat, const.times(sign, den=field.N**n))
+    const = ONE.jacobi(psi.field, *(e.j for e in etas)) if etas else Const(gauss=(-alpha.j,))
+    value = _horn(_members(terms, psi), lams, psi, fhat, const.times(sign, den=field.N**n))
     if value.m == 1:  # no term survives: zero over the conductor jacobi or gauss gives
         return Cyclo.zero((jacobi(*etas) if etas else gauss(alpha.inverse(), psi)).m)
     return value

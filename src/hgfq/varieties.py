@@ -50,6 +50,19 @@ monomial.  GeneralXDz is parametrised by s instead, with its t's as logs.
 Field codes appear only where a report shows a point: failures,
 witnesses and composition ratios.
 
+Count theorems.  Each family declares its count theorem as data, its
+theorem attribute, called as theorem(chi, psi).  The six Horn-type
+families declare a HornTheorem next to their relations: the series terms
+(slot k, vector c, upper; a lower term reads chi_k-bar), the arguments
+(lam, AS slots: lam times their coefficients c = a / psi.a), the constant
+(a sign with the series' own, Gauss sums g(chi_k), character values
+chi_k-bar(c_s) and Jacobi sums, by slot) and with them the hypotheses:
+every Jacobi group's sum of indices nonzero mod N and every argument a
+unit.  FermatStar (a Jacobi sum), ASStar (a Gauss sum) and GeneralXDz
+(Phi_Delta) declare theirs as methods.  n_chi_closed_form checks chi as
+n_chi does (check_char) and calls the declaration, which reads chi's
+slots as integers once and hands hgf._horn integer members.
+
 Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
 in the unit coordinates, x -> (x . Q) * root_N(d_u), that is
 L -> L . Q + log root_N(d_u) mod q^r - 1, and affine in the
@@ -70,10 +83,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
+from typing import NamedTuple
 
-from .chars import AddChar, MulChar, char_sum
+from .chars import AddChar, MulChar, char_sum, standard_psi
 from .cyclo import Cyclo
 from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
                      extend)
@@ -88,7 +102,7 @@ from .genhgf import (
     theta_list,
     w_to_matrix,
 )
-from .hgf import Const, HgfParams, hgf_eval, humbert, lauricella
+from .hgf import Const, _horn, _unit_vectors
 from .monomial import (_gauge_last_matrix, char_star, compose_perms, fmat_inv, imat_add,
                        imat_identity, imat_inverse, imat_mul, imat_transpose, imat_zero,
                        invert_perm, monomial_map, perm_matrix)
@@ -196,6 +210,8 @@ class Variety:
     Subclasses provide support(), _fibers(ext) and point_ok(ext, pt); points
     are in log coordinates (see the module docstring)."""
 
+    theorem = None  # the family's count theorem, theorem(chi, psi) -> n_chi
+
     def __init__(self, field: Field, shape: str):
         self.field = field
         self.shape = shape
@@ -219,16 +235,22 @@ class Variety:
     def lambda_g(self, g) -> int:
         return self.group_order() * self.reduced_count(g)
 
-    def n_chi(self, chi: GroupChar) -> Cyclo:
+    def check_char(self, chi: GroupChar):
+        """Raise ValueError unless chi is a character of the acting group
+        over the variety's field: one slot per factor, each of its kind."""
         if len(chi.parts) != len(self.shape):
             raise ValueError("character arity mismatch")
-        if chi.field != self.field:
-            raise ValueError("character over another field")
+        f = self.field
         for part, kind in zip(chi.parts, self.shape):
             if kind == "u" and not isinstance(part, MulChar):
                 raise ValueError("expected a multiplicative character slot")
             if kind == "a" and not isinstance(part, AddChar):
                 raise ValueError("expected an additive character slot")
+            if part.field is not f and part.field != f:
+                raise ValueError("character over another field")
+
+    def n_chi(self, chi: GroupChar) -> Cyclo:
+        self.check_char(chi)
         return char_sum(chi.parts, self.support())
 
     # points -----------------------------------------------------------------
@@ -482,6 +504,57 @@ class RelationVariety(Variety):
         return tuple(out)
 
 
+# -- count theorems ---------------------------------------------------------
+
+
+class HornTheorem(NamedTuple):
+    """A count theorem n_chi = constant * Horn series (hgf._horn), as data
+    over the slots of chi: j_k is the index of the multiplicative slot k and
+    c_k = a / psi.a the coefficient of the additive slot k, psi_a.
+
+      terms    (k, c, upper): chi_k at the vector c, upper, or chi_k-bar,
+               lower (every lower parameter is a conjugate);
+      args     (lam, ks): the argument lam prod over ks of c_k;
+      sign     the theorem's sign times the series' own (-1 for mFn,
+               (-1)^n for F_A, F_C and F_D, 1 for Phi_1 and Phi_3);
+      gauss    slots k of Gauss sums g(chi_k);
+      values   pairs (k, s) of character values chi_k-bar(c_s);
+      jacobis  slot groups of Jacobi sums j(chi_k, ..).
+
+    The hypotheses are tests on those integers: every argument is a unit
+    (each c_k it reads is nonzero) and every group's sum of j_k is nonzero
+    mod N (each Jacobi sum has the product formula).  The series'
+    1/(q - 1)^n joins the constant."""
+
+    terms: tuple
+    args: tuple
+    sign: int
+    gauss: tuple = ()
+    values: tuple = ()
+    jacobis: tuple = ()
+
+    def __call__(self, chi: GroupChar, psi: AddChar) -> Cyclo:
+        f = psi.field
+        N = max(f.N, 1)
+        x = [p.j if type(p) is MulChar else f.div(p.a, psi.a) for p in chi.parts]
+        lams = [reduce(f.mul, [x[k] for k in ks], lam) for lam, ks in self.args]
+        groups = [[x[k] for k in g] for g in self.jacobis]
+        if 0 in lams or any(sum(js) % N == 0 for js in groups):
+            raise ValueError("theorem hypothesis not met")
+        rot = -sum([x[k] * f.dlog[x[s]] for k, s in self.values])  # zeta_N^rot
+        const = Const(self.sign, tuple([x[k] for k in self.gauss]), 0, rot,
+                      (f.q - 1) ** len(self.args))
+        for js in groups:
+            const = const.jacobi(f, *js)
+        terms = [(x[k] if upper else -x[k] % N, c, upper) for k, c, upper in self.terms]
+        return _horn(terms, lams, psi, const=const)
+
+
+def _at(k, upper, n):
+    """Terms at the n slots from k on, at c = e_1..e_n."""
+    return [(k + i, c, upper) for i, c in enumerate(_unit_vectors(n))]
+
+
 # -- concrete families ------------------------------------------------------
 
 
@@ -494,12 +567,24 @@ class FermatStar(RelationVariety):
         super().__init__(field, n, sums=[range(n)])
         self.n = n
 
+    def theorem(self, chi: GroupChar, psi: AddChar) -> Cyclo:
+        """(-1)^(n-1) j(chi), 1 for n = 1."""
+        return jacobi(*chi.parts).scale((-1) ** (self.n - 1)) if self.n > 1 else Cyclo.integer(1)
+
 
 class ASStar(RelationVariety):
     """t^q - t = z^N with z nonzero; coordinates (z, t)."""
 
     def __init__(self, field: Field):
         super().__init__(field, 1, links=[0])
+
+    def theorem(self, chi: GroupChar, psi: AddChar) -> Cyclo:
+        """-g(alpha, psi_c) for chi = (alpha, psi_c) with c != 0, else N or 0
+        as alpha is trivial or not."""
+        alpha, add = chi.parts
+        if add.is_trivial():
+            return Cyclo.integer(self.field.N if alpha.is_trivial() else 0)
+        return -gauss(alpha, psi.twist(self.field.div(add.a, psi.a)))
 
 
 class MXnLambda(RelationVariety):
@@ -524,6 +609,11 @@ class MXnLambda(RelationVariety):
             links=range(2 * m, 2 * m + l),
         )
         self.m, self.n, self.l, self.lam = m, n, l, lam
+        # chi = (alpha, beta, gamma, psi_c): F(alpha; beta-bar gamma-bar; lam prod c)
+        gammas, coefs = range(2 * m, 2 * m + l), range(2 * m + l, 2 * m + 2 * l)
+        self.theorem = HornTheorem(
+            [(k, (1,), k < m) for k in range(2 * m + l)], [(lam, coefs)], (-1) ** n, gammas,
+            tuple(zip(gammas, coefs)), tuple((k, m + k) for k in range(m)))
 
 
 def _check_lams(field: Field, n: int, lams) -> tuple:
@@ -550,6 +640,11 @@ class LauricellaD(RelationVariety):
                        for i, lam in enumerate(lams, 1)],
         )
         self.n, self.lams = n, lams
+        # chi = (alpha, beta): F_D(alpha_0; alpha_i; beta_0-bar; beta_i-bar)
+        self.theorem = HornTheorem(
+            [(0, (1,) * n, True), (n + 1, (1,) * n, False)] + _at(1, True, n) + _at(n + 2, False, n),
+            [(lam, ()) for lam in lams], (-1) ** (n + 1),
+            jacobis=tuple((i, n + 1 + i) for i in range(n + 1)))
 
 
 class LauricellaA(RelationVariety):
@@ -568,6 +663,11 @@ class LauricellaA(RelationVariety):
                        for i, lam in enumerate(lams)],
         )
         self.n, self.lams = n, lams
+        # chi = (alpha, beta, gamma): F_A(alpha_0; beta_i; alpha_i-bar; gamma_i-bar)
+        self.theorem = HornTheorem(
+            [(0, (1,) * n, True)] + _at(n + 1, True, n) + _at(1, False, n) + _at(2 * n + 1, False, n),
+            [(lam, ()) for lam in lams], 1,
+            jacobis=(tuple(range(n + 1)),) + tuple((n + i, 2 * n + i) for i in range(1, n + 1)))
 
 
 class LauricellaC(RelationVariety):
@@ -585,6 +685,10 @@ class LauricellaC(RelationVariety):
                        for i, lam in enumerate(lams, 1)],
         )
         self.n, self.lams = n, lams
+        # chi = (alpha, beta): F_C(alpha_0, beta_0; alpha_i-bar, beta_i-bar)
+        self.theorem = HornTheorem(
+            [(0, (1,) * n, True), (n + 1, (1,) * n, True)] + _at(1, False, n) + _at(n + 2, False, n),
+            [(lam, ()) for lam in lams], 1, jacobis=(tuple(range(n + 1)), tuple(range(n + 1, 2 * n + 2))))
 
 
 class Humbert1(RelationVariety):
@@ -603,6 +707,10 @@ class Humbert1(RelationVariety):
             links=[4],
         )
         self.lam1, self.lam2 = lam1, lam2
+        # chi = (a1, a2, b1, b2, g, psi_c): Phi_1(a1, a2; b1-bar; b2-bar, g-bar; lam1, c lam2)
+        self.theorem = HornTheorem(
+            [(0, (1, 1), True), (1, (1, 0), True), (2, (1, 1), False), (3, (1, 0), False),
+             (4, (0, 1), False)], [(lam1, ()), (lam2, (5,))], -1, (4,), ((4, 5),), ((0, 2), (1, 3)))
 
 
 class Humbert3(RelationVariety):
@@ -621,6 +729,10 @@ class Humbert3(RelationVariety):
             links=[2, 3],
         )
         self.lam1, self.lam2 = lam1, lam2
+        # chi = (a, b, g1, g2, psi_c1, psi_c2): Phi_3(a; g1-bar; b-bar, g2-bar; c1 lam1, c1 c2 lam2)
+        self.theorem = HornTheorem(
+            [(0, (1, 0), True), (2, (1, 1), False), (1, (1, 0), False), (3, (0, 1), False)],
+            [(lam1, (4,)), (lam2, (4, 5))], -1, (2, 3), ((2, 4), (3, 5)), ((0, 1),))
 
 
 class GeneralXDz(Variety):
@@ -694,6 +806,10 @@ class GeneralXDz(Variety):
             else:
                 yield tchoices + uchoices + [(v,) for v in s]
 
+    def theorem(self, chi: GroupChar, psi: AddChar) -> Cyclo:
+        """Phi_Delta(chi; z)."""
+        return phi_delta(groupchar_to_hdelta(self.delta, chi, psi), self.z)
+
     def point_ok(self, ext, pt):
         f = ext.field
         l = self.delta.l
@@ -714,171 +830,27 @@ class GeneralXDz(Variety):
 # -- closed forms -----------------------------------------------------------
 
 
-def _psi_coefficient(field: Field, part: AddChar, psi: AddChar) -> int:
-    """c with part = psi_c relative to the reference psi."""
-    return field.div(part.a, psi.a)
-
-
 def n_chi_closed_form(v: Variety, chi: GroupChar, psi: AddChar | None = None) -> Cyclo:
-    """The closed-form right-hand side of the family's count theorem.
+    """The right-hand side of the count theorem v.theorem declares, at chi
+    with the reference additive character psi (psi_1 by default).
 
-    For the six Horn-type families (MXnLambda, LauricellaD/A/C, Humbert1/3)
-    the theorem's constant, a sign times Jacobi sums, Gauss sums and
-    character values, is an hgf.Const handed to the series evaluator, so it
-    joins the packed sum before its one canonicalization; every Jacobi sum
-    there has a nontrivial product of its characters by the hypotheses.
-    Raises ValueError("theorem hypothesis not met") outside the theorem's
-    non-degeneracy hypotheses."""
-    from .chars import standard_psi
-
-    f = v.field
-    psi = psi or standard_psi(f)
-
-    def hyp(cond):
-        if not cond:
-            raise ValueError("theorem hypothesis not met")
-
-    if isinstance(v, FermatStar):
-        alphas = list(chi.parts)
-        if v.n == 1:
-            return Cyclo.integer(1)
-        sign = (-1) ** (v.n - 1)
-        return jacobi(*alphas).scale(sign)
-
-    if isinstance(v, ASStar):
-        alpha, add = chi.parts
-        if add.is_trivial():
-            return Cyclo.integer(f.N if alpha.is_trivial() else 0)
-        c = _psi_coefficient(f, add, psi)
-        return -gauss(alpha, psi.twist(c))
-
-    if isinstance(v, MXnLambda):
-        m, l = v.m, v.l
-        alphas = list(chi.parts[:m])
-        betas = list(chi.parts[m : 2 * m])
-        gammas = list(chi.parts[2 * m : 2 * m + l])
-        cs = [_psi_coefficient(f, p, psi) for p in chi.parts[2 * m + l :]]
-        hyp(all(c != 0 for c in cs))
-        hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
-        k = Const((-1) ** (v.n + 1))
-        for g, c in zip(gammas, cs):
-            k = k.gauss_sum(g).char_value(g.inverse(), c)
-        for a, b in zip(alphas, betas):
-            k = k.jacobi(a, b)
-        cprod = 1
-        for c in cs:
-            cprod = f.mul(cprod, c)
-        params = HgfParams(
-            tuple(alphas),
-            tuple(b.inverse() for b in betas) + tuple(g.inverse() for g in gammas),
-            psi,
-        )
-        return hgf_eval(params, f.mul(cprod, v.lam), k)
-
-    if isinstance(v, LauricellaD):
-        n = v.n
-        alphas = list(chi.parts[: n + 1])
-        betas = list(chi.parts[n + 1 :])
-        hyp(all(not (a * b).is_trivial() for a, b in zip(alphas, betas)))
-        k = Const(-1)
-        for a, b in zip(alphas, betas):
-            k = k.jacobi(a, b)
-        return lauricella(
-            "D",
-            [alphas[0]],
-            alphas[1:],
-            [betas[0].inverse()],
-            [b.inverse() for b in betas[1:]],
-            v.lams,
-            psi,
-            k,
-        )
-
-    if isinstance(v, LauricellaA):
-        n = v.n
-        alphas = list(chi.parts[: n + 1])
-        betas = list(chi.parts[n + 1 : 2 * n + 1])
-        gammas = list(chi.parts[2 * n + 1 :])
-        prod = alphas[0]
-        for a in alphas[1:]:
-            prod = prod * a
-        hyp(not prod.is_trivial())
-        hyp(all(not (b * g).is_trivial() for b, g in zip(betas, gammas)))
-        k = Const((-1) ** n).jacobi(*alphas)
-        for b, g in zip(betas, gammas):
-            k = k.jacobi(b, g)
-        return lauricella(
-            "A",
-            [alphas[0]],
-            betas,
-            [a.inverse() for a in alphas[1:]],
-            [g.inverse() for g in gammas],
-            v.lams,
-            psi,
-            k,
-        )
-
-    if isinstance(v, LauricellaC):
-        n = v.n
-        alphas = list(chi.parts[: n + 1])
-        betas = list(chi.parts[n + 1 :])
-        prod_a = alphas[0]
-        for a in alphas[1:]:
-            prod_a = prod_a * a
-        prod_b = betas[0]
-        for b in betas[1:]:
-            prod_b = prod_b * b
-        hyp(not prod_a.is_trivial() and not prod_b.is_trivial())
-        return lauricella(
-            "C",
-            [alphas[0]],
-            [betas[0]],
-            [a.inverse() for a in alphas[1:]],
-            [b.inverse() for b in betas[1:]],
-            v.lams,
-            psi,
-            Const((-1) ** n).jacobi(*alphas).jacobi(*betas),
-        )
-
-    if isinstance(v, Humbert1):
-        a1, a2, b1, b2, g = chi.parts[:5]
-        c = _psi_coefficient(f, chi.parts[5], psi)
-        hyp(c != 0)
-        hyp(not (a1 * b1).is_trivial() and not (a2 * b2).is_trivial())
-        return humbert(
-            1,
-            [a1, a2],
-            b1.inverse(),
-            [b2.inverse(), g.inverse()],
-            v.lam1,
-            f.mul(c, v.lam2),
-            psi,
-            Const(-1).gauss_sum(g).char_value(g.inverse(), c).jacobi(a1, b1).jacobi(a2, b2),
-        )
-
-    if isinstance(v, Humbert3):
-        a, b, g1, g2 = chi.parts[:4]
-        c1 = _psi_coefficient(f, chi.parts[4], psi)
-        c2 = _psi_coefficient(f, chi.parts[5], psi)
-        hyp(c1 != 0 and c2 != 0)
-        hyp(not (a * b).is_trivial())
-        return humbert(
-            3,
-            [a],
-            g1.inverse(),
-            [b.inverse(), g2.inverse()],
-            f.mul(c1, v.lam1),
-            f.mul(c1, f.mul(c2, v.lam2)),
-            psi,
-            Const(-1).gauss_sum(g1).char_value(g1.inverse(), c1).gauss_sum(g2)
-            .char_value(g2.inverse(), c2).jacobi(a, b),
-        )
-
-    if isinstance(v, GeneralXDz):
-        chi_h = groupchar_to_hdelta(v.delta, chi, psi)
-        return phi_delta(chi_h, v.z)
-
-    raise ValueError(f"no closed form registered for {type(v).__name__}")
+    Raises ValueError with
+      - "no closed form registered for <family>" when v declares none;
+      - the messages of Variety.check_char, as n_chi does, when chi is not a
+        character of v's group over v's field: "character arity mismatch",
+        "expected a multiplicative character slot", "expected an additive
+        character slot" or "character over another field";
+      - "psi must be a nontrivial additive character over the variety's
+        field";
+      - "theorem hypothesis not met" outside the theorem's hypotheses."""
+    if v.theorem is None:
+        raise ValueError(f"no closed form registered for {type(v).__name__}")
+    v.check_char(chi)
+    if psi is None:
+        psi = standard_psi(v.field)
+    elif psi.field != v.field or psi.is_trivial():
+        raise ValueError("psi must be a nontrivial additive character over the variety's field")
+    return v.theorem(chi, psi)
 
 
 # -- isomorphisms -----------------------------------------------------------

@@ -438,6 +438,27 @@ def test_humbert_rejects_wrong_counts(kind, n_upper, n_delta):
         humbert(kind, chars[1:1 + n_upper], chars[1], chars[1:1 + n_delta], 2, 3, psi)
 
 
+@pytest.mark.parametrize("family", ["mfn", "lauricella", "humbert"])
+@pytest.mark.parametrize("stray", ["character", "psi"])
+def test_evaluators_reject_a_second_field(family, stray):
+    """A character over F_7 among characters over F_5, or psi over F_7: the
+    series evaluator reads characters as indices, so each caller checks."""
+    f, chars, psi = _chars(5)
+    _, chars7, psi7 = _chars(7)
+    a, b, c = chars[1], chars[2], chars[3]
+    if stray == "character":
+        c = chars7[3]
+    else:
+        psi = psi7
+    with pytest.raises(ValueError, match="one field|different fields"):
+        if family == "mfn":
+            mfn([a, b], [c], 2, psi)
+        elif family == "lauricella":
+            lauricella("D", [a], [b, c], [a], [b, c], (2, 3), psi)
+        else:
+            humbert(1, [a, b], c, [a, b], 2, 3, psi)
+
+
 # -- the packed evaluator against the oracle, conductor included --------------
 
 
@@ -532,7 +553,7 @@ def test_horn_constant_matches_canonical_product(data):
                       tuple(data.draw(st.lists(st.integers(0, N - 1), max_size=3))),
                       data.draw(st.integers(-2, 2)), data.draw(st.integers(-2 * N, 2 * N)),
                       data.draw(st.integers(1, 3)))
-    got = hgf._horn(terms, xs, psi, const=const)
+    got = hgf._horn([(a.j, c, upper) for a, c, upper in terms], xs, psi, const=const)
     if 0 in xs:  # no term survives
         assert got.to_json() == Cyclo.zero().to_json()
         return

@@ -204,6 +204,42 @@ def test_closed_form_hypothesis_error():
         n_chi_closed_form(v, GroupChar((eps, eps)))  # alpha*beta trivial
 
 
+def _malformed_chars():
+    """(variety, character) pairs that are not characters of the variety's
+    group over its field."""
+    f5, f4, f7 = build_field_q(5), build_field_q(4), build_field_q(7)
+    mxn, h1 = MXnLambda(f5, 2, 2, 3), Humbert1(f4, 2, 3)
+    chi = [MulChar(f5, 1), MulChar(f5, 2), MulChar(f5, 3), MulChar(f5, 1)]
+    h1_chi = [MulChar(f4, j) for j in (1, 2, 1, 2, 1)] + [AddChar(f4, 1)]
+    return [
+        (mxn, GroupChar(tuple(chi[:3])), "character arity mismatch"),
+        (mxn, GroupChar(tuple(chi + [MulChar(f5, 1)])), "character arity mismatch"),
+        (mxn, GroupChar(tuple(chi[:3] + [AddChar(f5, 1)])), "expected a multiplicative"),
+        (h1, GroupChar(tuple(h1_chi[:5] + [MulChar(f4, 1)])), "expected an additive"),
+        (mxn, GroupChar(tuple(chi[:3] + [MulChar(f7, 1)])), "character over another field"),
+        (h1, GroupChar(tuple(h1_chi[:5] + [AddChar(build_field_q(8), 1)])),
+         "character over another field"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_malformed_chars())))
+def test_closed_form_rejects_malformed_characters_as_n_chi_does(case):
+    v, chi, message = _malformed_chars()[case]
+    for count in (v.n_chi, lambda chi: n_chi_closed_form(v, chi)):
+        with pytest.raises(ValueError, match=message):
+            count(chi)
+
+
+def test_closed_form_rejects_psi_over_another_field():
+    f = build_field_q(5)
+    v = MXnLambda(f, 1, 1, 2)
+    chi = GroupChar((MulChar(f, 1), MulChar(f, 1)))
+    assert n_chi_closed_form(v, chi) == v.n_chi(chi)
+    for psi in (standard_psi(build_field_q(7)), AddChar(f, 0)):
+        with pytest.raises(ValueError, match="psi must be a nontrivial"):
+            n_chi_closed_form(v, chi, psi)
+
+
 def test_general_closed_form_is_phi():
     f = build_field(3)
     psi = standard_psi(f)
@@ -335,6 +371,36 @@ def test_closed_forms_match_canonical_products(q, alternate):
     for v in _horn_families(f):
         met, chars = 0, list(enumerate_groupchars(v))
         if q > 5 and len(chars) > _CF_ALL:
+            chars = rng.sample(chars, _CF_SAMPLE)
+        for chi in chars:
+            got = _closed_form_json(n_chi_closed_form, v, chi, psi)
+            assert got == _closed_form_json(_closed_form_by_products, v, chi, psi), (v, chi)
+            met += got is not None
+        assert met > 0, v
+
+
+def _n2_horn_families(f):
+    """The n = 2 members of the Horn-type families that the benchmark runs."""
+    lam, mu = f.generator, f.inv(f.generator)
+    return [LauricellaD(f, 2, (lam, mu)), LauricellaA(f, 2, (mu, lam)),
+            LauricellaC(f, 2, (lam, mu)), MXnLambda(f, 2, 3, lam)]
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_n2_closed_forms_match_canonical_products(q, alternate):
+    """As above for the n = 2 members: every character at q = 3 and 4, a
+    seeded sample of _CF_SAMPLE at q = 5."""
+    rng = random.Random(q)
+    f = build_field_q(q)
+    psi = standard_psi(f)
+    if alternate:  # as above
+        gens = f.generators()
+        f = f.with_generator(gens[1]) if len(gens) > 1 else f
+        psi = AddChar(f, next(u for u in sorted(f.dlog) if u != 1))
+    for v in _n2_horn_families(f):
+        met, chars = 0, list(enumerate_groupchars(v))
+        if q == 5:
             chars = rng.sample(chars, _CF_SAMPLE)
         for chi in chars:
             got = _closed_form_json(n_chi_closed_form, v, chi, psi)

@@ -22,7 +22,8 @@ Each slot reads its exponents from a table of q entries, cached per
 of _TABLES_KEPT (512) tables each, so a call does no O(q) set-up once its
 tables are built and each cache holds at most 512 q entries.  char_sum and
 genhgf.phi_delta share the kernel _sum_tables, one pass over the points
-with one lookup per slot.
+with one lookup per slot; its histogram, before the one canonicalization,
+is _histogram, which varieties.transport_check reads.
 """
 
 from __future__ import annotations
@@ -136,12 +137,17 @@ def char_sum(parts, points) -> Cyclo:
 def _sum_tables(tables, points, M: int) -> Cyclo:
     """sum over (g, c) in points of c * zeta_M^(sum_i tables[i][g[i]]), the
     points whose exponent is negative (a slot reading chi(0) = 0) left out."""
+    return Cyclo(M, _histogram(tables, points, M))
+
+
+def _histogram(tables, points, M: int) -> list[int]:
+    """The terms of _sum_tables counted by exponent of zeta_M, unreduced."""
     counts = [0] * M
     for g, c in points:
         e = sum(map(list.__getitem__, tables, g))
         if e >= 0:
             counts[e % M] += c
-    return Cyclo(M, counts)
+    return counts
 
 
 # Exponent tables kept per cache: a slot's table depends on its field, its

@@ -419,7 +419,8 @@ def _parse_sigma(text, arity):
 @click.option("--c2", type=int, default=1, help="second unit part (phi3)")
 @click.option("--check/--no-check", default=True,
               help="run the point-level verification when the extension fits")
-@click.option("--sample", type=int, default=24, help="transported characters to spot-check")
+@click.option("--sample", type=click.IntRange(min=1), default=24,
+              help="transported characters to spot-check")
 @click.option("--seed", type=int, default=0)
 def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
             check, sample, seed):

@@ -241,6 +241,31 @@ class Cyclo:
                     return False
         return True
 
+    def descend(self, n: int) -> "Cyclo":
+        """The value over conductor n, for n dividing m with n and k = m / n
+        coprime.  Over Q(zeta_n), 1, y, .., y^(phi(k) - 1) with y = zeta_k is
+        a basis of Q(zeta_m), and zeta_m^i = zeta_n^(i k^-1) y^(i n^-1); the
+        value's coordinates there are read off after reducing mod Phi_k(y).
+        Raises ValueError unless it lies in Q(zeta_n)."""
+        m = self.m
+        k = m // n
+        if m % n or gcd(n, k) != 1:
+            raise ValueError("n must divide the conductor with a coprime cofactor")
+        k_inv, n_inv = pow(k, -1, n), pow(n, -1, k)
+        coef = [[0] * n for _ in range(k)]  # coef[b]: the coefficient of y^b
+        for i, c in enumerate(self.num):
+            if c:
+                coef[i * n_inv % k][i * k_inv % n] += c
+        phi = cyclotomic_poly(k)
+        d = len(phi) - 1
+        for b in range(k - 1, d - 1, -1):  # y^b = -sum_j phi_j y^(b - d + j)
+            for j, pj in enumerate(phi[:d]):
+                if pj:
+                    coef[b - d + j] = [x - pj * y for x, y in zip(coef[b - d + j], coef[b])]
+        if any(not Cyclo(n, c).is_zero() for c in coef[1:d]):
+            raise ValueError("value is not in the subfield")
+        return Cyclo(n, coef[0], self.den)
+
     # -- output ------------------------------------------------------------
 
     def as_rational(self) -> Fraction:

@@ -30,7 +30,8 @@ The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
 characters realizes the transformation formulas.  mu_matrix and
 mu_matrix_prime are memoized per (field, c, m) in lru_caches of _MU_KEPT
-(1024) entries and return tuples of tuples.  The closed-form reductions
+(1024) entries and return tuples of tuples, and JmChar.act_mu per
+(character, c) in one more.  The closed-form reductions
 express Phi for six small (d, n, partition) shapes through the one- and
 two-variable hypergeometric sums.
 """
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .chars import (AddChar, MulChar, _add_table, _mul_table, _sum_tables, standard_psi,
                     trivial_char)
@@ -178,11 +179,19 @@ def series_mul(field: Field, x, y) -> tuple:
 
 @dataclass(frozen=True)
 class JmChar:
-    """(alpha, a_1, ..., a_(m-1)) acting through the log coordinates."""
+    """(alpha, a_1, ..., a_(m-1)) acting through the log coordinates.  Its
+    hash is the dataclass hash of its fields, computed once."""
 
     alpha: MulChar
     a: tuple[int, ...]
     psi: AddChar
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alpha, self.a, self.psi))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -204,13 +213,9 @@ class JmChar:
         return v
 
     def act_mu(self, c) -> "JmChar":
-        """The contragredient substitution action: a -> mu(c)' a."""
-        f = self.field
-        mprime = mu_matrix_prime(f, tuple(c), self.m)
-        new_a = tuple(
-            _dot(f, row, self.a) for row in mprime
-        )
-        return JmChar(self.alpha, new_a, self.psi)
+        """The contragredient substitution action: a -> mu(c)' a, memoized
+        per (character, c) in an lru_cache of _MU_KEPT (1024) entries."""
+        return _act_mu(self, tuple(c))
 
 
 def _dot(field: Field, row, vec) -> int:
@@ -222,8 +227,27 @@ def _dot(field: Field, row, vec) -> int:
 
 @dataclass(frozen=True)
 class HDeltaChar:
+    """A character of the block group of delta, one JmChar per block.  Its
+    hash is the dataclass hash of its fields, computed once."""
+
     delta: Partition
     blocks: tuple[JmChar, ...]
+
+    @classmethod
+    def _of_valid(cls, delta: Partition, blocks: tuple) -> "HDeltaChar":
+        """The character with these blocks, known to fit delta and one field,
+        built without __post_init__'s checks."""
+        chi = object.__new__(cls)
+        object.__setattr__(chi, "delta", delta)
+        object.__setattr__(chi, "blocks", blocks)
+        return chi
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.delta, self.blocks))
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         if len(self.blocks) != self.delta.l:
@@ -392,6 +416,13 @@ def mu_matrix_prime(field: Field, c: tuple[int, ...], m: int) -> tuple[tuple[int
     return tuple(row[1:] for row in mu_matrix(field, c, m)[1:])
 
 
+@lru_cache(maxsize=_MU_KEPT)
+def _act_mu(chi: JmChar, c: tuple[int, ...]) -> JmChar:
+    f = chi.field
+    new_a = tuple(_dot(f, row, chi.a) for row in mu_matrix_prime(f, c, chi.m))
+    return JmChar(chi.alpha, new_a, chi.psi)
+
+
 @dataclass(frozen=True)
 class WDeltaElem:
     """Per equal-size group: a permutation of the blocks and one substitution
@@ -458,7 +489,8 @@ def h_to_matrix(field: Field, delta: Partition, h_blocks):
 
 def w_action_on_char(chi: HDeltaChar, w: WDeltaElem) -> HDeltaChar:
     """chi composed with transpose(w): permute equal-size blocks and apply the
-    substitution action on each."""
+    substitution action on each.  The image keeps chi's block sizes and
+    field, so it is built without re-checking them."""
     groups = chi.delta.grouped()
     new_blocks = []
     idx = 0
@@ -473,7 +505,7 @@ def w_action_on_char(chi: HDeltaChar, w: WDeltaElem) -> HDeltaChar:
         for j in range(mult):
             src = blocks[inv[j]]
             new_blocks.append(src.act_mu(cvecs[j]) if size > 1 else src)
-    return HDeltaChar(chi.delta, tuple(new_blocks))
+    return HDeltaChar._of_valid(chi.delta, tuple(new_blocks))
 
 
 def mat_mul(field: Field, A, B):

@@ -103,7 +103,7 @@ from typing import NamedTuple
 from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from .cyclo import Cyclo, _pack, _spread, _unpack
 from .ffield import Field
-from .sums import gauss, gauss_histogram, jacobi, pochhammer
+from .sums import gauss_histogram, pochhammer
 
 
 def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
@@ -535,8 +535,9 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
         raise ValueError(f"unknown kind {kind!r}")
     const = ONE.jacobi(psi.field, *(e.j for e in etas)) if etas else Const(gauss=(-alpha.j,))
     value = _horn(_members(terms, psi), lams, psi, fhat, const.times(sign, den=field.N**n))
-    if value.m == 1:  # no term survives: zero over the conductor jacobi or gauss gives
-        return Cyclo.zero((jacobi(*etas) if etas else gauss(alpha.inverse(), psi)).m)
+    if value.m == 1:  # no term survives: zero over the conductor of j(etas) or g(alpha-bar)
+        N = max(field.N, 1)
+        return Cyclo.zero(N if etas else field.p * N)
     return value
 
 

@@ -9,7 +9,8 @@ Key identities used internally:
 
 Jacobi sums of up to three characters are computed by direct enumeration
 (and the product formula is cross-checked in tests); longer tuples use the
-product formula to avoid a q^(n-1) blowup.  Gauss sums are memoized per
+product formula to avoid a q^(n-1) blowup.  Both give the value over
+conductor N = q - 1.  Gauss sums are memoized per
 (field, psi, character).
 
 Both enumerations sum exponent histograms: every term is a root of unity,
@@ -99,17 +100,21 @@ def jacobi_direct(*etas: MulChar) -> Cyclo:
 
 
 def jacobi_product_formula(*etas: MulChar, psi: AddChar | None = None) -> Cyclo:
+    """j(eta_1..eta_n) from Gauss sums, over conductor N = q - 1 as
+    jacobi_direct gives it: the product lives over p N and is descended
+    exactly (Cyclo.descend)."""
     n = len(etas)
     f = etas[0].field
+    N = max(f.N, 1)
     if all(e.is_trivial() for e in etas):
-        return Cyclo.rational(1 - (1 - f.q) ** n, f.q)
+        return Cyclo.rational(1 - (1 - f.q) ** n, f.q, N)
     psi = psi or standard_psi(f)
     prod_char = etas[0]
     value = gauss(etas[0], psi)
     for e in etas[1:]:
         value = value * gauss(e, psi)
         prod_char = prod_char * e
-    return value * gauss_circ_inverse(prod_char, psi)
+    return (value * gauss_circ_inverse(prod_char, psi)).descend(N)
 
 
 @lru_cache(maxsize=None)

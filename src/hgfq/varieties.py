@@ -73,9 +73,17 @@ characters so that
 
     chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi),
 
-which transport_check checks.  A reducible decomposition is one map from a
-smaller variety whose images, times each tuple of N-th roots of one,
-partition the big variety's points; its transport gives the count identity.
+which transport_check checks on integers: chi's indices j go to j . Q^T
+mod N and its additive coefficients a to add_mat . a, chi(d) is one
+exponent e of zeta_M, and the identity holds when the source's histogram
+(char_sum's counts by exponent, before reduction) rotated by e minus the
+target's is zero in Q(zeta_M).  The histograms are kept per variety and
+indices, and a SymmetryContext shares one variety per parameter values
+with the targets it builds, so their checks share supports and
+histograms.  transform and factor read the same integers.  A reducible
+decomposition is one map from a smaller variety whose images, times each
+tuple of N-th roots of one, partition the big variety's points; its
+transport gives the count identity.
 """
 
 from __future__ import annotations
@@ -87,8 +95,8 @@ from functools import lru_cache, reduce
 from math import prod
 from typing import NamedTuple
 
-from .chars import AddChar, MulChar, char_sum, standard_psi
-from .cyclo import Cyclo
+from .chars import AddChar, MulChar, _add_table, _histogram, _mul_table, char_sum, standard_psi
+from .cyclo import Cyclo, zeta
 from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
                      extend)
 from .genhgf import (
@@ -103,9 +111,9 @@ from .genhgf import (
     w_to_matrix,
 )
 from .hgf import Const, _horn, _unit_vectors
-from .monomial import (_gauge_last_matrix, char_star, compose_perms, fmat_inv, imat_add,
-                       imat_identity, imat_inverse, imat_mul, imat_transpose, imat_zero,
-                       invert_perm, monomial_map, perm_matrix)
+from .monomial import (_gauge_last_matrix, compose_perms, fmat_inv, imat_add, imat_identity,
+                       imat_inverse, imat_mul, imat_zero, invert_perm, monomial_map,
+                       perm_matrix)
 from .sums import gauss, jacobi
 
 
@@ -134,12 +142,6 @@ class GroupChar:
     @property
     def field(self) -> Field:
         return self.parts[0].field
-
-    def mul_parts(self):
-        return [p for p in self.parts if isinstance(p, MulChar)]
-
-    def add_parts(self):
-        return [p for p in self.parts if isinstance(p, AddChar)]
 
 
 def enumerate_groupchars(v: "Variety"):
@@ -900,7 +902,8 @@ class MonomialMap:
 
     with factor(chi) = chi(d_elem); transform sends the multiplicative parts
     through Q^T and the additive coefficients through add_mat (row = source
-    slot): a'_i = sum_j add_mat[i][j] a_j.  verify_iso checks the map over the
+    slot): a'_i = sum_j add_mat[i][j] a_j.  Both read chi as integers, through
+    indices, as transport_check does.  verify_iso checks the map over the
     extension of degree ext_r, which is None when it exceeds the cap."""
 
     source: Variety
@@ -916,19 +919,43 @@ class MonomialMap:
         # the source's unit and Artin-Schreier slot counts
         self._slots = (self.source.shape.count("u"), self.source.shape.count("a"))
 
+    def indices(self, chi: GroupChar):
+        """chi, a character of the target's group, as integers: (its indices,
+        those of transform(chi), e, M) with chi(d_elem) = zeta_M^e (e None
+        when it is 0) and M the conductor of both groups' characters.  An
+        index is j per unit slot and the coefficient a per additive slot.
+        Raises the ValueError of target.n_chi on a malformed chi."""
+        tgt = self.target
+        tgt.check_char(chi)
+        f, n = tgt.field, tgt.shape.count("u")
+        N, p = max(f.N, 1), f.p
+        shapes = self.source.shape + tgt.shape
+        M = (N if "u" in shapes else 1) * (p if "a" in shapes else 1)
+        js = [part.j for part in chi.parts[:n]]
+        adds = [part.a for part in chi.parts[n:]]
+        d, e = self.d_elem, None
+        if 0 not in d[:n]:
+            e = (sum([j * f.dlog[x] for j, x in zip(js, d)]) * (M // N) + sum(
+                [f.trace_to_prime(f.mul(a, x)) for a, x in zip(adds, d[n:])]) * (M // p)) % M
+        key = (*js, *adds)
+        if self.Q is not None:
+            js = [sum([r * j for r, j in zip(row, js)]) % N for row in self.Q]
+        if self.add_mat is not None:
+            adds = [_dot(f, row, adds) for row in self.add_mat]
+        return key, (*js, *adds), e, M
+
     def factor(self, chi: GroupChar) -> Cyclo:
-        return chi.eval(self.d_elem)
+        """chi(d_elem)."""
+        _, _, e, M = self.indices(chi)
+        return Cyclo.zero(M) if e is None else zeta(M, e)
 
     def transform(self, chi: GroupChar) -> GroupChar:
-        mults = tuple(chi.mul_parts())
-        adds = chi.add_parts()
-        if self.Q is not None:
-            mults = char_star(mults, imat_transpose(self.Q))
-        if self.add_mat is not None:
-            f = chi.field
-            coeffs = [a.a for a in adds]
-            adds = [AddChar(f, _dot(f, row, coeffs)) for row in self.add_mat]
-        return GroupChar(mults + tuple(adds))
+        """chi moved to the source: the unit indices through Q^T, the additive
+        coefficients through add_mat."""
+        f = chi.field
+        _, key, _, _ = self.indices(chi)
+        return GroupChar(tuple(MulChar(f, k) if kind == "u" else AddChar(f, k)
+                               for kind, k in zip(self.source.shape, key)))
 
     def offsets(self, ext):
         """The map's data in ext, once per ext: the discrete logs of
@@ -974,10 +1001,47 @@ class MonomialMap:
         return (*[(L + c) % M for L, c in zip(mult, scalars)], *map(f.add, add, shifts), *s)
 
 
+# Histograms kept for transport_check: a variety's support counted by the
+# exponent of zeta_M at one character, M ints each.  A check reads two, and
+# the checks of one family walk each variety's character group, so the bound
+# covers some thousands of characters over a handful of varieties.
+_HISTOGRAMS_KEPT = 4096
+
+
+@lru_cache(maxsize=_HISTOGRAMS_KEPT)
+def _char_histogram(v: Variety, key: tuple, M: int) -> list[int]:
+    """n_chi(v; chi) counted by exponent of zeta_M, unreduced, for chi read
+    as key (MonomialMap.indices); shared between calls, only ever read.
+    Raises n_chi's ValueError when key does not fit v's group."""
+    if len(key) != len(v.shape):
+        raise ValueError("character arity mismatch")
+    f = v.field
+    return _histogram([_mul_table(f, k, M) if kind == "u" else _add_table(f, k, M)
+                       for kind, k in zip(v.shape, key)], v.support(), M)
+
+
 def transport_check(transport: MonomialMap, chi: GroupChar) -> bool:
-    lhs = transport.factor(chi) * transport.source.n_chi(transport.transform(chi))
-    rhs = transport.target.n_chi(chi)
-    return lhs == rhs
+    """Whether chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi).
+
+    chi is read once as integers (MonomialMap.indices), so chi(d) is
+    zeta_M^e, and the identity holds when the source histogram rotated by e
+    minus the target histogram is zero in Q(zeta_M): one canonicalization,
+    none when they agree entry by entry.  The histograms come from one
+    lru_cache of _HISTOGRAMS_KEPT (4096) entries keyed on the variety, the
+    indices and M; nothing derived from Q, d_elem or add_mat is kept, so a
+    transport changed in place is read afresh.  Raises the ValueError of
+    target.n_chi on a malformed chi."""
+    key, src_key, e, M = transport.indices(chi)
+    rhs = _char_histogram(transport.target, key, M)
+    if e is None:
+        diff = [-c for c in rhs]
+    else:
+        lhs = _char_histogram(transport.source, src_key, M)
+        lhs = lhs[M - e:] + lhs[:M - e]
+        if lhs == rhs:
+            return True
+        diff = list(map(int.__sub__, lhs, rhs))
+    return not any(diff) or Cyclo(M, diff).is_zero()
 
 
 @dataclass
@@ -1059,6 +1123,7 @@ class SymmetryContext:
         self.field = field
         self.x = [list(row) for row in x]
         self.m = len(self.x[0]) - 1
+        self._varieties = {}  # parameter values -> variety, shared with built targets
         self.d_x = self._parse()
         rows, width = len(self.x), len(self.x[0]) + len(self.x)
         self._pivots = self.pivots or tuple(range(width - rows, width))
@@ -1074,7 +1139,15 @@ class SymmetryContext:
         return {k: getattr(self, k) for k in self.params}
 
     def variety(self) -> Variety:
-        return self.variety_of(self.field, **self.param_values())
+        """The variety of these parameters: one object per parameter values
+        among this context and the targets its builds derive, so that their
+        maps share supports and transport_check histograms."""
+        params = self.param_values()
+        key = tuple(params.values())
+        v = self._varieties.get(key)
+        if v is None:
+            v = self._varieties[key] = self.variety_of(self.field, **params)
+        return v
 
     def ext_degree(self) -> int:
         # Artin-Schreier coordinates need the extension of degree p N; even
@@ -1162,6 +1235,7 @@ class SymmetryContext:
         fb = self.field
         sigma, cs = self._split(sym)
         tgt = type(self)(fb, x=self.transformed(sym))
+        tgt._varieties = self._varieties
         Q = self.q_matrix(sigma)
         d_u = tuple(fb.div(a, b) for a, b in zip(tgt.d_x, monomial_map(fb, self.d_x, Q)))
         add_mat = None

@@ -205,6 +205,20 @@ def test_iso_rejects_non_unit_part(runner):
         assert "not a unit" in json.loads(result.output)["error"]
 
 
+def test_iso_rejects_sample_below_one(runner):
+    # a sample of no character would report a transport pass that checked nothing
+    for sample in ("0", "-3"):
+        result = runner.invoke(main, [
+            "iso", "--family", "gauss", "--q", "4", "--lam", "2", "--sigma", "1 3",
+            "--sample", sample])
+        assert result.exit_code == 2, result.output
+        assert "--sample" in result.output and "Traceback" not in result.output
+    data = _json(runner.invoke(main, [
+        "iso", "--family", "gauss", "--q", "4", "--lam", "2", "--sigma", "1 3",
+        "--sample", "1", "--no-check"]))
+    assert data["transport"] == {"checked": 1, "pass": True}
+
+
 @pytest.mark.parametrize("args", [
     ["gauss", "--q", "6"],
     ["gauss", "--q", "5", "--chi", "1", "--psi", "0"],

@@ -128,6 +128,24 @@ def test_in_subfield():
         zeta(6).in_subfield(4)
 
 
+@pytest.mark.parametrize("n,k", [(1, 2), (4, 3), (6, 5), (8, 3), (3, 4), (10, 9)])
+def test_descend_inverts_lift(n, k):
+    rng = random.Random(n * 100 + k)
+    m = n * k
+    for _ in range(20):
+        low = Cyclo(n, [rng.randrange(-4, 5) for _ in range(n)], rng.randrange(1, 4))
+        down = low.lift(m).descend(n)
+        assert down.m == n and down.to_json() == low.to_json()
+        assert low.lift(m).in_subfield(n)
+    if k > 2:  # zeta_k is not in Q(zeta_n), nor is a value that mixes it in
+        with pytest.raises(ValueError, match="not in the subfield"):
+            (zeta(m, n) + Cyclo.integer(1)).descend(n)
+    else:  # Q(zeta_2n) = Q(zeta_n) for odd n
+        assert zeta(m, 1).descend(n) == zeta(m, 1)
+    with pytest.raises(ValueError, match="coprime"):
+        zeta(12).descend(6)
+
+
 def test_powers_and_division():
     assert zeta(5) ** 5 == Cyclo.integer(1)
     assert zeta(5) ** -1 == zeta(5, 4)

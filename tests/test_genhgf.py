@@ -554,6 +554,41 @@ def test_symmetry_group_action(q, parts):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("q,parts", [(3, (1, 2, 2)), (4, (2, 2)), (5, (1, 1, 2))])
+def test_w_action_image_hashes_like_a_fresh_character(q, parts):
+    # w_action_on_char builds its image without the constructor's checks; the
+    # image must still equal, and hash like, the same character built anew
+    f = build_field_q(q)
+    delta = Partition(parts)
+    chars = list(hdelta_chars(f, delta, standard_psi(f)))
+    index = {chi: k for k, chi in enumerate(chars)}
+    rng = random.Random(q)
+    for _ in range(4):
+        w = _random_w(f, delta, rng)
+        for chi in rng.sample(chars, 12):
+            image = w_action_on_char(chi, w)
+            fresh = HDeltaChar(delta, tuple(JmChar(b.alpha, tuple(b.a), b.psi) for b in image.blocks))
+            assert image == fresh and fresh == image
+            assert hash(image) == hash(fresh) == hash((image.delta, image.blocks))
+            assert all(hash(b) == hash((b.alpha, b.a, b.psi)) for b in image.blocks)
+            assert chars[index[image]] == image
+    # the public constructor still checks the block sizes and count
+    with pytest.raises(ValueError, match="block size mismatch"):
+        HDeltaChar(Partition((1,) * len(parts)), chars[0].blocks)
+    with pytest.raises(ValueError, match="block count mismatch"):
+        HDeltaChar(delta, chars[0].blocks[:-1])
+
+
+def test_act_mu_is_memoized_per_character_and_c():
+    f = build_field_q(5)
+    psi = standard_psi(f)
+    chi = JmChar(MulChar(f, 1), (2, 3), psi)
+    moved = chi.act_mu((2, 1))
+    assert chi.act_mu([2, 1]) is moved
+    assert JmChar(MulChar(f, 1), (2, 3), psi).act_mu((2, 1)) is moved
+    assert chi.act_mu((1, 0)) == chi
+
+
 def test_identity_w_is_identity():
     f = build_field(5)
     delta = Partition((1, 2, 2))

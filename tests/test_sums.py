@@ -106,6 +106,24 @@ def test_jacobi_long_tuple_uses_product_formula():
     assert v == -total
 
 
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("n", [4, 5])
+def test_long_jacobi_product_formula_over_conductor_n(q, n):
+    # four or more characters go through the product formula, which descends
+    # exactly to conductor N, as direct enumeration gives it
+    f = build_field_q(q)
+    N = max(f.N, 1)
+    chars = enumerate_mulchars(f)
+    rng = random.Random(q * 10 + n)
+    tuples = [(chars[0],) * n, (chars[1],) * (n - 1) + (chars[-1],)]
+    tuples += [tuple(rng.choice(chars) for _ in range(n)) for _ in range(6)]
+    for etas in tuples:
+        got = jacobi(*etas)
+        assert got.m == N, etas
+        assert got.to_json() == jacobi_direct(*etas).to_json(), etas
+        assert jacobi_product_formula(*etas).to_json() == got.to_json()
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_jacobi_values_live_downstairs(q):
     f = build_field_q(q)

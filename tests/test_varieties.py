@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,9 +16,10 @@ from hgfq.chars import AddChar, MulChar, standard_psi
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_field_q,
                          canonical_nth_root, extend)
-from hgfq.genhgf import (Partition, WDeltaElem, hdelta_chars, phi_delta, theta_list,
+from hgfq.genhgf import (Partition, WDeltaElem, _dot, hdelta_chars, phi_delta, theta_list,
                          w_action_on_char)
 from hgfq.hgf import HgfParams, hgf_eval, humbert, lauricella
+from hgfq.monomial import char_star, imat_transpose
 from hgfq.sums import gauss, jacobi
 from hgfq.varieties import (
     ASStar,
@@ -37,7 +39,6 @@ from hgfq.varieties import (
     Phi1Context,
     Phi3Context,
     build_iso,
-    char_star,
     compose_perms,
     enumerate_groupchars,
     general_iso_fw,
@@ -48,7 +49,6 @@ from hgfq.varieties import (
     imat_identity,
     imat_inverse,
     imat_mul,
-    imat_transpose,
     invert_perm,
     make_context,
     monomial_map,
@@ -804,6 +804,160 @@ def test_transport_check_detects_wrong_twist():
     assert False in results
 
 
+# -- transport_check against the object path --------------------------------
+
+
+def _transform_literal(transport, chi):
+    """transform through character objects: the multiplicative parts through
+    char_star with Q^T, the additive ones through add_mat with _dot."""
+    mults = tuple(p for p in chi.parts if isinstance(p, MulChar))
+    adds = [p for p in chi.parts if isinstance(p, AddChar)]
+    if transport.Q is not None:
+        mults = char_star(mults, imat_transpose(transport.Q))
+    if transport.add_mat is not None:
+        f = chi.field
+        coeffs = [a.a for a in adds]
+        adds = [AddChar(f, _dot(f, row, coeffs)) for row in transport.add_mat]
+    return GroupChar(mults + tuple(adds))
+
+
+def _transport_check_literal(transport, chi):
+    """chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi), each
+    factor an exact value."""
+    lhs = chi.eval(transport.d_elem) * transport.source.n_chi(_transform_literal(transport, chi))
+    return lhs == transport.target.n_chi(chi)
+
+
+def _assert_matches_literal(transport, chars=None):
+    """transport_check, transform and factor against the object path, one
+    character at a time (all of the target's by default); the verdicts."""
+    verdicts = []
+    for chi in enumerate_groupchars(transport.target) if chars is None else chars:
+        want = _transport_check_literal(transport, chi)
+        assert transport_check(transport, chi) == want, chi
+        assert transport.transform(chi) == _transform_literal(transport, chi), chi
+        assert transport.factor(chi) == chi.eval(transport.d_elem), chi
+        verdicts.append(want)
+    return verdicts
+
+
+def _setup_field(setup, q):
+    """The field with its smallest generator, or with its second one (the
+    same field when there is only one)."""
+    f = build_field_q(q)
+    gens = f.generators()
+    return f.with_generator(gens[1]) if setup == "alternate" and len(gens) > 1 else f
+
+
+def _setup_psi(setup, f):
+    """psi_1, or the psi_a with the least unit a != 1 (psi_1 over F_2)."""
+    return AddChar(f, next((a for a in sorted(f.dlog) if a != 1), 1) if setup == "alternate" else 1)
+
+
+_CONTEXT_PARAMS = {"gauss": dict(lam=2), "kummer": dict(lam=2), "fd": dict(lams=(2,)),
+                   "fa": dict(lams=(2,)), "phi1": dict(lam1=2, lam2=2), "phi3": dict(lam1=2, lam2=2)}
+
+
+@pytest.mark.parametrize("setup", ["standard", "alternate"])
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("family", sorted(_CONTEXT_PARAMS))
+def test_transport_check_matches_literal_every_symmetry(family, q, setup):
+    # every symmetry; every character at q = 3, a seeded sample of 100 per
+    # symmetry at q = 4 (up to 1,296 characters each)
+    ctx = make_context(family, _setup_field(setup, q), **_CONTEXT_PARAMS[family])
+    rng = random.Random(q)
+    for sym in ctx.symmetries():
+        t = ctx.build(sym).transport
+        chars = list(enumerate_groupchars(t.target))
+        if q == 4 and len(chars) > 100:
+            chars = rng.sample(chars, 100)
+        assert all(_assert_matches_literal(t, chars)), sym
+
+
+@pytest.mark.parametrize("setup", ["standard", "alternate"])
+def test_transport_check_matches_literal_general_maps(setup):
+    # the lg, rh and fw maps of the general-family tests below, the fw
+    # characters read through H_Delta with psi
+    f = build_field(3)
+    psi = _setup_psi(setup, f)
+    maps = []
+    for parts, d in [((1, 1), 2), ((1, 2), 1), ((2, 2), 1)]:
+        v = _small_general(f, parts, random.Random(3), d)
+        maps.append(general_iso_lg(v, [[1, 2], [0, 1]] if d == 2 else [[2]]).transport)
+        rng = random.Random(4 + sum(parts))
+        v = _small_general(f, parts, rng, d)
+        h_blocks = tuple((rng.choice([1, 2]),) + tuple(rng.randrange(3) for _ in range(s - 1))
+                         for s in parts)
+        maps.append(general_iso_rh(v, h_blocks).transport)
+    for parts, d in [((1, 1), 2), ((2, 2), 1), ((1, 1, 2), 1)]:
+        rng = random.Random(9 + sum(parts))
+        v = _small_general(f, parts, rng, d)
+        for _ in range(3):
+            maps.append(general_iso_fw(v, _random_w(f, Partition(parts), rng)).transport)
+    for t in maps:
+        chars = [hdelta_to_groupchar(chi) for chi in hdelta_chars(f, t.target.delta, psi)]
+        assert all(_assert_matches_literal(t, chars))
+
+
+@pytest.mark.parametrize("setup,q", [("standard", 3), ("alternate", 4)])
+@pytest.mark.parametrize("case,lams", [("EulerGauss", None), ("FD_reduce", (2, 2)),
+                                       ("F2_reduce", (2,))])
+def test_transport_check_matches_literal_decompositions(case, lams, setup, q):
+    big, small, Q, d, _, _ = varieties._DECOMPOSITIONS[case](_setup_field(setup, q), lams)
+    assert all(_assert_matches_literal(varieties.MonomialMap(small, big, d, Q)))
+
+
+@pytest.mark.parametrize("setup", ["standard", "alternate"])
+def test_transport_check_reads_a_mutated_transport_afresh(setup):
+    # a first check, then one entry of Q, d_elem or add_mat changed in place:
+    # every verdict must be the oracle's, so no index data outlives a change
+    f = _setup_field(setup, 4)
+    t = GaussContext(f, lam=2).build((2, 1, 0, 3)).transport
+    assert all(_assert_matches_literal(t))
+    t.Q = [row[:] for row in t.Q]
+    t.Q[0][0] += 1
+    assert False in _assert_matches_literal(t)
+    t.Q[0][0] -= 1
+    d = t.d_elem
+    t.d_elem = (1,) * len(d)
+    assert False in _assert_matches_literal(t)
+    t.d_elem = (0,) + d[1:]  # chi(d) = 0 for every character
+    assert False in _assert_matches_literal(t)
+    t.d_elem = d
+    assert all(_assert_matches_literal(t))
+    for ctx, sym in [(KummerContext(f, lam=2), ((1, 0), 2)),
+                     (Phi3Context(_setup_field(setup, 3), lam1=2, lam2=2), ((1, 0), (2, 2)))]:
+        t = ctx.build(sym).transport
+        assert all(_assert_matches_literal(t))
+        t.add_mat[0][next(j for j, c in enumerate(t.add_mat[0]) if c)] = 1
+        assert False in _assert_matches_literal(t)
+        t.d_elem = t.d_elem[:-1] + (1,)  # an additive shift
+        _assert_matches_literal(t)
+
+
+def test_transport_check_rejects_malformed_characters_as_n_chi_does():
+    f, f5 = build_field_q(4), build_field_q(5)
+    t = KummerContext(f, lam=2).build(((1, 0), 2)).transport
+    good = next(iter(enumerate_groupchars(t.target)))
+    bad = [GroupChar(good.parts[:-1]),  # wrong arity
+           GroupChar(good.parts[:-1] + (MulChar(f, 1),)),  # a unit slot where an additive one goes
+           GroupChar((AddChar(f, 1),) + good.parts[1:]),  # and the other way round
+           GroupChar((MulChar(f5, 1),) + good.parts[1:])]  # a slot over another field
+    for chi in bad:
+        with pytest.raises(ValueError) as want:
+            t.target.n_chi(chi)
+        for call in (transport_check, type(t).transform, type(t).factor):
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                call(t, chi)
+    # a Q with a row too many sends chi outside the source's group
+    t = GaussContext(f, lam=2).build((2, 1, 0, 3)).transport
+    t.Q = t.Q + [t.Q[0]]
+    chi = next(iter(enumerate_groupchars(t.target)))
+    for check in (_transport_check_literal, transport_check):
+        with pytest.raises(ValueError, match="character arity mismatch"):
+            check(t, chi)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_kummer_q_matrix_and_lam_action(q):
     f = build_field_q(q)
@@ -1401,7 +1555,7 @@ def _oracle_decompositions(case, field, lams=None):
 
     transport = varieties.MonomialMap(small, big, d, Q)
     for chi in enumerate_groupchars(big):
-        if not transport_check(transport, chi):
+        if not _transport_check_literal(transport, chi):
             fail("count identity", chi=[p.j for p in chi.parts])
     totals = {r: count(r) for r in degrees}
     if not any(totals.values()):

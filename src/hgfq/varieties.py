@@ -42,13 +42,16 @@ of its entries, so point_count() multiplies the fibers' sizes and never
 builds a point.
 
 Log coordinates.  A point over ext = F_(q^r) carries each unit coordinate
-as its discrete log L mod q^r - 1 and every other coordinate (t, u, s) as
-its field code; to_codes() reads one back.  point_ok reads X = N L and
+as its discrete log L mod M = q^r - 1 and every other coordinate (t, u, s)
+as its field code; to_codes() reads one back.  point_ok reads X = N L and
 checks the relations on X alone, so their verdict is kept per X, and then
 the Artin-Schreier links t^q - t = X_i; tau_of is -sum e L_i per
-monomial.  GeneralXDz is parametrised by s instead, with its t's as logs.
-Field codes appear only where a report shows a point: failures,
-witnesses and composition ratios.
+monomial (tau_exps).  GeneralXDz is parametrised by s instead, with its t's
+as logs.  A fiber is then L_0 + (M/N) k over k in (Z/N)^n on the unit
+slots times t_0 + F_q per Artin-Schreier slot: point_ok and t^q - t read
+the same on all of it, and tau_of moves with k alone.  Field codes appear
+only where a report shows a point: failures, witnesses and composition
+ratios.
 
 Count theorems.  Each family declares its count theorem as data, its
 theorem attribute, called as theorem(chi, psi).  The six Horn-type
@@ -67,9 +70,14 @@ Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
 in the unit coordinates, x -> (x . Q) * root_N(d_u), that is
 L -> L . Q + log root_N(d_u) mod q^r - 1, and affine in the
 Artin-Schreier coordinates, u -> u . add_mat + r(d_a), with canonical N-th
-roots and Artin-Schreier roots r.  verify_iso checks that it permutes the
-rational points; read through the transposes of its matrices, it sends
-characters so that
+roots and Artin-Schreier roots r, read from the map afresh on each check.
+verify_iso checks that it permutes the rational points, a fiber at a time:
+when k -> k . Q mod N and e -> e . add_mat permute (Z/N)^n and F_q^m, a
+fiber maps onto a whole target fiber, so one point decides whether its
+image lies on the target, distinct target fibers make the map injective,
+and the lattice's tau pairs (monomial.tau_lattice) shifted by one point's
+give the fiber's; a fiber that fails is walked point by point.  Read
+through the transposes of its matrices, the map sends characters so that
 
     chi(d) * n_chi(source; transform(chi)) == n_chi(target; chi),
 
@@ -90,7 +98,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
 from typing import NamedTuple
@@ -111,9 +119,9 @@ from .genhgf import (
     w_to_matrix,
 )
 from .hgf import Const, _horn, _unit_vectors
-from .monomial import (_gauge_last_matrix, compose_perms, fmat_inv, imat_add, imat_identity,
-                       imat_inverse, imat_mul, imat_zero, invert_perm, monomial_map,
-                       perm_matrix)
+from .monomial import (_gauge_last_matrix, compose_perms, fmat_inv, fmat_permutes, imat_add,
+                       imat_identity, imat_inverse, imat_mul, imat_zero, invert_perm,
+                       monomial_map, perm_matrix, permutes_mod, tau_lattice)
 from .sums import gauss, jacobi
 
 
@@ -213,6 +221,7 @@ class Variety:
     are in log coordinates (see the module docstring)."""
 
     theorem = None  # the family's count theorem, theorem(chi, psi) -> n_chi
+    tau_exps = ()  # per monomial relation, its (unit slot, exponent) pairs
 
     def __init__(self, field: Field, shape: str):
         self.field = field
@@ -272,7 +281,9 @@ class Variety:
         return tuple(exp[L] for L in pt[:n]) + tuple(pt[n:])
 
     def tau_of(self, ext: ExtensionField, pt):
-        return ()
+        """prod x_i^-e per monomial relation, as discrete logs in ext."""
+        M = ext.field.N
+        return tuple([-sum([e * pt[i] for i, e in exps]) % M for exps in self.tau_exps])
 
     def naive_count(self, r: int = 1) -> int:
         return self.point_count(extend(self.field, r))
@@ -367,7 +378,8 @@ class RelationVariety(Variety):
         self.links = tuple(links)
         # (j, ((slot, e), ..)) with j the monomial index, None for a sum;
         # monomials first, as a discrete-log test is the cheapest check
-        self._rels = [(j, tuple(exps.items())) for j, (_, exps) in enumerate(self.monomials)]
+        self.tau_exps = tuple(tuple(exps.items()) for _, exps in self.monomials)
+        self._rels = list(enumerate(self.tau_exps))
         self._rels += [(None, tuple((i, 1) for i in s)) for s in self.sums]
         self._plan = self._make_plan(n_units)
         self._coef_logs = {}
@@ -494,16 +506,6 @@ class RelationVariety(Variety):
                 if t not in pre.get(exp[X[i]], ()):
                     return False
         return True
-
-    def tau_of(self, ext: ExtensionField, pt):
-        """prod x_i^-e per monomial, as discrete logs in ext."""
-        M, out = ext.field.N, []
-        for _, exps in self._rels[: len(self.monomials)]:
-            d = 0
-            for i, e in exps:
-                d -= e * pt[i]
-            out.append(d % M)
-        return tuple(out)
 
 
 # -- count theorems ---------------------------------------------------------
@@ -891,12 +893,12 @@ class MonomialMap:
 
     where d_elem = (d_u, d_a) is laid out by the target's shape, root_N is the
     canonical N-th root, r(t) the Artin-Schreier root with r^q - r = t, and a
-    matrix left as None is the identity.  apply takes and returns points in
-    log coordinates, where the unit part is L -> L . Q + log root_N(d_u)
-    mod q^r - 1; offsets(ext) holds the scalars' logs, the shifts and the
-    matrices' columns with the embedded entries of add_mat and s_mat, once
-    per extension.  Read through the transposes, the same data transport
-    characters:
+    matrix left as None is the identity.  point_map(ext) reads Q, d_elem,
+    add_mat and s_mat when it is called, never later, and returns the map on
+    points in log coordinates, where the unit part is L -> L . Q +
+    log root_N(d_u) mod q^r - 1; apply maps one point.  Nothing derived from
+    the map is kept, so a map changed in place is checked as it now is.
+    Read through the transposes, the same data transport characters:
 
         factor(chi) * n_chi(source; transform(chi)) == n_chi(target; chi),
 
@@ -913,11 +915,6 @@ class MonomialMap:
     add_mat: list | None = None
     s_mat: list | None = None
     ext_r: int | None = 1
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # the source's unit and Artin-Schreier slot counts
-        self._slots = (self.source.shape.count("u"), self.source.shape.count("a"))
 
     def indices(self, chi: GroupChar):
         """chi, a character of the target's group, as integers: (its indices,
@@ -957,48 +954,39 @@ class MonomialMap:
         return GroupChar(tuple(MulChar(f, k) if kind == "u" else AddChar(f, k)
                                for kind, k in zip(self.source.shape, key)))
 
-    def offsets(self, ext):
-        """The map's data in ext, once per ext: the discrete logs of
-        root_N(d_u), the shifts r(d_a), and the columns of Q (entries as
-        they are) and of add_mat and s_mat (entries as the discrete logs of
-        their embeddings), each None for an identity.  Raises ValueError when
-        d_u has no canonical N-th root there."""
-        data = self._cache.get(ext)
-        if data is None:
-            f = ext.field
-            n = self.target.shape.count("u")
-            scalars = tuple(f.dlog[canonical_nth_root(ext, d)] for d in self.d_elem[:n])
-            shifts = tuple(artin_schreier_root(ext, d) for d in self.d_elem[n:])
+    def point_map(self, ext):
+        """pt -> its image, both in log coordinates over ext, with the map's
+        data read now: the discrete logs of root_N(d_u), the shifts r(d_a),
+        and the columns of Q (entries as they are) and of add_mat and s_mat
+        (entries as the discrete logs of their embeddings).  Raises
+        ValueError when d_u has no canonical N-th root there."""
+        f = ext.field
+        M, n = f.N, self.target.shape.count("u")
+        scalars = [f.dlog[canonical_nth_root(ext, d)] for d in self.d_elem[:n]]
+        shifts = [artin_schreier_root(ext, d) for d in self.d_elem[n:]]
 
-            def entry_log(c):
-                return f.dlog[ext.embed(c)]
+        def entry_log(c):
+            return f.dlog[ext.embed(c)]
 
-            data = self._cache[ext] = (scalars, shifts, _columns(self.Q, int),
-                                       _columns(self.add_mat, entry_log),
-                                       _columns(self.s_mat, entry_log))
-        return data
+        q_cols, add_cols, s_cols = (_columns(self.Q, int), _columns(self.add_mat, entry_log),
+                                    _columns(self.s_mat, entry_log))
+        n_u, n_a = self.source.shape.count("u"), self.source.shape.count("a")
+
+        def image(pt):
+            mult, add, s = pt[:n_u], pt[n_u : n_u + n_a], pt[n_u + n_a :]
+            if q_cols is not None:
+                mult = [sum([e * mult[i] for i, e in col]) for col in q_cols]
+            if add_cols is not None:
+                add = _linear_map(f, add, add_cols)
+            if s_cols is not None:
+                s = _linear_map(f, s, s_cols)
+            return (*[(L + c) % M for L, c in zip(mult, scalars)], *map(f.add, add, shifts), *s)
+
+        return image
 
     def apply(self, ext: ExtensionField, pt):
-        """The image of pt, both in log coordinates: log x -> (log x) . Q +
-        log root_N(d_u) mod (q^r - 1) on the unit slots."""
-        f = ext.field
-        M = f.N
-        scalars, shifts, q_cols, add_cols, s_cols = self.offsets(ext)
-        n_u, n_a = self._slots
-        mult, add, s = pt[:n_u], pt[n_u : n_u + n_a], pt[n_u + n_a :]
-        if q_cols is not None:
-            logs = []
-            for col in q_cols:
-                acc = 0
-                for i, e in col:
-                    acc += e * mult[i]
-                logs.append(acc)
-            mult = logs
-        if add_cols is not None:
-            add = _linear_map(f, add, add_cols)
-        if s_cols is not None:
-            s = _linear_map(f, s, s_cols)
-        return (*[(L + c) % M for L, c in zip(mult, scalars)], *map(f.add, add, shifts), *s)
+        """The image of pt, both in log coordinates (see point_map)."""
+        return self.point_map(ext)(pt)
 
 
 # Histograms kept for transport_check: a variety's support counted by the
@@ -1658,7 +1646,7 @@ def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
     for size, h in zip(v.delta.parts, h_blocks):
         thetas.extend(theta_list(fb, size - 1, list(h)))
     transport = MonomialMap(v, target, tuple(h[0] for h in h_blocks) + tuple(thetas), ext_r=r)
-    transport.offsets(extend(fb, r))  # raises on a zero h_0 or an extension over the cap
+    transport.point_map(extend(fb, r))  # raises on a zero h_0 or an extension over the cap
     return Isomorphism(v, target, ("Rh", h_blocks), transport)
 
 
@@ -1690,13 +1678,35 @@ def _packed(pt, base: int) -> int:
 
 
 def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
-    """Enumerate source points, push them through the map, and check that the
-    images satisfy the target equations, the map is injective, the counts
-    match, the tau-components correspond, and (optionally) that composition
-    with a second symmetry agrees with the directly built composite.  Points
-    stay in log coordinates; failures and ratios report field codes."""
+    """Check that the point map permutes the rational points over its
+    extension: every source point's image lies on the target, no two
+    source points share an image, the target has as many points, the
+    tau-components correspond, and (with compose_with, a second symmetry)
+    the map composes with the directly built composite on a sample of
+    source points.  checked counts the source points, up to the first
+    failure; failures and composition ratios report field codes.
+
+    The points are checked a fiber at a time (Variety._fibers: one solution
+    of the relations with all its N-th root logs, L_0 + (M/N) k for k in
+    (Z/N)^n, and all its Artin-Schreier preimages, t_0 + e for e in
+    F_q^m), by three exact identities.  N (L . Q + c) = (N L) . Q + N c,
+    and t -> t^q - t is F_q-linear while add_mat lies over F_q, so the
+    target's relations and links read the same on every image of a fiber:
+    one point_ok of its first point decides the fiber.  When k -> k . Q
+    mod N and e -> e . add_mat permute (Z/N)^n and F_q^m (checked once per
+    map), a fiber maps onto a whole target fiber, and the map is injective
+    when no two fibers reach the same target fiber, keyed by N L' mod M,
+    t'^q - t' and s' of that first image.  A fiber's tau pairs are its first
+    point's shifted by the lattice's pairs (monomial.tau_lattice), computed
+    once per map.  A fiber that fails a check is walked point by point in
+    points() order, with its own images and the earlier fibers' keys, which
+    gives the failure, witness and checked of a check point by point; so is
+    every fiber when a lattice map does not permute or its tau pairs are
+    not a function of the source's.  Raises ValueError when sample < 1."""
     import random
 
+    if sample < 1:
+        raise ValueError("sample must be at least 1")
     pm = iso.transport if isinstance(iso, Isomorphism) else iso
     if pm.ext_r is None:
         return {"pass": False, "error": "point map unavailable (extension exceeds cap)"}
@@ -1708,42 +1718,76 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
 
     src, tgt = pm.source, pm.target
     ext = extend(src.field, pm.ext_r)
-    exp, M = ext.field.exp, ext.field.N
+    f, q, N = ext.field, src.field.q, src.field.N
+    exp, M = f.exp, f.N
+    image = pm.point_map(ext)
+    n_u, n_a = src.shape.count("u"), src.shape.count("a")
+    whole = (src.shape == tgt.shape and permutes_mod(pm.Q, n_u, N)
+             and fmat_permutes(src.field, pm.add_mat, n_a))
+    pairs = tau_lattice(src.tau_exps, tgt.tau_exps, pm.Q, n_u, N) if whole and src.tau_exps else []
+    whole = whole and len({a for a, _ in pairs}) == len(pairs)
+    step = M // N
 
     def codes(logs):
         return tuple(exp[L] for L in logs)
 
-    images = set()
-    tau_pairs = {}
-    n_points = 0
-    src_points = []
-    for pt in src.points(ext):
-        n_points += 1
-        src_points.append(pt)
-        img = pm.apply(ext, pt)
-        if not tgt.point_ok(ext, img):
-            fail("image not on target", point=src.to_codes(ext, pt), image=tgt.to_codes(ext, img))
+    def fiber_key(img):
+        return (*[N * L % M for L in img[:n_u]],
+                *[f.sub(f.pow(t, q), t) for t in img[n_u : n_u + n_a]], *img[n_u + n_a :])
+
+    def shifted(tau, k):
+        return tuple([(t + step * a) % M for t, a in zip(tau, k)])
+
+    def walk(lists, seen):
+        """The fiber's points one at a time; False at the first failure."""
+        for pt in itertools.product(*lists):
+            report["checked"] += 1
+            img = image(pt)
+            if not tgt.point_ok(ext, img):
+                fail("image not on target", point=src.to_codes(ext, pt), image=tgt.to_codes(ext, img))
+                return False
+            key = _packed(img, f.q)
+            if key in seen or (keys and fiber_key(img) in keys):
+                fail("not injective", image=tgt.to_codes(ext, img))
+                return False
+            seen.add(key)
+            src_tau = src.tau_of(ext, pt)
+            if src_tau:
+                tgt_tau = tgt.tau_of(ext, img)
+                known = tau_pairs.setdefault(src_tau, tgt_tau)
+                if known != tgt_tau:
+                    fail("tau components not respected", point=src.to_codes(ext, pt),
+                         expected=codes(known), got=codes(tgt_tau))
+                    return False
+        return True
+
+    keys, tau_pairs, seen = set(), {}, set()
+    for lists in src._fibers(ext):
+        if not all(lists):
+            continue
+        if whole:
+            pt = tuple([choices[0] for choices in lists])
+            img = image(pt)
+            key = tgt.point_ok(ext, img) and fiber_key(img)
+            if key and key not in keys:
+                s0, t0 = src.tau_of(ext, pt), tgt.tau_of(ext, img)
+                local = {shifted(s0, a): shifted(t0, b) for a, b in pairs}
+                if all(tau_pairs.get(a, b) == b for a, b in local.items()):
+                    keys.add(key)
+                    tau_pairs.update(local)
+                    report["checked"] += prod(map(len, lists))
+                    continue
+            seen = set()
+        if not walk(lists, seen):
             break
-        key = _packed(img, ext.field.q)
-        if key in images:
-            fail("not injective", image=tgt.to_codes(ext, img))
-            break
-        images.add(key)
-        src_tau = src.tau_of(ext, pt)
-        if src_tau:
-            tgt_tau = tgt.tau_of(ext, img)
-            known = tau_pairs.setdefault(src_tau, tgt_tau)
-            if known != tgt_tau:
-                fail("tau components not respected", point=src.to_codes(ext, pt),
-                     expected=codes(known), got=codes(tgt_tau))
-                break
-    report["checked"] = n_points
+        if whole:
+            keys.add(key)
     if report["pass"] and len(set(tau_pairs.values())) != len(tau_pairs):
         fail("tau components collapse", pairs=sorted((codes(a), codes(b)) for a, b in tau_pairs.items()))
     if report["pass"]:
         n_target = tgt.point_count(ext)
-        if n_target != n_points:
-            fail("point count mismatch", source=n_points, target=n_target)
+        if n_target != report["checked"]:
+            fail("point count mismatch", source=report["checked"], target=n_target)
     if report["pass"] and compose_with is not None and isinstance(iso, Isomorphism):
         rng = random.Random(seed)
         ctx = iso.source_ctx
@@ -1751,21 +1795,19 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
         iso12 = ctx.build(ctx.compose_sym(iso.symmetry, compose_with))
         if iso12.target_ctx.x != iso2.target_ctx.x:
             fail("normalized representative does not compose")
-        q_direct = iso12.transport.Q
-        q_composed = imat_mul(pm.Q, iso2.transport.Q)
-        if q_direct != q_composed:
+        if iso12.transport.Q != imat_mul(pm.Q, iso2.transport.Q):
             fail("exponent matrices do not compose")
         if report["pass"]:
+            src_points = list(src.points(ext))
             pts = src_points if len(src_points) <= sample else rng.sample(src_points, sample)
             per_tau = {}
-            nm, N = src.shape.count("u"), src.field.N
+            image2, image12 = iso2.transport.point_map(ext), iso12.transport.point_map(ext)
             for pt in pts:
-                a = iso2.transport.apply(ext, pm.apply(ext, pt))
-                b = iso12.transport.apply(ext, pt)
-                if a[nm:] != b[nm:]:
+                a, b = image2(image(pt)), image12(pt)
+                if a[n_u:] != b[n_u:]:
                     fail("additive parts of composite disagree", point=src.to_codes(ext, pt))
                     break
-                ratio = tuple((x - y) % M for x, y in zip(a[:nm], b[:nm]))
+                ratio = tuple((x - y) % M for x, y in zip(a[:n_u], b[:n_u]))
                 if any(N * r % M for r in ratio):
                     fail("composite differs by a non-root factor", point=src.to_codes(ext, pt),
                          ratio=codes(ratio))
@@ -1869,12 +1911,12 @@ def reducible_decompositions(case: str, field: Field, lams=None) -> dict:
         f = ext.field
         M = f.N
         try:
-            transport.offsets(ext)
+            image = transport.point_map(ext)
         except ValueError:
             fail("d has no N-th root", degree=r)
             continue
         small_points = list(small.points(ext))
-        images = [transport.apply(ext, pt) for pt in small_points]
+        images = [image(pt) for pt in small_points]
         covered = set()
         for t in twists:
             # a twist of N-th roots of one adds to the logs and keeps X = N log x

@@ -8,6 +8,7 @@ import re
 from collections import Counter
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,8 @@ from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_fi
 from hgfq.genhgf import (Partition, WDeltaElem, _dot, hdelta_chars, phi_delta, theta_list,
                          w_action_on_char)
 from hgfq.hgf import HgfParams, hgf_eval, humbert, lauricella
-from hgfq.monomial import char_star, imat_transpose
+from hgfq.monomial import (char_star, fmat_permutes, imat_det, imat_transpose, permutes_mod,
+                           tau_lattice)
 from hgfq.sums import gauss, jacobi
 from hgfq.varieties import (
     ASStar,
@@ -711,6 +713,56 @@ def test_integer_matrix_helpers():
         compose_perms(s1, s2)
     )
     assert imat_transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+
+
+_small_ints = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(_small_ints, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+def test_imat_det_matches_sympy(A):
+    assert imat_det(A) == (sympy.Matrix(A).det() if A else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 6]), st.data())
+def test_permutes_mod_matches_enumeration(n, N, data):
+    A = data.draw(st.lists(st.lists(_small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    images = {tuple(sum(k[i] * A[i][j] for i in range(n)) % N for j in range(n))
+              for k in itertools.product(range(N), repeat=n)}
+    assert permutes_mod(A, n, N) == (len(images) == N**n)
+    assert permutes_mod(None, n, N) and not permutes_mod(A, n + 1, N)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_fmat_permutes_matches_enumeration(q):
+    f = build_field_q(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        n = rng.randrange(1, 3)
+        A = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        images = {tuple(functools.reduce(f.add, [f.mul(e[i], A[i][j]) for i in range(n)], 0)
+                        for j in range(n)) for e in itertools.product(range(q), repeat=n)}
+        assert fmat_permutes(f, A, n) == (len(images) == q**n)
+    assert fmat_permutes(f, None, 2) and not fmat_permutes(f, [[1, 0]], 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2, 3, 4]), st.data())
+def test_tau_lattice_matches_enumeration(n, N, data):
+    exps = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([-1, 1])),
+                    min_size=1, max_size=n, unique_by=lambda x: x[0])
+    src = data.draw(st.lists(exps.map(tuple), max_size=2))
+    tgt = data.draw(st.lists(exps.map(tuple), max_size=2))
+    Q = data.draw(st.lists(st.lists(_small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    want = set()
+    for k in itertools.product(range(N), repeat=n):
+        kQ = [sum(k[i] * Q[i][j] for i in range(n)) for j in range(n)]
+        want.add((tuple(-sum(e * k[s] for s, e in x) % N for x in src),
+                  tuple(-sum(e * kQ[s] for s, e in x) % N for x in tgt)))
+    got = tau_lattice(src, tgt, Q, n, N)
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 # -- one-variable family symmetries -----------------------------------------
@@ -1637,6 +1689,164 @@ def test_verify_iso_failures_match_code_oracle(corrupt):
     assert not got["pass"]
     assert got["failures"][0]["kind"] == "image not on target"
     assert _as_json(got) == _as_json(want)
+
+
+def _corrupt(ctx, transport, how, k):
+    """Change the k-th choice of one entry in place: a bumped Q entry, a swap of
+    two Q columns, a d_elem entry (a unit slot times the generator, an additive
+    shift plus one) or an add_mat entry (another base element)."""
+    f, Q = ctx.field, [row[:] for row in transport.Q]
+    n = len(Q)
+    if how == "Q":
+        i, j = divmod(k % (n * n), n)
+        Q[i][j] += 1
+    elif how == "swap":
+        a, b = k % n, (k + 1) % n
+        for row in Q:
+            row[a], row[b] = row[b], row[a]
+    elif how == "d":
+        d = list(transport.d_elem)
+        i = k % len(d)
+        d[i] = f.mul(d[i], f.exp[1]) if i < n else f.add(d[i], 1)
+        transport.d_elem = tuple(d)
+    else:
+        A = [row[:] for row in transport.add_mat]
+        i, j = divmod(k % len(A) ** 2, len(A))
+        A[i][j] = (A[i][j] + 1) % f.q
+        transport.add_mat = A
+    transport.Q = Q
+
+
+_CORRUPTIBLE = [("kummer", 3, dict(lam=2)), ("kummer", 4, dict(lam=2)),
+                ("phi1", 3, dict(lam1=2, lam2=2)), ("phi3", 3, dict(lam1=2, lam2=2)),
+                ("gauss", 4, dict(lam=2)), ("fa", 4, dict(lams=(2,)))]
+
+
+@pytest.mark.parametrize("family,q,params,how", [
+    (family, q, params, how) for family, q, params in _CORRUPTIBLE
+    for how in ("Q", "swap", "d") + (("add_mat",) if family not in ("gauss", "fa") else ())])
+def test_corrupted_maps_match_code_oracle(family, q, params, how):
+    # every symmetry with one entry changed: same verdict, witnesses and
+    # checked as the point-by-point oracle (Gauss and F_A maps have no add_mat)
+    ctx = make_context(family, build_field_q(q), **params)
+    failed = 0
+    for k, sym in enumerate(ctx.symmetries()):
+        reports = []
+        for check in (verify_iso, _oracle_verify_iso):
+            iso = ctx.build(sym)
+            _corrupt(ctx, iso.transport, how, k)
+            reports.append(check(iso, sample=8, seed=1))
+        got, want = reports
+        assert _as_json(got) == _as_json(want), (sym, k)
+        failed += not got["pass"]
+    assert failed > 0
+
+
+def _free(f, n):
+    """The variety of all n-tuples of units: no relation at all."""
+    return varieties.RelationVariety(f, n)
+
+
+def _bare_map(source, target, Q, r):
+    return varieties.Isomorphism(None, None, None, varieties.MonomialMap(
+        source, target, target.identity_element(), Q, ext_r=r))
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("singular mod N", "not injective"),
+    ("det shares a factor with M/N", "not injective"),
+    ("tau pairs not a function", "tau components not respected"),
+    ("tau pairs differ between fibers", "tau components not respected"),
+    ("taus collapse", "tau components collapse"),
+    ("not onto", "point count mismatch"),
+])
+def test_special_failures_match_code_oracle(name, kind):
+    f = build_field_q(4)  # N = 3
+    if name == "singular mod N":
+        # det 3: two points of one fiber share an image
+        iso = _bare_map(_free(f, 2), _free(f, 2), [[1, 0], [0, 3]], 2)
+    elif name == "det shares a factor with M/N":
+        # over F_64, M/N = 21 and det 7 is prime to N: every fiber maps onto
+        # a whole fiber, but X -> 7 X mod 63 sends two fibers to one
+        iso = _bare_map(_free(f, 1), _free(f, 1), [[7]], 3)
+    elif name == "tau pairs not a function":
+        # the source's tau -L_0 stays, the target's -L_0 - L_1 moves inside a fiber
+        v = varieties.RelationVariety(f, 2, monomials=[(1, {0: 1})])
+        w = varieties.RelationVariety(f, 2, monomials=[(1, {0: 1, 1: 1})])
+        iso = _bare_map(v, w, [[1, 0], [0, 1]], 2)
+    elif name == "tau pairs differ between fibers":
+        # over F_64 the lattice part of L_0 + 21 L_1 is k_0 mod 3, but the
+        # image's tau -L_0 - 21 L_1 moves with L_1's fiber as well
+        v = varieties.RelationVariety(f, 2, monomials=[(1, {0: 1})])
+        iso = _bare_map(v, v, [[1, 0], [21, 1]], 3)
+    elif name == "taus collapse":
+        # the target has no monomial, so every source tau goes to ()
+        iso = _bare_map(varieties.RelationVariety(f, 1, monomials=[(1, {0: 1})]), _free(f, 1), None, 2)
+    else:
+        iso = _bare_map(FermatStar(f, 2), _free(f, 2), None, 2)
+    got, want = verify_iso(iso), _oracle_verify_iso(iso)
+    assert [fl["kind"] for fl in got["failures"]] == [kind]
+    assert _as_json(got) == _as_json(want)
+
+
+def _general_maps():
+    """lg, rh and fw maps of small general varieties over F_3, each checked
+    over an extension where its source has points."""
+    f = build_field(3)
+    rng = random.Random(5)
+    v2 = _small_general(f, (1, 2), rng, 2)  # 96 points over F_9
+    v112 = _small_general(f, (1, 1, 2), random.Random(5), 2)  # 192 points over F_9
+    v11 = _small_general(f, (1, 1), random.Random(3), 2)  # 64 points over F_9
+    maps = [general_iso_lg(v2, [[1, 2], [0, 1]]), general_iso_lg(v11, [[2, 1], [1, 1]]),
+            general_iso_rh(v11, ((2,), (1,))), general_iso_rh(_small_general(f, (1, 2), rng, 1), ((2,), (1, 2)))]
+    maps += [general_iso_fw(v112, _random_w(f, v112.delta, rng)) for _ in range(3)]
+    maps += [general_iso_fw(v11, WDeltaElem(v11.delta, ((1, 0),), (((), ()),)))]
+    for iso in maps:
+        if iso.symmetry[0] != "Rh":
+            iso.transport.ext_r = 2
+    return maps
+
+
+@pytest.mark.parametrize("k", range(8))
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_general_maps_match_code_oracle(k, corrupt):
+    iso = _general_maps()[k]
+    tp = iso.transport
+    if corrupt:
+        # a wrong s_mat, shift or exponent
+        if tp.s_mat is not None:
+            tp.s_mat = [[tp.s_mat[0][0] % 2 + 1] + row[1:] for row in tp.s_mat[:1]] + tp.s_mat[1:]
+        elif tp.Q is not None:
+            tp.Q = [[c + 1 for c in tp.Q[0]]] + [row[:] for row in tp.Q[1:]]
+        else:
+            tp.d_elem = (tp.d_elem[0] % 2 + 1,) + tp.d_elem[1:]
+    got, want = verify_iso(iso), _oracle_verify_iso(iso)
+    assert _as_json(got) == _as_json(want)
+    assert got["checked"] > 0
+    assert got["pass"] != corrupt, got["failures"]
+
+
+@pytest.mark.parametrize("how", ["Q", "d", "add_mat"])
+def test_verify_iso_reads_a_mutated_map_afresh(how):
+    # a map changed after a first check is checked as it now is
+    if how == "add_mat":
+        ctx, sym = KummerContext(build_field(3), lam=2), ((1, 0), 2)
+    else:
+        ctx, sym = GaussContext(build_field_q(4), lam=2), (2, 1, 0, 3)
+    iso, fresh = ctx.build(sym), ctx.build(sym)
+    assert verify_iso(iso)["pass"]
+    for transport in (iso.transport, fresh.transport):
+        _corrupt(ctx, transport, how, 0)
+    got = verify_iso(iso)
+    assert not got["pass"]
+    assert _as_json(got) == _as_json(verify_iso(fresh)) == _as_json(_oracle_verify_iso(fresh))
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_verify_iso_rejects_a_sample_below_one(sample):
+    ctx = GaussContext(build_field_q(4), lam=2)
+    with pytest.raises(ValueError, match="sample must be at least 1"):
+        verify_iso(ctx.build((2, 1, 0, 3)), compose_with=(1, 0, 3, 2), sample=sample)
 
 
 @pytest.mark.parametrize("q", [3, 4])

@@ -19,7 +19,7 @@ import click
 
 from .chars import AddChar, MulChar, standard_psi
 from .cyclo import Cyclo
-from .ffield import DEFAULT_CAP, Field, build_field, build_field_q
+from .ffield import Field, build_field, build_field_q
 from .hgf import hgf_eval, humbert, lauricella, mfn, params
 from .sums import gauss, gauss_circ, jacobi
 
@@ -40,11 +40,11 @@ _SUITES = ("gauss-sums", "symmetry", "varieties")
 # -- small shared helpers ----------------------------------------------------
 
 
-def _get_field(q, p, e, cap) -> Field:
+def _get_field(q, p, e) -> Field:
     if q is not None:
-        return build_field_q(q, cap)
+        return build_field_q(q)
     if p is not None:
-        return build_field(p, e or 1, cap)
+        return build_field(p, e or 1)
     raise click.UsageError("specify --q or --p (with optional --e)")
 
 
@@ -80,8 +80,6 @@ def _echo_csv(header, rows):
 
 
 def field_options(fn):
-    fn = click.option("--cap", type=int, default=DEFAULT_CAP, show_default=False,
-                      help="largest extension-field size the tables may reach")(fn)
     fn = click.option("--e", type=int, default=1, help="extension degree over F_p")(fn)
     fn = click.option("--p", type=int, default=None, help="field characteristic")(fn)
     fn = click.option("--q", type=int, default=None, help="field size (prime power)")(fn)
@@ -118,9 +116,9 @@ main.invoke = _fail_closed
 
 @main.command("field")
 @field_options
-def field_cmd(q, p, e, cap):
+def field_cmd(q, p, e):
     """Describe the field: characteristic, modulus, generator."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     data = f.to_json()
     data.update({"q": f.q, "N": f.N, "generators": f.generators()})
     _echo_json(data)
@@ -132,9 +130,9 @@ def field_cmd(q, p, e, cap):
 @click.option("--chi", type=int, default=None, help="character index j (chi = omega^j)")
 @click.option("--psi", "psi_a", type=int, default=1, help="additive-character twist a")
 @click.option("--circ", is_flag=True, help="use the unit-sum variant")
-def gauss_cmd(q, p, e, cap, as_json, chi, psi_a, circ):
+def gauss_cmd(q, p, e, as_json, chi, psi_a, circ):
     """Gauss sum of a multiplicative character."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     psi = _addchar(f, psi_a)
     fun = gauss_circ if circ else gauss
     if as_json and chi is not None:
@@ -151,9 +149,9 @@ def gauss_cmd(q, p, e, cap, as_json, chi, psi_a, circ):
 @field_options
 @output_options
 @click.option("--chi", default=None, help="comma-separated character indices")
-def jacobi_cmd(q, p, e, cap, as_json, chi):
+def jacobi_cmd(q, p, e, as_json, chi):
     """Jacobi sum of a tuple of multiplicative characters."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     if chi is not None:
         idxs = _parse_ints(chi)
         v = jacobi(*[MulChar(f, j) for j in idxs])
@@ -176,9 +174,9 @@ def jacobi_cmd(q, p, e, cap, as_json, chi):
 @click.option("--lower", required=True, help="lower character indices, e.g. 0")
 @click.option("--lam", type=int, default=None, help="argument (field element code)")
 @click.option("--raw", is_flag=True, help="evaluate the raw F (no classical wrapper)")
-def hgf_cmd(q, p, e, cap, as_json, upper, lower, lam, raw):
+def hgf_cmd(q, p, e, as_json, upper, lower, lam, raw):
     """Evaluate a finite-field hypergeometric function mFn."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     ups = _parse_ints(upper)
     los = _parse_ints(lower)
 
@@ -215,9 +213,9 @@ def hgf_cmd(q, p, e, cap, as_json, upper, lower, lam, raw):
 @click.option("--gamma", required=True, help="gamma character indices")
 @click.option("--delta", required=True, help="delta character indices")
 @click.option("--lams", required=True, help="argument tuple, e.g. 2,1")
-def lauricella_cmd(q, p, e, cap, kind, alpha, beta, gamma, delta, lams):
+def lauricella_cmd(q, p, e, kind, alpha, beta, gamma, delta, lams):
     """Evaluate a multivariate (Lauricella-type) series."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
 
     def chs(text):
         return [MulChar(f, j) for j in _parse_ints(text)]
@@ -235,9 +233,9 @@ def lauricella_cmd(q, p, e, cap, kind, alpha, beta, gamma, delta, lams):
 @click.option("--delta", required=True, help="two delta character indices")
 @click.option("--lam1", type=int, required=True)
 @click.option("--lam2", type=int, required=True)
-def humbert_cmd(q, p, e, cap, kind, upper, gamma, delta, lam1, lam2):
+def humbert_cmd(q, p, e, kind, upper, gamma, delta, lam1, lam2):
     """Evaluate a two-variable confluent (Humbert-type) series."""
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     ups = [MulChar(f, j) for j in _parse_ints(upper)]
     ds = [MulChar(f, j) for j in _parse_ints(delta)]
     v = humbert(int(kind), ups, MulChar(f, gamma), ds, lam1, lam2)
@@ -276,11 +274,11 @@ def _parse_hdelta_char(f: Field, delta: Partition, text, psi) -> HDeltaChar:
               help="build the normalized z-representative from these parameters")
 @click.option("--chi", required=True, help="per-block 'j[:a,...]' joined by ';'")
 @click.option("--psi", "psi_a", type=int, default=1)
-def phi_cmd(q, p, e, cap, delta, z_text, lams, chi, psi_a):
+def phi_cmd(q, p, e, delta, z_text, lams, chi, psi_a):
     """Evaluate the general character sum Phi_Delta(chi; z)."""
     from .genhgf import Partition, normalized_z, phi_delta
 
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     parts = _parse_ints(delta)
     part = Partition(parts)
     if z_text is not None:
@@ -357,12 +355,12 @@ def _parse_groupchar(v, chi_text) -> GroupChar:
 @click.option("--chi", default=None, help="one code per group slot (mult index / additive code)")
 @click.option("--naive", type=int, default=None,
               help="also count points naively over the degree-r extension")
-def count_cmd(q, p, e, cap, family, m, n, lam, lams, lam1, lam2, delta, z_text,
+def count_cmd(q, p, e, family, m, n, lam, lams, lam1, lam2, delta, z_text,
               chi, naive):
     """Character-weighted point count n_chi (and closed form when available)."""
     from .varieties import n_chi_closed_form
 
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     v = _make_variety(f, family, m, n, lam, lams, lam1, lam2, delta, z_text)
     out = {"q": f.q, "family": family, "shape": v.shape}
     if chi is not None:
@@ -422,12 +420,12 @@ def _parse_sigma(text, arity):
 @click.option("--sample", type=click.IntRange(min=1), default=24,
               help="transported characters to spot-check")
 @click.option("--seed", type=int, default=0)
-def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
+def iso_cmd(q, p, e, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
             check, sample, seed):
     """Build a variety isomorphism for a symmetry element and verify it."""
     from .varieties import FAMILIES, enumerate_groupchars, make_context, transport_check, verify_iso
 
-    f = _get_field(q, p, e, cap)
+    f = _get_field(q, p, e)
     given = {"lam": lam, "lams": _parse_ints(lams), "lam1": lam1, "lam2": lam2}
     ctx = make_context(family, f, **{k: given[k] for k in FAMILIES[family].params})
     perm = _parse_sigma(sigma, ctx.arity) if sigma else tuple(range(ctx.arity))
@@ -471,16 +469,15 @@ def iso_cmd(q, p, e, cap, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
 @main.command("verify")
 @click.option("--suite", required=True, help="|".join(_SUITES))
 @click.option("--seed", type=int, default=0)
-@click.option("--cap", type=int, default=DEFAULT_CAP)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, help="parallel worker processes")
-def verify_cmd(suite, seed, cap, jobs):
+def verify_cmd(suite, seed, jobs):
     """Run a named verification suite; exit 0 iff every claim holds."""
     if suite not in _SUITES:
         raise click.UsageError(
             f"unknown suite {suite!r}; choose from {list(_SUITES)}")
     from . import suites
 
-    entries = [(name, kwargs, seed, cap) for name, kwargs in suites.CLAIMS[suite]]
+    entries = [(name, kwargs, seed) for name, kwargs in suites.CLAIMS[suite]]
     jobs = min(jobs, os.cpu_count() or 1, len(entries))
     # imported before the pool forks, so that no worker compiles them again
     suites.load_layers(suite)

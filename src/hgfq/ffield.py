@@ -25,6 +25,10 @@ so a with_generator copy rebuilds it and shares the other two.
 Extensions k_r carry a canonical embedding of the base field and the
 distinguished root choices (N-th roots, additive-equation roots) used by the
 variety isomorphisms.
+
+One bound, DEFAULT_CAP = 2^20 elements, holds for every field and every
+extension: a larger one is refused with a ValueError before any table is
+built.
 """
 
 from __future__ import annotations
@@ -166,23 +170,23 @@ def _poly_to_code(poly, p: int) -> int:
     return code
 
 
-def _check_field_size(p: int, e: int, cap: int) -> int:
-    """q = p^e, after checking that p is prime, e positive and q within cap."""
+def _check_field_size(p: int, e: int) -> int:
+    """q = p^e, after checking that p is prime, e positive and q within DEFAULT_CAP."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError("e must be positive")
     q = p**e
-    if q > cap:
-        raise ValueError(f"field size {q} exceeds cap {cap}")
+    if q > DEFAULT_CAP:
+        raise ValueError(f"field size {q} exceeds cap {DEFAULT_CAP}")
     return q
 
 
 class Field:
     """F_q with q = p^e, table-driven arithmetic on integer element codes."""
 
-    def __init__(self, p: int, e: int, cap: int = DEFAULT_CAP):
-        q = _check_field_size(p, e, cap)
+    def __init__(self, p: int, e: int):
+        q = _check_field_size(p, e)
         self.p = p
         self.e = e
         self.q = q
@@ -410,14 +414,14 @@ class Field:
 class ExtensionField:
     """Degree-r extension of a base field, with its canonical embedding."""
 
-    def __init__(self, base: Field, r: int, cap: int = DEFAULT_CAP):
+    def __init__(self, base: Field, r: int):
         if r < 1:
             raise ValueError("extension degree must be positive")
-        if base.q**r > cap:
-            raise ValueError(f"extension size {base.q**r} exceeds cap {cap}")
+        if base.q**r > DEFAULT_CAP:
+            raise ValueError(f"extension size {base.q**r} exceeds cap {DEFAULT_CAP}")
         self.base = base
         self.r = r
-        self.field = base if r == 1 else build_field(base.p, base.e * r, cap=cap)
+        self.field = base if r == 1 else build_field(base.p, base.e * r)
         self._embed_stride = 1 if r == 1 else self._find_embed_stride()
 
     def _find_embed_stride(self) -> int:
@@ -452,30 +456,28 @@ class ExtensionField:
         return f"ExtensionField({self.base!r}, r={self.r})"
 
 
-def build_field(p: int, e: int = 1, cap: int = DEFAULT_CAP) -> Field:
-    """F_(p^e): one shared object per (p, e), whichever cap admitted it."""
-    _check_field_size(p, e, cap)
+def build_field(p: int, e: int = 1) -> Field:
+    """F_(p^e): one shared object per (p, e); Field checks p, e and the size."""
     return _field(p, e)
 
 
 @lru_cache(maxsize=None)
 def _field(p: int, e: int) -> Field:
-    return Field(p, e, cap=p**e)
+    return Field(p, e)
 
 
-def extend(field: Field, r: int, cap: int = DEFAULT_CAP) -> ExtensionField:
-    """The degree-r extension of field: one shared object per (field, r)."""
-    if field.q**r > cap:
-        raise ValueError(f"extension size {field.q**r} exceeds cap {cap}")
+def extend(field: Field, r: int) -> ExtensionField:
+    """The degree-r extension of field: one shared object per (field, r);
+    ExtensionField checks r and the size."""
     return _extension(field, r)
 
 
 @lru_cache(maxsize=None)
 def _extension(field: Field, r: int) -> ExtensionField:
-    return ExtensionField(field, r, cap=field.q**r)
+    return ExtensionField(field, r)
 
 
-def build_field_q(q: int, cap: int = DEFAULT_CAP) -> Field:
+def build_field_q(q: int) -> Field:
     """Build F_q from a prime power q."""
     for p in prime_factors(q):
         e = 0
@@ -485,7 +487,7 @@ def build_field_q(q: int, cap: int = DEFAULT_CAP) -> Field:
             e += 1
         if n != 1:
             raise ValueError(f"{q} is not a prime power")
-        return build_field(p, e, cap=cap)
+        return build_field(p, e)
     raise ValueError(f"{q} is not a prime power")
 
 

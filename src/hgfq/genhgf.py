@@ -475,7 +475,11 @@ def w_to_matrix(field: Field, w: WDeltaElem):
 
 
 def h_to_matrix(field: Field, delta: Partition, h_blocks):
-    """Block-diagonal matrix of upper-triangular Toeplitz blocks [h_0, h_1, ...]."""
+    """Block-diagonal matrix of upper-triangular Toeplitz blocks [h_0, h_1, ...],
+    one block per part of delta, each exactly as long as its part."""
+    lengths, parts = tuple(len(h) for h in h_blocks), tuple(delta.parts)
+    if lengths != parts:
+        raise ValueError(f"h blocks of lengths {lengths} do not match the parts {parts}")
     n = delta.n
     mat = [[0] * n for _ in range(n)]
     offset = 0

@@ -82,9 +82,8 @@ build term lists and constants:
    the Fourier coefficient f-hat of each character tuple, times a Jacobi
    or Gauss sum, a sign and 1/N^n.
 
-Each evaluator takes a further constant that joins its own.  The count
-theorems in varieties call _horn directly, with members and a constant
-read from a character's integer indices.
+The count theorems in varieties call _horn directly, with members and a
+constant read from a character's integer indices.
 
 Also here: the discrete Fourier transform on (k*)^n with its inversion,
 the right-hand sides of the iteration transforms, shift of parameters into
@@ -344,11 +343,10 @@ def params(upper, lower, psi=None, classical=False) -> HgfParams:
     return HgfParams(tuple(upper), lower, psi)
 
 
-def hgf_eval(p: HgfParams, lam: int, const: Const = ONE) -> Cyclo:
-    """The one-variable hypergeometric sum at lambda (field element code),
-    times const."""
+def hgf_eval(p: HgfParams, lam: int) -> Cyclo:
+    """The one-variable hypergeometric sum at lambda (field element code)."""
     terms = [(a.j, (1,), True) for a in p.upper] + [(b.j, (1,), False) for b in p.lower]
-    return _horn(terms, (lam,), p.psi, const=const.times(-1, den=p.field.q - 1))
+    return _horn(terms, (lam,), p.psi, const=Const(-1, den=p.field.q - 1))
 
 
 def mfn(upper, lower, lam, psi=None) -> Cyclo:
@@ -402,21 +400,21 @@ def _lauricella_terms(p: LauricellaParams) -> list:
     return terms
 
 
-def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...], const: Const = ONE) -> Cyclo:
+def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...]) -> Cyclo:
     terms = _lauricella_terms(p)
     if len(lams) != p.n:
         raise ValueError("wrong number of arguments")
-    const = const.times((-1) ** p.n, den=(p.field.q - 1) ** p.n)
+    const = Const((-1) ** p.n, den=(p.field.q - 1) ** p.n)
     return _horn(_members(terms, p.psi), lams, p.psi, const=const)
 
 
-def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None, const: Const = ONE) -> Cyclo:
+def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
     chars = list(alpha) + list(beta) + list(gamma) + list(delta)
     if not chars:
         raise ValueError("no characters given")
     psi = psi or standard_psi(chars[0].field)
     p = LauricellaParams(kind, tuple(alpha), tuple(beta), tuple(gamma), tuple(delta), psi)
-    return lauricella_eval(p, tuple(lams), const)
+    return lauricella_eval(p, tuple(lams))
 
 
 # Per kind, the combinations of (mu, nu) of the upper characters; gamma sits
@@ -448,15 +446,15 @@ def _humbert_terms(p: HumbertParams) -> list:
             + [(d, c, False) for d, c in zip(p.delta, _unit_vectors(2))])
 
 
-def humbert_eval(p: HumbertParams, lam1: int, lam2: int, const: Const = ONE) -> Cyclo:
-    const = const.times(den=(p.field.q - 1) ** 2)
+def humbert_eval(p: HumbertParams, lam1: int, lam2: int) -> Cyclo:
+    const = Const(den=(p.field.q - 1) ** 2)
     return _horn(_members(_humbert_terms(p), p.psi), (lam1, lam2), p.psi, const=const)
 
 
-def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None, const: Const = ONE) -> Cyclo:
+def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
     psi = psi or standard_psi(gamma.field)
     p = HumbertParams(kind, tuple(upper), gamma, tuple(delta), psi)
-    return humbert_eval(p, lam1, lam2, const)
+    return humbert_eval(p, lam1, lam2)
 
 
 # -- discrete Fourier transform -------------------------------------------

@@ -13,7 +13,9 @@ moves the tau-components of the points between them.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .chars import trivial_char
@@ -120,6 +122,192 @@ def _gauge_last_matrix(n):
     for j in range(n - 1):
         M[n - 1][j] = -1
     return M
+
+
+# -- the exponent matrices of the six symmetry families ------------------
+
+
+@lru_cache(maxsize=None)
+def _gauss_matrices():
+    theta0 = [[-1, 0, -1, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]]
+    T = imat_zero(4, 4)
+    for i, v in enumerate((1, 1, -1, -1)):
+        T[i][3] = v
+    return theta0, [T], [imat_inverse(imat_add(theta0, T))], _gauge_last_matrix(4)
+
+
+@lru_cache(maxsize=None)
+def _kummer_matrices():
+    theta0 = [[0, 1, 0], [-1, -1, 0], [0, 0, 0]]
+    theta = [[0, 1, 1], [-1, -1, -1], [0, 0, -1]]
+    T = imat_add(theta, [[-v for v in row] for row in theta0])
+    return theta0, [T], [imat_inverse(theta)], _gauge_last_matrix(3)
+
+
+@lru_cache(maxsize=None)
+def _fd_matrices(m: int):
+    rows, cols = 2 * m + 2, m + 3
+    # rows (x0, x1..xm, y0, y1..ym); cols (u1, u2..u_{m+1}, v1, v2)
+    x0, y0 = 0, m + 1
+    theta0 = imat_zero(rows, cols)
+    theta0[x0][0] = -1
+    theta0[x0][m + 1] = -1
+    theta0[y0][m + 1] = 1
+    for j in range(1, m + 1):
+        theta0[y0 + j][j] = -1
+    Ts = [imat_zero(rows, cols)]
+    for j in range(1, m + 1):
+        T = imat_zero(rows, cols)
+        T[x0][m + 2] = 1
+        T[j][m + 2] = 1
+        T[y0][m + 2] = -1
+        T[y0 + j][m + 2] = -1
+        Ts.append(T)
+    rhos = []
+    rho0 = imat_zero(cols, rows)
+    rho0[0][x0] = -1
+    rho0[0][y0] = -1
+    for j in range(1, m + 1):
+        rho0[j][j] = -1
+        rho0[j][y0 + j] = -1
+    rho0[m + 1][y0] = 1
+    rhos.append(rho0)
+    for j in range(1, m + 1):
+        rho = imat_zero(cols, rows)
+        rho[m + 1][j] = 1
+        rho[m + 2][j] = 1
+        rhos.append(rho)
+    check = imat_zero(rows, rows)
+    for T, rho in zip(Ts, rhos):
+        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
+    assert check == imat_identity(rows)
+    return theta0, Ts, rhos, _gauge_last_matrix(cols)
+
+
+@lru_cache(maxsize=None)
+def _phi1_matrices():
+    theta0 = [
+        [0, 0, 1, 0],
+        [0, -1, 0, 0],
+        [-1, 0, -1, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ]
+    T1 = imat_zero(5, 4)
+    for i, v in enumerate((1, 1, -1, -1, 0)):
+        T1[i][3] = v
+    T2 = imat_zero(5, 4)
+    for i, v in enumerate((1, 0, -1, 0, -1)):
+        T2[i][3] = v
+    rho0 = [
+        [-1, 0, -1, 0, 0],
+        [0, -1, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
+    rho1 = imat_zero(4, 5)
+    rho1[1][3] = -1
+    rho1[2][3] = 1
+    rho1[3][3] = -1
+    rho2 = imat_zero(4, 5)
+    rho2[2][4] = 1
+    rho2[3][4] = -1
+    Ts = [imat_zero(5, 4), T1, T2]
+    rhos = [rho0, rho1, rho2]
+    check = imat_zero(5, 5)
+    for T, rho in zip(Ts, rhos):
+        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
+    assert check == imat_identity(5)
+    return theta0, Ts, rhos, _gauge_last_matrix(4)
+
+
+def _pair_perm_q(sigma):
+    """diag(P_sigma, P_sigma): sigma swaps both pairs of unit coordinates."""
+    P = perm_matrix(sigma)
+    n = len(P)
+    Q = imat_zero(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            Q[i][j] = Q[n + i][n + j] = P[i][j]
+    return Q
+
+
+@lru_cache(maxsize=None)
+def _fa_matrices(m: int):
+    rows, cols = 3 * m + 1, 2 * m + 2
+    # rows (x0, x1..xm, y1..ym, z1..zm); cols (u0, u1..um, v0, v1..vm)
+    x0 = 0
+
+    def xr(j):
+        return j
+
+    def yr(j):
+        return m + j
+
+    def zr(j):
+        return 2 * m + j
+
+    u0, v0 = 0, m + 1
+
+    def uc(j):
+        return j
+
+    def vc(j):
+        return m + 1 + j
+
+    theta0 = imat_zero(rows, cols)
+    theta0[xr(m)][u0] -= 1
+    for j in range(1, m + 1):
+        theta0[xr(j)][uc(j)] += 1
+        theta0[yr(j)][uc(j)] -= 1
+        theta0[xr(m)][uc(j)] -= 1
+    theta0[x0][v0] += 1
+    theta0[xr(m)][v0] -= 1
+    for j in range(1, m + 1):
+        theta0[xr(j)][vc(j)] += 1
+        theta0[xr(m)][vc(j)] -= 1
+    Ts = [imat_zero(rows, cols)]
+    for j in range(1, m + 1):
+        T = imat_zero(rows, cols)
+        T[x0][vc(m)] += 1
+        T[xr(j)][vc(m)] -= 1
+        T[yr(j)][vc(m)] += 1
+        T[zr(j)][vc(m)] -= 1
+        Ts.append(T)
+    rho0 = imat_zero(cols, rows)
+    rho0[v0][x0] = 1
+    rho0[u0][x0] = -1
+    for j in range(1, m + 1):
+        rho0[vc(j)][xr(j)] = 1
+        rho0[u0][xr(j)] = -1
+        rho0[vc(j)][yr(j)] = 1
+        rho0[uc(j)][yr(j)] = -1
+        rho0[v0][zr(j)] = 1
+        rho0[uc(j)][zr(j)] = -1
+    rhos = [rho0]
+    for j in range(1, m + 1):
+        rho = imat_zero(cols, rows)
+        rho[vc(m)][zr(j)] = -1
+        rhos.append(rho)
+    check = imat_zero(rows, rows)
+    for T, rho in zip(Ts, rhos):
+        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
+    assert check == imat_identity(rows)
+    return theta0, Ts, rhos, _gauge_last_matrix(cols)
+
+
+def _fa_swaps(m: int):
+    """The 2^n column swaps u_j <-> v_j."""
+    out = []
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(1, m + 1), size) for size in range(m + 1)
+    ):
+        sigma = list(range(2 * m + 2))
+        for j in subset:
+            sigma[j], sigma[m + 1 + j] = sigma[m + 1 + j], sigma[j]
+        out.append(tuple(sigma))
+    return out
+
 
 
 # -- field matrices ---------------------------------------------------------

@@ -39,8 +39,8 @@ def _record(claim, ok_count, total, witnesses):
     return rec
 
 
-def _claim_gauss_reflection(q, seed, cap):
-    f = build_field_q(q, cap)
+def _claim_gauss_reflection(q, seed):
+    f = build_field_q(q)
     psi = standard_psi(f)
     ok, wit = 0, []
     for j in range(f.N):
@@ -54,8 +54,8 @@ def _claim_gauss_reflection(q, seed, cap):
     return _record(f"gauss.reflection.q{q}", ok, f.N, wit)
 
 
-def _claim_jacobi_gauss(q, seed, cap):
-    f = build_field_q(q, cap)
+def _claim_jacobi_gauss(q, seed):
+    f = build_field_q(q)
     psi = standard_psi(f)
     ok, tot, wit = 0, 0, []
     for a, b in itertools.product(range(f.N), repeat=2):
@@ -69,8 +69,8 @@ def _claim_jacobi_gauss(q, seed, cap):
     return _record(f"jacobi.gauss-product.q{q}", ok, tot, wit)
 
 
-def _claim_poch_reflection(q, seed, cap):
-    f = build_field_q(q, cap)
+def _claim_poch_reflection(q, seed):
+    f = build_field_q(q)
     psi = standard_psi(f)
     ok, tot, wit = 0, 0, []
     for a, n in itertools.product(range(f.N), repeat=2):
@@ -85,8 +85,8 @@ def _claim_poch_reflection(q, seed, cap):
     return _record(f"pochhammer.reflection.q{q}", ok, tot, wit)
 
 
-def _claim_hgf_low_order(q, seed, cap):
-    f = build_field_q(q, cap)
+def _claim_hgf_low_order(q, seed):
+    f = build_field_q(q)
     psi = standard_psi(f)
     ok, tot, wit = 0, 0, []
     units = list(f.dlog)
@@ -108,10 +108,10 @@ def _claim_hgf_low_order(q, seed, cap):
     return _record(f"hgf.low-order.q{q}", ok, tot, wit)
 
 
-def _claim_symmetry(q, seed, cap, parts):
+def _claim_symmetry(q, seed, parts):
     from .genhgf import Partition, hdelta_chars, mat_mul, phi_delta, w_action_on_char, w_to_matrix
 
-    f = build_field_q(q, cap)
+    f = build_field_q(q)
     delta = Partition(parts)
     rng = random.Random(seed)
     n = delta.n
@@ -160,10 +160,10 @@ def _z_sample(f: Field, d: int, n: int, rng: random.Random):
             return z
 
 
-def _claim_reduction(q, seed, cap, parts):
+def _claim_reduction(q, seed, parts):
     from .genhgf import Partition, hdelta_chars, normalized_z, phi_delta, reduce_to_classical
 
-    f = build_field_q(q, cap)
+    f = build_field_q(q)
     units = [u for u in f.elements() if u in f.dlog]
     nlam = 1 if sum(parts) == 4 else 2
     ok, tot, wit = 0, 0, []
@@ -185,11 +185,11 @@ def _claim_reduction(q, seed, cap, parts):
     return _record(f"phi.reduction.q{q}.delta{'-'.join(map(str, parts))}", ok, tot, wit)
 
 
-def _claim_counts_match_phi(q, seed, cap, parts):
+def _claim_counts_match_phi(q, seed, parts):
     from .genhgf import Partition, hdelta_chars, phi_delta
     from .varieties import GeneralXDz, hdelta_to_groupchar
 
-    f = build_field_q(q, cap)
+    f = build_field_q(q)
     rng = random.Random(seed)
     delta = Partition(parts)
     ok, tot, wit = 0, 0, []
@@ -206,10 +206,10 @@ def _claim_counts_match_phi(q, seed, cap, parts):
                    ok, tot, wit)
 
 
-def _claim_counts_total(q, seed, cap):
+def _claim_counts_total(q, seed):
     from .varieties import ASStar, FermatStar, MXnLambda, enumerate_groupchars
 
-    f = build_field_q(q, cap)
+    f = build_field_q(q)
     fams = [("fermat2", FermatStar(f, 2)), ("as", ASStar(f))]
     for lam in list(f.dlog)[:1]:
         fams.append(("2x2", MXnLambda(f, 2, 2, lam)))
@@ -227,10 +227,10 @@ def _claim_counts_total(q, seed, cap):
     return _record(f"count.total.q{q}", ok, tot, wit)
 
 
-def _claim_gauss_iso(q, seed, cap):
+def _claim_gauss_iso(q, seed):
     from .varieties import enumerate_groupchars, make_context, transport_check
 
-    f = build_field_q(q, cap)
+    f = build_field_q(q)
     lam = next(u for u in f.dlog if u != 1)
     ctx = make_context("gauss", f, lam=lam)
     ok, tot, wit = 0, 0, []
@@ -245,8 +245,8 @@ def _claim_gauss_iso(q, seed, cap):
     return _record(f"iso.gauss-transport.q{q}", ok, tot, wit)
 
 
-def _claim_dft_roundtrip(q, seed, cap):
-    f = build_field_q(q, cap)
+def _claim_dft_roundtrip(q, seed):
+    f = build_field_q(q)
     rng = random.Random(seed)
     units = list(f.dlog)
     ok, tot, wit = 0, 0, []
@@ -310,7 +310,7 @@ def load_layers(suite):
 
 
 def run_claim(entry):
-    """Run one ``(claim name, kwargs, seed, cap)`` entry; returns its record."""
-    name, kwargs, seed, cap = entry
+    """Run one ``(claim name, kwargs, seed)`` entry; returns its record."""
+    name, kwargs, seed = entry
     fn = globals()[name]
-    return fn(seed=seed, cap=cap, **kwargs)
+    return fn(seed=seed, **kwargs)

@@ -119,8 +119,9 @@ from .genhgf import (
     w_to_matrix,
 )
 from .hgf import Const, _horn, _unit_vectors
-from .monomial import (_gauge_last_matrix, compose_perms, fmat_inv, fmat_permutes, imat_add,
-                       imat_identity, imat_inverse, imat_mul, imat_zero, invert_perm,
+from .monomial import (_fa_matrices, _fa_swaps, _fd_matrices, _gauss_matrices, _kummer_matrices,
+                       _pair_perm_q, _phi1_matrices, compose_perms, fmat_inv, fmat_permutes,
+                       imat_add, imat_identity, imat_inverse, imat_mul, imat_zero, invert_perm,
                        monomial_map, perm_matrix, permutes_mod, tau_lattice)
 from .sums import gauss, jacobi
 
@@ -1247,15 +1248,6 @@ class SymmetryContext:
 # -- the six families --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gauss_matrices():
-    theta0 = [[-1, 0, -1, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]]
-    T = imat_zero(4, 4)
-    for i, v in enumerate((1, 1, -1, -1)):
-        T[i][3] = v
-    return theta0, [T], [imat_inverse(imat_add(theta0, T))], _gauge_last_matrix(4)
-
-
 class GaussContext(SymmetryContext):
     """2x2-determinant family: 4 unit coordinates, symmetries sigma in S_4."""
 
@@ -1275,14 +1267,6 @@ class GaussContext(SymmetryContext):
         if self.lam == 1:
             raise ValueError("general position violated")
         return (x21, x12, x11, x22)
-
-
-@lru_cache(maxsize=None)
-def _kummer_matrices():
-    theta0 = [[0, 1, 0], [-1, -1, 0], [0, 0, 0]]
-    theta = [[0, 1, 1], [-1, -1, -1], [0, 0, -1]]
-    T = imat_add(theta, [[-v for v in row] for row in theta0])
-    return theta0, [T], [imat_inverse(theta)], _gauge_last_matrix(3)
 
 
 class KummerContext(SymmetryContext):
@@ -1308,46 +1292,6 @@ class KummerContext(SymmetryContext):
         return (x11, x21, x12)
 
 
-@lru_cache(maxsize=None)
-def _fd_matrices(m: int):
-    rows, cols = 2 * m + 2, m + 3
-    # rows (x0, x1..xm, y0, y1..ym); cols (u1, u2..u_{m+1}, v1, v2)
-    x0, y0 = 0, m + 1
-    theta0 = imat_zero(rows, cols)
-    theta0[x0][0] = -1
-    theta0[x0][m + 1] = -1
-    theta0[y0][m + 1] = 1
-    for j in range(1, m + 1):
-        theta0[y0 + j][j] = -1
-    Ts = [imat_zero(rows, cols)]
-    for j in range(1, m + 1):
-        T = imat_zero(rows, cols)
-        T[x0][m + 2] = 1
-        T[j][m + 2] = 1
-        T[y0][m + 2] = -1
-        T[y0 + j][m + 2] = -1
-        Ts.append(T)
-    rhos = []
-    rho0 = imat_zero(cols, rows)
-    rho0[0][x0] = -1
-    rho0[0][y0] = -1
-    for j in range(1, m + 1):
-        rho0[j][j] = -1
-        rho0[j][y0 + j] = -1
-    rho0[m + 1][y0] = 1
-    rhos.append(rho0)
-    for j in range(1, m + 1):
-        rho = imat_zero(cols, rows)
-        rho[m + 1][j] = 1
-        rho[m + 2][j] = 1
-        rhos.append(rho)
-    check = imat_zero(rows, rows)
-    for T, rho in zip(Ts, rhos):
-        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
-    assert check == imat_identity(rows)
-    return theta0, Ts, rhos, _gauge_last_matrix(cols)
-
-
 class FDContext(SymmetryContext):
     """2n+2 unit coordinates in n+1 Fermat pairs; symmetries sigma in S_{n+3}."""
 
@@ -1369,43 +1313,6 @@ class FDContext(SymmetryContext):
         if any(lam == 1 for lam in self.lams) or len(set(self.lams)) != m:
             raise ValueError("general position violated")
         return (x[1][0],) + tuple(x[0][1:]) + (x[0][0],) + tuple(x[1][1:])
-
-
-@lru_cache(maxsize=None)
-def _phi1_matrices():
-    theta0 = [
-        [0, 0, 1, 0],
-        [0, -1, 0, 0],
-        [-1, 0, -1, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ]
-    T1 = imat_zero(5, 4)
-    for i, v in enumerate((1, 1, -1, -1, 0)):
-        T1[i][3] = v
-    T2 = imat_zero(5, 4)
-    for i, v in enumerate((1, 0, -1, 0, -1)):
-        T2[i][3] = v
-    rho0 = [
-        [-1, 0, -1, 0, 0],
-        [0, -1, 0, 0, 0],
-        [1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-    ]
-    rho1 = imat_zero(4, 5)
-    rho1[1][3] = -1
-    rho1[2][3] = 1
-    rho1[3][3] = -1
-    rho2 = imat_zero(4, 5)
-    rho2[2][4] = 1
-    rho2[3][4] = -1
-    Ts = [imat_zero(5, 4), T1, T2]
-    rhos = [rho0, rho1, rho2]
-    check = imat_zero(5, 5)
-    for T, rho in zip(Ts, rhos):
-        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
-    assert check == imat_identity(5)
-    return theta0, Ts, rhos, _gauge_last_matrix(4)
 
 
 class Phi1Context(SymmetryContext):
@@ -1434,17 +1341,6 @@ class Phi1Context(SymmetryContext):
         return (x11, x22, x21, x12, x13)
 
 
-def _pair_perm_q(sigma):
-    """diag(P_sigma, P_sigma): sigma swaps both pairs of unit coordinates."""
-    P = perm_matrix(sigma)
-    n = len(P)
-    Q = imat_zero(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            Q[i][j] = Q[n + i][n + j] = P[i][j]
-    return Q
-
-
 class Phi3Context(SymmetryContext):
     """4 unit + 2 Artin-Schreier coordinates; symmetries (sigma in S_2, c1, c2).
 
@@ -1469,83 +1365,6 @@ class Phi3Context(SymmetryContext):
         self.lam1 = fb.div(fb.mul(x11, x22), x21)
         self.lam2 = fb.mul(x22, x13)
         return (x21, x11, x22, x13)
-
-
-@lru_cache(maxsize=None)
-def _fa_matrices(m: int):
-    rows, cols = 3 * m + 1, 2 * m + 2
-    # rows (x0, x1..xm, y1..ym, z1..zm); cols (u0, u1..um, v0, v1..vm)
-    x0 = 0
-
-    def xr(j):
-        return j
-
-    def yr(j):
-        return m + j
-
-    def zr(j):
-        return 2 * m + j
-
-    u0, v0 = 0, m + 1
-
-    def uc(j):
-        return j
-
-    def vc(j):
-        return m + 1 + j
-
-    theta0 = imat_zero(rows, cols)
-    theta0[xr(m)][u0] -= 1
-    for j in range(1, m + 1):
-        theta0[xr(j)][uc(j)] += 1
-        theta0[yr(j)][uc(j)] -= 1
-        theta0[xr(m)][uc(j)] -= 1
-    theta0[x0][v0] += 1
-    theta0[xr(m)][v0] -= 1
-    for j in range(1, m + 1):
-        theta0[xr(j)][vc(j)] += 1
-        theta0[xr(m)][vc(j)] -= 1
-    Ts = [imat_zero(rows, cols)]
-    for j in range(1, m + 1):
-        T = imat_zero(rows, cols)
-        T[x0][vc(m)] += 1
-        T[xr(j)][vc(m)] -= 1
-        T[yr(j)][vc(m)] += 1
-        T[zr(j)][vc(m)] -= 1
-        Ts.append(T)
-    rho0 = imat_zero(cols, rows)
-    rho0[v0][x0] = 1
-    rho0[u0][x0] = -1
-    for j in range(1, m + 1):
-        rho0[vc(j)][xr(j)] = 1
-        rho0[u0][xr(j)] = -1
-        rho0[vc(j)][yr(j)] = 1
-        rho0[uc(j)][yr(j)] = -1
-        rho0[v0][zr(j)] = 1
-        rho0[uc(j)][zr(j)] = -1
-    rhos = [rho0]
-    for j in range(1, m + 1):
-        rho = imat_zero(cols, rows)
-        rho[vc(m)][zr(j)] = -1
-        rhos.append(rho)
-    check = imat_zero(rows, rows)
-    for T, rho in zip(Ts, rhos):
-        check = imat_add(check, imat_mul(imat_add(theta0, T), rho))
-    assert check == imat_identity(rows)
-    return theta0, Ts, rhos, _gauge_last_matrix(cols)
-
-
-def _fa_swaps(m: int):
-    """The 2^n column swaps u_j <-> v_j."""
-    out = []
-    for subset in itertools.chain.from_iterable(
-        itertools.combinations(range(1, m + 1), size) for size in range(m + 1)
-    ):
-        sigma = list(range(2 * m + 2))
-        for j in subset:
-            sigma[j], sigma[m + 1 + j] = sigma[m + 1 + j], sigma[j]
-        out.append(tuple(sigma))
-    return out
 
 
 class FAContext(SymmetryContext):

@@ -51,6 +51,33 @@ def test_gauss_table_lists_all_characters(runner):
     assert len(lines) == 5  # header + N = 4 characters
 
 
+def test_gauss_circ_matches_library(runner):
+    from hgfq.chars import MulChar, standard_psi
+    from hgfq.ffield import build_field
+    from hgfq.sums import gauss_circ
+
+    f = build_field(5)
+    psi = standard_psi(f)
+    data = _json(runner.invoke(main, ["gauss", "--q", "5", "--circ"]))
+    assert [row["chi"] for row in data] == list(range(f.N))
+    for row in data:
+        assert row["value"] == gauss_circ(MulChar(f, row["chi"]), psi).to_json()
+    assert data[0]["value"]["num"] == [5] + [0] * 19  # j = 0 gives q
+
+
+def test_hgf_raw_is_the_unwrapped_sum(runner):
+    from hgfq.chars import MulChar
+    from hgfq.ffield import build_field
+    from hgfq.hgf import hgf_eval, mfn, params
+
+    f = build_field(5)
+    args = ["hgf", "--q", "5", "--upper", "1,2", "--lower", "3", "--lam", "2"]
+    raw = _json(runner.invoke(main, args + ["--raw"]))["value"]
+    ups, los = [MulChar(f, 1), MulChar(f, 2)], [MulChar(f, 3)]
+    assert raw == hgf_eval(params(ups, los), 2).to_json()
+    assert raw != mfn(ups, los, 2).to_json()
+
+
 def test_jacobi_spot_value(runner):
     data = _json(runner.invoke(main, ["jacobi", "--q", "3", "--chi", "1,1"]))
     assert data["value"] == {"m": 2, "num": [-1, 0], "den": 1}

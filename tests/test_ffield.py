@@ -36,14 +36,23 @@ def test_nonprime_p_rejected():
         Field(4, 1)
 
 
-def test_cap_enforced():
-    with pytest.raises(ValueError):
-        Field(3, 13)
-    with pytest.raises(ValueError):
-        Field(5, 1, cap=4)
-    # override works in both directions
-    assert Field(5, 1, cap=5).q == 5
-    assert Field(5, 4, cap=5**4).q == 625
+def test_cap_enforced(monkeypatch):
+    # one bound, 2^20, on every field and extension, checked before any table
+    f2, f3 = build_field(2), build_field(3)
+
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Field, "_find_modulus", no_tables)
+    monkeypatch.setattr(Field, "_build_tables", no_tables)
+    monkeypatch.setattr(ExtensionField, "_find_embed_stride", no_tables)
+    for make, what in ((lambda: Field(2, 21), "field size 2097152"),
+                       (lambda: build_field(2, 21), "field size 2097152"),
+                       (lambda: build_field_q(2**21), "field size 2097152"),
+                       (lambda: extend(f2, 21), "extension size 2097152"),
+                       (lambda: ExtensionField(f3, 13), "extension size 1594323")):
+        with pytest.raises(ValueError, match=f"^{what} exceeds cap 1048576$"):
+            make()
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3)])
@@ -121,13 +130,11 @@ def test_trivial_extension_is_identity():
 
 def test_one_field_object_per_size():
     f = build_field_q(3)
-    assert build_field(3) is f and build_field(3, 1, cap=3) is f
+    assert build_field(3) is f and build_field(3, 1) is f
     assert build_field_q(9) is build_field(3, 2)
     extend(build_field_q(3), 1)
     assert extend(build_field(3), 1).field is build_field(3)
     assert extend(f, 2).field is build_field_q(9)
-    with pytest.raises(ValueError):
-        build_field(3, 2, cap=8)  # the cap is checked on every call, cached or not
 
 
 def test_extension_cap():

@@ -601,6 +601,16 @@ def test_identity_w_is_identity():
     assert w_action_on_char(chi, w) == chi
 
 
+@pytest.mark.parametrize("h_blocks", [((2, 1),), ((2,), (1, 2), (1,)), ((2,), (1, 2, 0)),
+                                      ((2,), (1,))])
+def test_h_to_matrix_rejects_blocks_not_matching_the_parts(h_blocks):
+    # one block per part, each exactly as long as its part
+    f = build_field(3)
+    with pytest.raises(ValueError, match="do not match the parts"):
+        h_to_matrix(f, Partition((1, 2)), h_blocks)
+    assert h_to_matrix(f, Partition((1, 2)), ((2,), (1, 2))) == [[2, 0, 0], [0, 1, 2], [0, 0, 1]]
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_h_equivariance(q):
     # Phi(chi; z h) = chi(h) Phi(chi; z) for h in the block-Toeplitz group

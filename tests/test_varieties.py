@@ -1360,6 +1360,15 @@ def test_general_right_action_matches_scalar_oracle():
     assert checked > 0
 
 
+@pytest.mark.parametrize("h_blocks", [((2, 1),), ((2,), (1, 2), (1,)), ((2,), (1, 2, 0)),
+                                      ((2,), (1,))])
+def test_general_right_action_rejects_blocks_not_matching_the_parts(h_blocks):
+    # a missing, extra, long or short block is refused before any map is built
+    v = _small_general(build_field(3), (1, 2), random.Random(4), 1)
+    with pytest.raises(ValueError, match="do not match the parts"):
+        general_iso_rh(v, h_blocks)
+
+
 @pytest.mark.parametrize("parts,d", [((1, 1), 2), ((2, 2), 1), ((1, 1, 2), 1)])
 def test_general_column_symmetry(parts, d):
     f = build_field(3)

@@ -31,16 +31,25 @@ with permutations of equal-size blocks; its contragredient action on
 characters realizes the transformation formulas.  mu_matrix and
 mu_matrix_prime are memoized per (field, c, m) in lru_caches of _MU_KEPT
 (1024) entries and return tuples of tuples, and JmChar.act_mu per
-(character, c) in one more.  The closed-form reductions
-express Phi for six small (d, n, partition) shapes through the one- and
-two-variable hypergeometric sums.
+(character, c) in one more.
+
+The closed-form reductions express Phi for six small (d, n, partition)
+shapes, and a second form of (1,1,1,2), through the one- and two-variable
+hypergeometric sums.  Each is one row of _REDUCTIONS: the blocks whose
+character must be nontrivial, the normalized z of the parameters, and
+Phi / -(q - 1) as a Jacobi, Gauss or character-value constant times one
+mfn, lauricella or humbert value.  One evaluator reads chi once and raises
+ValueError unless the listed blocks are nontrivial and every additive part
+is nonzero (the reductions' hypotheses), returns zero unless the block
+characters multiply to the trivial character, and scales by -(q - 1).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import mul
 
 from .chars import (AddChar, MulChar, _add_table, _mul_table, _sum_tables, standard_psi,
                     trivial_char)
@@ -529,166 +538,93 @@ def mat_mul(field: Field, A, B):
 # -- closed-form reductions ------------------------------------------------
 
 
-REDUCTION_SHAPES = {
-    (2, 4, (1, 1, 1, 1)),
-    (2, 4, (1, 1, 2)),
-    (2, 4, (2, 2)),
-    (2, 5, (1, 1, 1, 1, 1)),
-    (2, 5, (1, 1, 1, 2)),
-    (2, 5, (1, 2, 2)),
+# Per shape, and "zpp" for the second (1,1,1,2) form: the blocks whose
+# character must be nontrivial; the normalized z of the parameters; and
+# Phi / -(q - 1) of the field, psi, the block characters a, the additive
+# parts t (block by block) and z.
+_REDUCTIONS = {
+    (1, 1, 1, 1): ((0, 1),
+                   lambda f, lam: [[1, 1, 1, 0], [f.neg(1), f.neg(lam), 0, 1]],
+                   lambda f, psi, a, t, z: jacobi(a[0], a[3]) * mfn(
+                       [a[1].inverse(), a[3]], [a[0] * a[3]], f.neg(z[1][1]), psi)),
+    (1, 1, 2): ((0,),
+                lambda f, lam: [[f.neg(1), 1, 0, f.neg(lam)], [1, 0, 1, 0]],
+                lambda f, psi, a, t, z: jacobi(a[0], a[1]) * mfn(
+                    [a[1]], [a[0] * a[1]], f.mul(t[0], f.neg(z[0][3])), psi)),
+    (2, 2): ((),
+             lambda f, lam: [[1, 0, 0, lam], [0, f.neg(1), 1, 0]],
+             lambda f, psi, a, t, z: a[0].eval(f.neg(t[0])) * gauss(a[0].inverse(), psi) * mfn(
+                 [], [a[0]], f.neg(f.mul(f.mul(t[0], t[1]), z[0][3])), psi)),
+    (1, 1, 1, 1, 1): ((0, 1, 2),
+                      lambda f, x, y: [[1, 1, 1, 1, 0], [f.neg(1), f.neg(x), f.neg(y), 0, 1]],
+                      lambda f, psi, a, t, z: jacobi(a[0], a[4]) * lauricella(
+                          "D", [a[4]], [a[1].inverse(), a[2].inverse()], [a[0] * a[4]],
+                          [trivial_char(f)] * 2, (f.neg(z[1][1]), f.neg(z[1][2])), psi)),
+    (1, 1, 1, 2): ((0, 1),
+                   lambda f, x, y: [[f.neg(1), f.neg(x), 1, 0, f.neg(y)], [1, 1, 0, 1, 0]],
+                   lambda f, psi, a, t, z: jacobi(a[0], a[2]) * humbert(
+                       1, [a[2], a[1].inverse()], a[0] * a[2], [trivial_char(f)] * 2,
+                       f.neg(z[0][1]), f.mul(t[0], f.neg(z[0][4])), psi)),
+    (1, 2, 2): ((0,),
+                lambda f, x, y: [[1, 1, 0, 0, 1], [x, 0, y, 1, 0]],
+                lambda f, psi, a, t, z: a[1].eval(f.neg(1)) * a[2].inverse().eval(z[1][0])
+                * jacobi(a[0], a[1]) * humbert(
+                    3, [a[2]], trivial_char(f), [a[1].inverse(), trivial_char(f)],
+                    f.div(f.mul(t[0], z[1][2]), z[1][0]), f.mul(f.mul(t[0], t[1]), z[1][2]), psi)),
+    "zpp": ((1, 2),
+            lambda f, x, y: [[1, 1, 1, 0, 1], [0, x, y, 1, 0]],
+            lambda f, psi, a, t, z: a[1].eval(z[1][1]) * a[2].eval(z[1][2])
+            * a[0].inverse().eval(t[0]) * gauss(a[0], psi) * humbert(
+                2, [trivial_char(f)] * 2, a[0].inverse(), [a[1], a[2]],
+                f.mul(t[0], z[1][1]), f.mul(t[0], z[1][2]), psi)),
 }
+
+REDUCTION_SHAPES = {(2, sum(k), k) for k in _REDUCTIONS if k != "zpp"}
 
 
 def normalized_z(field: Field, delta: tuple[int, ...], lams: tuple[int, ...]):
     """The matrix shape used by the closed-form reductions, for the given
-    argument tuple (one or two field elements)."""
-    f = field
-    if delta == (1, 1, 1, 1):
-        (lam,) = lams
-        return [[1, 1, 1, 0], [f.neg(1), f.neg(lam), 0, 1]]
-    if delta == (1, 1, 2):
-        (lam,) = lams
-        return [[f.neg(1), 1, 0, f.neg(lam)], [1, 0, 1, 0]]
-    if delta == (2, 2):
-        (lam,) = lams
-        return [[1, 0, 0, lam], [0, f.neg(1), 1, 0]]
-    if delta == (1, 1, 1, 1, 1):
-        x, y = lams
-        return [[1, 1, 1, 1, 0], [f.neg(1), f.neg(x), f.neg(y), 0, 1]]
-    if delta == (1, 1, 1, 2):
-        x, y = lams
-        return [[f.neg(1), f.neg(x), 1, 0, f.neg(y)], [1, 1, 0, 1, 0]]
-    if delta == (1, 2, 2):
-        x, y = lams
-        return [[1, 1, 0, 0, 1], [x, 0, y, 1, 0]]
-    raise ValueError(f"unsupported shape {delta}")
+    parameters: one field element code for n = 4, two for n = 5."""
+    delta, lams = tuple(delta), tuple(lams)
+    if delta not in _REDUCTIONS:
+        raise ValueError(f"unsupported shape {delta}")
+    if len(lams) != sum(delta) - 3:
+        raise ValueError(f"shape {delta} takes {sum(delta) - 3} parameter(s); got {lams}")
+    if not all(x in field.elements() for x in lams):
+        raise ValueError(f"parameters must be field element codes 0..{field.q - 1}; got {lams}")
+    return _REDUCTIONS[delta][1](field, *lams)
 
 
 def reduce_to_classical(chi: HDeltaChar, z) -> Cyclo:
     """The closed-form right-hand side for the six supported shapes, with z in
     the normalized shape produced by normalized_z."""
-    delta = chi.delta.parts
-    f = chi.field
-    psi = chi.blocks[0].psi
-    eps = trivial_char(f)
-    q1 = f.N  # q - 1
-
-    if delta == (1, 1, 1, 1):
-        a1, a2, a3, a4 = (b.alpha for b in chi.blocks)
-        lam = f.neg(z[1][1])
-        if a1.is_trivial() or a2.is_trivial():
-            raise ValueError("reduction requires the first two characters nontrivial")
-        if not (a1 * a2 * a3 * a4).is_trivial():
-            return Cyclo.zero()
-        val = jacobi(a1, a4) * mfn([a2.inverse(), a4], [a1 * a4], lam, psi)
-        return val.scale(-q1)
-
-    if delta == (1, 1, 2):
-        a1, a2, a3 = (b.alpha for b in chi.blocks)
-        a = chi.blocks[2].a[0]
-        lam = f.neg(z[0][3])
-        if a1.is_trivial():
-            raise ValueError("reduction requires the first character nontrivial")
-        if a == 0:
-            raise ValueError("reduction requires a nontrivial additive part")
-        if not (a1 * a2 * a3).is_trivial():
-            return Cyclo.zero()
-        val = jacobi(a1, a2) * mfn([a2], [a1 * a2], f.mul(a, lam), psi)
-        return val.scale(-q1)
-
-    if delta == (2, 2):
-        a1, a2 = (b.alpha for b in chi.blocks)
-        t1, t2 = chi.blocks[0].a[0], chi.blocks[1].a[0]
-        lam = z[0][3]
-        if t1 == 0 or t2 == 0:
-            raise ValueError("reduction requires nontrivial additive parts in both blocks")
-        if not (a1 * a2).is_trivial():
-            return Cyclo.zero()
-        val = a1.eval(f.neg(t1)) * gauss(a1.inverse(), psi)
-        val = val * mfn([], [a1], f.neg(f.mul(f.mul(t1, t2), lam)), psi)
-        return val.scale(-q1)
-
-    if delta == (1, 1, 1, 1, 1):
-        a1, a2, a3, a4, a5 = (b.alpha for b in chi.blocks)
-        x, y = f.neg(z[1][1]), f.neg(z[1][2])
-        if a1.is_trivial() or a2.is_trivial() or a3.is_trivial():
-            raise ValueError("reduction requires the first three characters nontrivial")
-        if not (a1 * a2 * a3 * a4 * a5).is_trivial():
-            return Cyclo.zero()
-        val = jacobi(a1, a5) * lauricella(
-            "D",
-            [a5],
-            [a2.inverse(), a3.inverse()],
-            [a1 * a5],
-            [eps, eps],
-            (x, y),
-            psi,
-        )
-        return val.scale(-q1)
-
-    if delta == (1, 1, 1, 2):
-        a1, a2, a3, a4 = (b.alpha for b in chi.blocks)
-        a = chi.blocks[3].a[0]
-        x, y = f.neg(z[0][1]), f.neg(z[0][4])
-        if a1.is_trivial() or a2.is_trivial():
-            raise ValueError("reduction requires the first two characters nontrivial")
-        if a == 0:
-            raise ValueError("reduction requires a nontrivial additive part")
-        if not (a1 * a2 * a3 * a4).is_trivial():
-            return Cyclo.zero()
-        val = jacobi(a1, a3) * humbert(
-            1, [a3, a2.inverse()], a1 * a3, [eps, eps], x, f.mul(a, y), psi
-        )
-        return val.scale(-q1)
-
-    if delta == (1, 2, 2):
-        a1, a2, a3 = (b.alpha for b in chi.blocks)
-        t1, t2 = chi.blocks[1].a[0], chi.blocks[2].a[0]
-        x, y = z[1][0], z[1][2]
-        if a1.is_trivial():
-            raise ValueError("reduction requires the first character nontrivial")
-        if t1 == 0 or t2 == 0:
-            raise ValueError("reduction requires nontrivial additive parts in both blocks")
-        if not (a1 * a2 * a3).is_trivial():
-            return Cyclo.zero()
-        val = a2.eval(f.neg(1)) * a3.inverse().eval(x) * jacobi(a1, a2)
-        val = val * humbert(
-            3,
-            [a3],
-            eps,
-            [a2.inverse(), eps],
-            f.div(f.mul(t1, y), x),
-            f.mul(f.mul(t1, t2), y),
-            psi,
-        )
-        return val.scale(-q1)
-
-    raise ValueError(f"unsupported shape {delta}")
+    return _evaluate(chi, z, chi.delta.parts)
 
 
 def phi2_from_zpp(chi: HDeltaChar, z) -> Cyclo:
     """The alternative closed form for the (1,1,1,2) shape with z in the
     second normalized form [[1,1,1,0,1],[0,x',y',1,0]]."""
-    f = chi.field
-    psi = chi.blocks[0].psi
-    eps = trivial_char(f)
-    a1, a2, a3, a4 = (b.alpha for b in chi.blocks)
-    a = chi.blocks[3].a[0]
-    xp, yp = z[1][1], z[1][2]
-    if a2.is_trivial() or a3.is_trivial():
-        raise ValueError("reduction requires the middle two characters nontrivial")
-    if a == 0:
-        raise ValueError("reduction requires a nontrivial additive part")
-    if not (a1 * a2 * a3 * a4).is_trivial():
+    return _evaluate(chi, z, "zpp" if chi.delta.parts == (1, 1, 1, 2) else None)
+
+
+def _evaluate(chi: HDeltaChar, z, key) -> Cyclo:
+    """Phi(chi; z) by the reduction _REDUCTIONS[key].  Its hypotheses: the
+    listed blocks' characters are nontrivial and every additive part is
+    nonzero, else ValueError; zero unless the block characters multiply to
+    the trivial character."""
+    if key not in _REDUCTIONS:
+        raise ValueError(f"unsupported shape {chi.delta.parts}")
+    need, _, value = _REDUCTIONS[key]
+    a = [b.alpha for b in chi.blocks]
+    t = [x for b in chi.blocks for x in b.a]
+    if any(a[i].is_trivial() for i in need):
+        which = ("first", "middle")[need[0]]
+        count = ("character", "two characters", "three characters")[len(need) - 1]
+        raise ValueError(f"reduction requires the {which} {count} nontrivial")
+    if 0 in t:
+        raise ValueError("reduction requires " + ("nontrivial additive parts in both blocks"
+                                                  if len(t) > 1 else "a nontrivial additive part"))
+    if not reduce(mul, a).is_trivial():
         return Cyclo.zero()
-    val = a2.eval(xp) * a3.eval(yp) * a1.inverse().eval(a) * gauss(a1, psi)
-    val = val * humbert(
-        2,
-        [eps, eps],
-        a1.inverse(),
-        [a2, a3],
-        f.mul(a, xp),
-        f.mul(a, yp),
-        psi,
-    )
-    return val.scale(-f.N)
+    f = chi.field
+    return value(f, chi.blocks[0].psi, a, t, z).scale(-f.N)

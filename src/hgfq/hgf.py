@@ -68,16 +68,17 @@ weights; a sum with no surviving term is Cyclo.zero() (m = 1).
 The evaluator reads each term as a member (j, c, upper), a = chi_j by its
 index, and checks no field: each caller checks that its characters live
 over psi's field and converts them to indices once.  The callers only
-build term lists and constants:
+build term lists and constants and call _horn; lauricella() and humbert()
+first check that their kind takes as many characters as given:
 
  - the one-variable series F(a_1..a_m; b_1..b_(n+1); lambda): every a_i
    upper and every b_j lower at c = (1,), times 1/(1-q);
- - the Appell-Lauricella families F_A/F_B/F_C/F_D in n variables: each
-   parameter is one character at c = (1..1) or n characters at e_1..e_n
-   (`_LAURICELLA`), times 1/(1-q)^n;
- - the Humbert confluent families Phi_1/Phi_2/Phi_3 over (mu, nu): the upper
-   characters as in `_HUMBERT`, gamma at (1, 1) and delta at e_1, e_2,
-   times 1/(1-q)^2;
+ - lauricella(), the Appell-Lauricella families F_A/F_B/F_C/F_D in n
+   variables: each parameter is one character at c = (1..1) or n characters
+   at e_1..e_n (`_LAURICELLA`), times 1/(1-q)^n;
+ - humbert(), the Humbert confluent families Phi_1/Phi_2/Phi_3 over
+   (mu, nu): the upper characters as in `_HUMBERT`, gamma at (1, 1) and
+   delta at e_1, e_2, times 1/(1-q)^2;
  - the four convolution ("iteration") transforms, whose sum also carries
    the Fourier coefficient f-hat of each character tuple, times a Jacobi
    or Gauss sum, a sign and 1/N^n.
@@ -364,57 +365,30 @@ _LAURICELLA = {
 }
 
 
-@dataclass(frozen=True)
-class LauricellaParams:
-    kind: str  # 'A' | 'B' | 'C' | 'D'; the character counts are in _LAURICELLA
-    alpha: tuple[MulChar, ...]
-    beta: tuple[MulChar, ...]
-    gamma: tuple[MulChar, ...]
-    delta: tuple[MulChar, ...]  # n chars
-    psi: AddChar
-
-    @property
-    def n(self) -> int:
-        return len(self.delta)
-
-    @property
-    def field(self) -> Field:
-        return self.psi.field
-
-
-def _lauricella_terms(p: LauricellaParams) -> list:
-    if p.kind not in _LAURICELLA:
-        raise ValueError(f"unknown kind {p.kind!r}")
-    shape, n = _LAURICELLA[p.kind], p.n
-    chars = (p.alpha, p.beta, p.gamma, p.delta)
+def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
+    """F_kind(alpha; beta; gamma; delta; lams) in n = len(delta) variables,
+    each parameter a tuple of as many characters as _LAURICELLA gives."""
+    chars, lams = (tuple(alpha), tuple(beta), tuple(gamma), tuple(delta)), tuple(lams)
+    if not any(chars):
+        raise ValueError("no characters given")
+    psi = psi or standard_psi(next(c for group in chars for c in group).field)
+    if kind not in _LAURICELLA:
+        raise ValueError(f"unknown kind {kind!r}")
+    shape, n = _LAURICELLA[kind], len(chars[3])
     counts = [len(c) for c in chars]
     if n < 1 or counts != [1 if s == "1" else n for s in shape]:
         names = ("alpha", "beta", "gamma", "delta")
         want = ", ".join(f"{s} {x}" for s, x in zip(shape, names))
         got = ", ".join(f"{k} {x}" for k, x in zip(counts, names))
-        raise ValueError(f"F_{p.kind} takes {want} characters with n = len(delta) >= 1; got {got}")
+        raise ValueError(f"F_{kind} takes {want} characters with n = len(delta) >= 1; got {got}")
+    if len(lams) != n:
+        raise ValueError("wrong number of arguments")
     terms = []
     for group, s, upper in zip(chars, shape, (True, True, False, False)):
         cs = [(1,) * n] if s == "1" else _unit_vectors(n)
         terms += [(a, c, upper) for a, c in zip(group, cs)]
-    return terms
-
-
-def lauricella_eval(p: LauricellaParams, lams: tuple[int, ...]) -> Cyclo:
-    terms = _lauricella_terms(p)
-    if len(lams) != p.n:
-        raise ValueError("wrong number of arguments")
-    const = Const((-1) ** p.n, den=(p.field.q - 1) ** p.n)
-    return _horn(_members(terms, p.psi), lams, p.psi, const=const)
-
-
-def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
-    chars = list(alpha) + list(beta) + list(gamma) + list(delta)
-    if not chars:
-        raise ValueError("no characters given")
-    psi = psi or standard_psi(chars[0].field)
-    p = LauricellaParams(kind, tuple(alpha), tuple(beta), tuple(gamma), tuple(delta), psi)
-    return lauricella_eval(p, tuple(lams))
+    const = Const((-1) ** n, den=(psi.field.q - 1) ** n)
+    return _horn(_members(terms, psi), lams, psi, const=const)
 
 
 # Per kind, the combinations of (mu, nu) of the upper characters; gamma sits
@@ -422,39 +396,20 @@ def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
 _HUMBERT = {1: ((1, 1), (1, 0)), 2: ((1, 0), (0, 1)), 3: ((1, 0),)}
 
 
-@dataclass(frozen=True)
-class HumbertParams:
-    kind: int  # 1 | 2 | 3
-    upper: tuple[MulChar, ...]  # Phi1: (alpha, beta); Phi2: (beta, beta'); Phi3: (beta,)
-    gamma: MulChar
-    delta: tuple[MulChar, MulChar]
-    psi: AddChar
-
-    @property
-    def field(self) -> Field:
-        return self.psi.field
-
-
-def _humbert_terms(p: HumbertParams) -> list:
-    if p.kind not in _HUMBERT:
-        raise ValueError(f"unknown kind {p.kind}")
-    cs = _HUMBERT[p.kind]
-    if len(p.upper) != len(cs) or len(p.delta) != 2:
-        raise ValueError(f"Phi_{p.kind} takes {len(cs)} upper and 2 delta characters; "
-                         f"got {len(p.upper)} and {len(p.delta)}")
-    return ([(a, c, True) for a, c in zip(p.upper, cs)] + [(p.gamma, (1, 1), False)]
-            + [(d, c, False) for d, c in zip(p.delta, _unit_vectors(2))])
-
-
-def humbert_eval(p: HumbertParams, lam1: int, lam2: int) -> Cyclo:
-    const = Const(den=(p.field.q - 1) ** 2)
-    return _horn(_members(_humbert_terms(p), p.psi), (lam1, lam2), p.psi, const=const)
-
-
 def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
+    """Phi_kind(upper; gamma; delta; lam1, lam2): upper is (alpha, beta) for
+    Phi_1, (beta, beta') for Phi_2 and (beta,) for Phi_3."""
     psi = psi or standard_psi(gamma.field)
-    p = HumbertParams(kind, tuple(upper), gamma, tuple(delta), psi)
-    return humbert_eval(p, lam1, lam2)
+    if kind not in _HUMBERT:
+        raise ValueError(f"unknown kind {kind}")
+    cs, upper, delta = _HUMBERT[kind], tuple(upper), tuple(delta)
+    if len(upper) != len(cs) or len(delta) != 2:
+        raise ValueError(f"Phi_{kind} takes {len(cs)} upper and 2 delta characters; "
+                         f"got {len(upper)} and {len(delta)}")
+    terms = ([(a, c, True) for a, c in zip(upper, cs)] + [(gamma, (1, 1), False)]
+             + [(d, c, False) for d, c in zip(delta, _unit_vectors(2))])
+    const = Const(den=(psi.field.q - 1) ** 2)
+    return _horn(_members(terms, psi), (lam1, lam2), psi, const=const)
 
 
 # -- discrete Fourier transform -------------------------------------------
@@ -504,22 +459,16 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
         raise ValueError("wrong number of arguments")
     prod_i = (1,) * i + (0,) * (n - i)
     firsts = list(zip(betas[:i], _unit_vectors(n)))
-    if kind == "i":
-        terms = [(alpha, prod_i, True)] + [(b, c, False) for b, c in firsts]
+    if kind in ("i", "ii"):  # kind ii: kind i with upper and lower swapped, etas conjugated
+        terms = [(alpha, prod_i, kind == "i")] + [(b, c, kind == "ii") for b, c in firsts]
         comp = alpha.inverse()
         for b in betas[:i]:
             comp = comp * b
         if comp.is_trivial():
             raise ValueError("degenerate: alpha-bar beta_1..beta_i is trivial")
         etas, sign = (comp, *[b.inverse() for b in betas[:i]]), (-1) ** i
-    elif kind == "ii":
-        terms = [(b, c, True) for b, c in firsts] + [(alpha, prod_i, False)]
-        comp = alpha
-        for b in betas[:i]:
-            comp = comp * b.inverse()
-        if comp.inverse().is_trivial():
-            raise ValueError("degenerate: alpha-bar beta_1..beta_i is trivial")
-        etas, sign = (comp, *betas[:i]), (-1) ** i
+        if kind == "ii":
+            etas = tuple(e.inverse() for e in etas)
     elif kind == "iii":
         beta = betas[0]
         terms = [(alpha, prod_i, True), (beta, prod_i, False)]

@@ -1443,12 +1443,21 @@ def make_context(family: str, field: Field, **params):
 # -- general-family isomorphisms --------------------------------------------
 
 
+def _general_degree(v: GeneralXDz, capped: bool = False) -> int:
+    """The degree the general maps are checked over: N, times p when a part
+    exceeds 1.  capped: 1 where F_(q^r) would exceed the cap."""
+    fb = v.field
+    r = fb.N * (fb.p if v.delta.parts[-1] > 1 else 1)
+    return 1 if capped and fb.q**r > DEFAULT_CAP else r
+
+
 def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
     """Left multiplication of z by an invertible d x d matrix; s -> s g^{-1}."""
     fb = v.field
     ginv = fmat_inv(fb, [list(row) for row in g])
     target = GeneralXDz(fb, v.delta, mat_mul(fb, [list(row) for row in g], v.z))
-    transport = MonomialMap(v, target, target.identity_element(), s_mat=ginv)
+    transport = MonomialMap(v, target, target.identity_element(), s_mat=ginv,
+                            ext_r=_general_degree(v, capped=True))
     return Isomorphism(v, target, ("Lg", tuple(map(tuple, g))), transport)
 
 
@@ -1460,7 +1469,7 @@ def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
     fb = v.field
     h_blocks = tuple(tuple(h) for h in h_blocks)
     target = GeneralXDz(fb, v.delta, mat_mul(fb, v.z, h_to_matrix(fb, v.delta, h_blocks)))
-    r = fb.N if all(size == 1 for size in v.delta.parts) else fb.p * fb.N
+    r = _general_degree(v)
     thetas = []
     for size, h in zip(v.delta.parts, h_blocks):
         thetas.extend(theta_list(fb, size - 1, list(h)))
@@ -1480,7 +1489,8 @@ def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
     rest = [c for c in range(v.delta.n) if c not in leads]
     Q = [[W[i][j] for j in leads] for i in leads]
     add_mat = [[W[i][j] for j in rest] for i in rest]
-    transport = MonomialMap(v, target, target.identity_element(), Q, add_mat)
+    transport = MonomialMap(v, target, target.identity_element(), Q, add_mat,
+                            ext_r=_general_degree(v, capped=True))
     return Isomorphism(v, target, ("fw", w), transport)
 
 

@@ -188,10 +188,12 @@ class _PhiFast:
             arr = self._block_exponents(b, keys)
             total = (total[:, None, :] + arr[None, :, :]).reshape(-1, len(keys))
         total %= self.M
-        out = np.zeros((total.shape[0], self.M), dtype=np.int64)
-        for m in range(self.M):
-            out[:, m] = ((total == m) * cnt).sum(axis=1)
-        return out
+        rows = total.shape[0]
+        out = np.zeros(rows * self.M, dtype=np.int64)
+        # every row's histogram at once: slot total + M * row, weighted by cnt
+        np.add.at(out, (total + self.M * np.arange(rows)[:, None]).ravel(),
+                  np.broadcast_to(cnt, total.shape).ravel())
+        return out.reshape(rows, self.M)
 
     def char_exponents_on(self, key):
         """zeta_M exponent of chi evaluated blockwise at one coefficient

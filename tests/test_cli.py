@@ -289,6 +289,23 @@ def test_bad_input_fails_closed(runner, args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--q", "5", "--delta", "1,1,2", "--lams", "7", "--chi", "1;1;2:1"],
+     "parameters must be field element codes 0..4; got (7,)"),
+    (["--q", "5", "--delta", "1,1,1,1", "--lams", "6", "--chi", "1;1;1;1"],
+     "parameters must be field element codes 0..4; got (6,)"),
+    (["--q", "4", "--delta", "1,1,2", "--lams", "9", "--chi", "1;1;2:1"],
+     "parameters must be field element codes 0..3; got (9,)"),
+    (["--q", "5", "--delta", "2,2", "--lams", "1,2", "--chi", "1:1;3:2"],
+     "shape (2, 2) takes 1 parameter(s); got (1, 2)"),
+])
+def test_phi_lams_fail_closed(runner, args, error):
+    # a code past q - 1 is not reduced mod q, and a wrong count is named
+    result = runner.invoke(main, ["phi", *args])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output) == {"error": error}
+
+
 def test_verify_jobs_are_clamped(runner, monkeypatch):
     started = []
 

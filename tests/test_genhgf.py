@@ -16,6 +16,7 @@ from hgfq.genhgf import (
     JmChar,
     Partition,
     WDeltaElem,
+    _REDUCTIONS,
     _phi_histogram,
     chi_of_sz,
     hdelta_chars,
@@ -737,3 +738,63 @@ def test_reduction_spot_value_22():
     chi = HDeltaChar(delta, (JmChar(eps, (1,), psi), JmChar(eps, (1,), psi)))
     z = normalized_z(f, (2, 2), (1,))
     assert reduce_to_classical(chi, z) == phi_delta(chi, z)
+
+
+# Per shape at q = 3, over every character and every unit parameter tuple:
+# the (chi, z) pairs that return a value and those that raise ValueError.
+_HYPOTHESIS_COUNTS = {
+    (1, 1, 1, 1): (8, 24),
+    (1, 1, 2): (16, 32),
+    (2, 2): (32, 40),
+    (1, 1, 1, 1, 1): (16, 112),
+    (1, 1, 1, 2): (32, 160),
+    (1, 2, 2): (64, 224),
+    "zpp": (32, 160),
+}
+
+
+@pytest.mark.parametrize("key", list(_HYPOTHESIS_COUNTS))
+def test_reduction_hypotheses_pinned(key):
+    f = build_field(3)
+    parts, rhs, zfun = (1, 1, 1, 2), phi2_from_zpp, _REDUCTIONS["zpp"][1]
+    if key != "zpp":
+        parts, rhs, zfun = key, reduce_to_classical, None
+    values = raises = 0
+    for chi in hdelta_chars(f, Partition(parts), standard_psi(f)):
+        for lams in itertools.product(f.units(), repeat=sum(parts) - 3):
+            z = zfun(f, *lams) if zfun else normalized_z(f, parts, lams)
+            try:
+                rhs(chi, z)
+                values += 1
+            except ValueError:
+                raises += 1
+    assert (values, raises) == _HYPOTHESIS_COUNTS[key]
+
+
+def test_phi2_from_zpp_rejects_other_shapes():
+    f = build_field(3)
+    psi = standard_psi(f)
+    chi = HDeltaChar(Partition((2, 2)), (JmChar(MulChar(f, 1), (1,), psi),) * 2)
+    with pytest.raises(ValueError, match=r"unsupported shape \(2, 2\)"):
+        phi2_from_zpp(chi, normalized_z(f, (2, 2), (1,)))
+
+
+@pytest.mark.parametrize("q, parts, lams, message", [
+    (5, (1, 1, 2), (7,), r"parameters must be field element codes 0\.\.4; got \(7,\)"),
+    (5, (1, 1, 1, 1), (6,), r"parameters must be field element codes 0\.\.4; got \(6,\)"),
+    (4, (1, 1, 2), (9,), r"parameters must be field element codes 0\.\.3; got \(9,\)"),
+    (5, (1, 2, 2), (2, -1), r"parameters must be field element codes 0\.\.4"),
+    (5, (2, 2), (1, 2), r"shape \(2, 2\) takes 1 parameter"),
+    (5, (1, 1, 1, 2), (2,), r"shape \(1, 1, 1, 2\) takes 2 parameter"),
+    (5, (3, 3), (2,), r"unsupported shape \(3, 3\)"),
+])
+def test_normalized_z_rejects_bad_parameters(q, parts, lams, message):
+    with pytest.raises(ValueError, match=message):
+        normalized_z(build_field_q(q), parts, lams)
+
+
+def test_normalized_z_allows_zero():
+    # Phi is defined at every z; the reductions' own hypotheses reject lam = 0
+    f = build_field(5)
+    assert normalized_z(f, (2, 2), (0,)) == [[1, 0, 0, 0], [0, 4, 1, 0]]
+    assert normalized_z(f, (1, 2, 2), (0, 3)) == [[1, 1, 0, 0, 1], [0, 0, 3, 1, 0]]

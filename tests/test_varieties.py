@@ -1317,6 +1317,7 @@ def test_general_left_action(parts, d):
     iso = general_iso_lg(v, g)
     rep = verify_iso(iso)
     assert rep["pass"], rep["failures"]
+    assert rep["checked"] > 0
     for chi in enumerate_groupchars(iso.transport.target):
         assert transport_check(iso.transport, chi)
 
@@ -1335,6 +1336,16 @@ def test_general_right_action(parts, d):
     assert rep["pass"], rep["failures"]
     for chi in enumerate_groupchars(iso.transport.target):
         assert transport_check(iso.transport, chi)
+
+
+def test_general_right_action_checks_points():
+    # the (1, 2) case above has a zero lead column in its second block, so no
+    # point at any degree; with z = [[1, 1, 1]] its points are checked
+    f = build_field(3)
+    v = GeneralXDz(f, Partition((1, 2)), [[1, 1, 1]])
+    rep = verify_iso(general_iso_rh(v, ((2,), (1, 2))))
+    assert rep["pass"], rep["failures"]
+    assert rep["checked"] == 4368
 
 
 def test_general_right_action_matches_scalar_oracle():
@@ -1380,6 +1391,7 @@ def test_general_column_symmetry(parts, d):
         iso = general_iso_fw(v, w)
         rep = verify_iso(iso)
         assert rep["pass"], rep["failures"]
+        assert rep["checked"] > 0
         for chi in enumerate_groupchars(iso.transport.target):
             assert transport_check(iso.transport, chi)
             # the W_Delta action on H_Delta characters, through the round trip

@@ -579,8 +579,6 @@ _REDUCTIONS = {
                 f.mul(t[0], z[1][1]), f.mul(t[0], z[1][2]), psi)),
 }
 
-REDUCTION_SHAPES = {(2, sum(k), k) for k in _REDUCTIONS if k != "zpp"}
-
 
 def normalized_z(field: Field, delta: tuple[int, ...], lams: tuple[int, ...]):
     """The matrix shape used by the closed-form reductions, for the given

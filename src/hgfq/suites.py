@@ -165,9 +165,8 @@ def _claim_reduction(q, seed, parts):
 
     f = build_field_q(q)
     units = [u for u in f.elements() if u in f.dlog]
-    nlam = 1 if sum(parts) == 4 else 2
     ok, tot, wit = 0, 0, []
-    for lams in itertools.product(units, repeat=nlam):
+    for lams in itertools.product(units, repeat=sum(parts) - 3):
         try:
             z = normalized_z(f, parts, lams)
         except ValueError:

@@ -1443,12 +1443,12 @@ def make_context(family: str, field: Field, **params):
 # -- general-family isomorphisms --------------------------------------------
 
 
-def _general_degree(v: GeneralXDz, capped: bool = False) -> int:
+def _general_degree(v: GeneralXDz) -> int | None:
     """The degree the general maps are checked over: N, times p when a part
-    exceeds 1.  capped: 1 where F_(q^r) would exceed the cap."""
+    exceeds 1; None where F_(q^r) would exceed the cap."""
     fb = v.field
     r = fb.N * (fb.p if v.delta.parts[-1] > 1 else 1)
-    return 1 if capped and fb.q**r > DEFAULT_CAP else r
+    return None if fb.q**r > DEFAULT_CAP else r
 
 
 def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
@@ -1457,7 +1457,7 @@ def general_iso_lg(v: GeneralXDz, g) -> Isomorphism:
     ginv = fmat_inv(fb, [list(row) for row in g])
     target = GeneralXDz(fb, v.delta, mat_mul(fb, [list(row) for row in g], v.z))
     transport = MonomialMap(v, target, target.identity_element(), s_mat=ginv,
-                            ext_r=_general_degree(v, capped=True))
+                            ext_r=_general_degree(v))
     return Isomorphism(v, target, ("Lg", tuple(map(tuple, g))), transport)
 
 
@@ -1469,12 +1469,11 @@ def general_iso_rh(v: GeneralXDz, h_blocks) -> Isomorphism:
     fb = v.field
     h_blocks = tuple(tuple(h) for h in h_blocks)
     target = GeneralXDz(fb, v.delta, mat_mul(fb, v.z, h_to_matrix(fb, v.delta, h_blocks)))
-    r = _general_degree(v)
     thetas = []
     for size, h in zip(v.delta.parts, h_blocks):
         thetas.extend(theta_list(fb, size - 1, list(h)))
-    transport = MonomialMap(v, target, tuple(h[0] for h in h_blocks) + tuple(thetas), ext_r=r)
-    transport.point_map(extend(fb, r))  # raises on a zero h_0 or an extension over the cap
+    transport = MonomialMap(v, target, tuple(h[0] for h in h_blocks) + tuple(thetas),
+                            ext_r=_general_degree(v))
     return Isomorphism(v, target, ("Rh", h_blocks), transport)
 
 
@@ -1490,7 +1489,7 @@ def general_iso_fw(v: GeneralXDz, w: WDeltaElem) -> Isomorphism:
     Q = [[W[i][j] for j in leads] for i in leads]
     add_mat = [[W[i][j] for j in rest] for i in rest]
     transport = MonomialMap(v, target, target.identity_element(), Q, add_mat,
-                            ext_r=_general_degree(v, capped=True))
+                            ext_r=_general_degree(v))
     return Isomorphism(v, target, ("fw", w), transport)
 
 

@@ -1348,6 +1348,20 @@ def test_general_right_action_checks_points():
     assert rep["checked"] == 4368
 
 
+@pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 2)])
+def test_general_maps_over_the_cap_fail_closed(parts):
+    # at q = 5 a part > 1 needs F_(5^20), past the cap: no map passes unchecked
+    f = build_field(5)
+    rng = random.Random(7)
+    v = _small_general(f, parts, rng, 1)
+    isos = [general_iso_lg(v, [[2]]), general_iso_rh(v, tuple((1,) * s for s in parts)),
+            general_iso_fw(v, _random_w(f, Partition(parts), rng))]
+    for iso in isos:
+        assert iso.transport.ext_r is None
+        assert verify_iso(iso) == {"pass": False,
+                                   "error": "point map unavailable (extension exceeds cap)"}
+
+
 def test_general_right_action_matches_scalar_oracle():
     # the t's scale by root(h_0) and the u's shift by r(theta)
     f = build_field(3)

@@ -281,6 +281,8 @@ def phi_cmd(q, p, e, delta, z_text, lams, chi, psi_a):
     f = _get_field(q, p, e)
     parts = _parse_ints(delta)
     part = Partition(parts)
+    if z_text is not None and lams is not None:
+        raise ValueError("give --z or --lams, not both")
     if z_text is not None:
         z = _parse_rows(z_text)
     elif lams is not None:

@@ -26,6 +26,15 @@ caches of chars, so a call costs about one lookup per slot per histogram
 key.  This enumeration is kept apart from GeneralXDz.support(), so that
 point counts checked against Phi compare two independent computations.
 
+phi_table evaluates Phi(chi; z) for the whole group at one z, in
+hdelta_chars order, from the same histogram: each block gets one exponent
+column per character option over the histogram keys, the columns of the
+blocks add up to each character's exponents, and each character's
+histogram over the powers of zeta_M is canonicalized once (equal
+histograms share one value).  The symmetry and count claims of
+hgfq.suites read Phi from it; phi_delta is the one-value path and the
+oracle the tests check the table against.
+
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
 characters realizes the transformation formulas.  mu_matrix and
@@ -49,7 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import mul
+from operator import add, mul
 
 from .chars import (AddChar, MulChar, _add_table, _mul_table, _sum_tables, standard_psi,
                     trivial_char)
@@ -356,6 +365,58 @@ def phi_delta(chi: HDeltaChar, z) -> Cyclo:
         a = b.psi.a
         tables += [_add_table(f, f.mul(a, ak), M) for ak in b.a]
     return _sum_tables(tables, points, M)
+
+
+def phi_table(field: Field, delta: Partition, z) -> list[Cyclo]:
+    """[Phi(chi; z) for chi in hdelta_chars(field, delta)], read from one
+    cached histogram (_phi_histogram) of the points of [s z].
+
+    The exponent of chi([s z]) in zeta_M is additive over the blocks: for
+    the option (j, a) of a block it is j dlog(h_0) M/N plus the sum over k of
+    Tr(a_k theta_k) M/p, psi being the standard one.  So each block gets one exponent column per
+    option over the histogram keys (at most options x keys ints per block,
+    no list of the whole group's size times the keys), the blocks' columns
+    are added in itertools.product order, and each character's exponents are
+    counted into one histogram over the powers of zeta_M, canonicalized once.
+    The conductor, the zero of an empty support and the ValueError of a
+    rejected z are those of phi_delta, which stays the one-value path."""
+    f = field
+    delta.check_char(f)
+    parts = delta.parts
+    try:
+        points = _phi_histogram(f, parts, tuple(map(tuple, z)))
+    except TypeError:  # z is not a matrix, or has an unhashable entry
+        raise ValueError(f"z must be a matrix of field codes 0..{f.q - 1}") from None
+    N = max(f.N, 1)
+    if not points:
+        return [Cyclo.zero()] * reduce(mul, (N * f.q ** (size - 1) for size in parts))
+    M = N * (f.p if parts[-1] > 1 else 1)
+    keys, counts = zip(*points)
+    columns, off = [], len(parts)
+    for b, size in enumerate(parts):
+        leads = [g[b] for g in keys]
+        adds = [[0] * len(keys)]
+        for k in range(off, off + size - 1):
+            thetas = [g[k] for g in keys]
+            per_a = [list(map(_add_table(f, a, M).__getitem__, thetas))
+                     for a in f.elements()]
+            adds = [list(map(add, col, new)) for col in adds for new in per_a]
+        off += size - 1
+        columns.append([list(map(add, map(_mul_table(f, j, M).__getitem__, leads), col))
+                        for j in range(N) for col in adds])
+    out, values = [], {}
+    for head in itertools.product(*columns[:-1]):
+        base = list(map(sum, zip(*head))) if head else [0] * len(keys)
+        for col in columns[-1]:
+            hist = [0] * M
+            for e, c in zip(map(add, base, col), counts):
+                hist[e % M] += c
+            hist = tuple(hist)
+            value = values.get(hist)
+            if value is None:
+                value = values[hist] = Cyclo(M, hist)
+            out.append(value)
+    return out
 
 
 # Histograms kept for the most recent (field, parts, z); a symmetry check

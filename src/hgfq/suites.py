@@ -109,7 +109,7 @@ def _claim_hgf_low_order(q, seed):
 
 
 def _claim_symmetry(q, seed, parts):
-    from .genhgf import Partition, hdelta_chars, mat_mul, phi_delta, w_action_on_char, w_to_matrix
+    from .genhgf import Partition, hdelta_chars, mat_mul, phi_table, w_action_on_char, w_to_matrix
 
     f = build_field_q(q)
     delta = Partition(parts)
@@ -119,15 +119,17 @@ def _claim_symmetry(q, seed, parts):
     ok, tot, wit = 0, 0, []
     ws = _w_samples(f, delta, rng, 6)
     zs = [_z_sample(f, dd, n, rng) for _ in range(4)]
+    chars = list(hdelta_chars(f, delta))
+    index = {chi: i for i, chi in enumerate(chars)}
+    z_tables = [phi_table(f, delta, z) for z in zs]
     for w in ws:
         mw = w_to_matrix(f, w)
-        zws = [mat_mul(f, z, mw) for z in zs]
-        for chi in hdelta_chars(f, delta):
-            for z, zw in zip(zs, zws):
+        zw_tables = [phi_table(f, delta, mat_mul(f, z, mw)) for z in zs]
+        for i, chi in enumerate(chars):
+            k = index[w_action_on_char(chi, w)]
+            for z, z_table, zw_table in zip(zs, z_tables, zw_tables):
                 tot += 1
-                lhs = phi_delta(w_action_on_char(chi, w), z)
-                rhs = phi_delta(chi, zw)
-                if lhs == rhs:
+                if z_table[k] == zw_table[i]:
                     ok += 1
                 else:
                     wit.append({"w": repr(w), "z": z})
@@ -185,19 +187,20 @@ def _claim_reduction(q, seed, parts):
 
 
 def _claim_counts_match_phi(q, seed, parts):
-    from .genhgf import Partition, hdelta_chars, phi_delta
+    from .genhgf import Partition, hdelta_chars, phi_table
     from .varieties import GeneralXDz, hdelta_to_groupchar
 
     f = build_field_q(q)
     rng = random.Random(seed)
     delta = Partition(parts)
+    chars = list(hdelta_chars(f, delta))
     ok, tot, wit = 0, 0, []
     for _ in range(3):
         z = _z_sample(f, min(delta.n, 2), delta.n, rng)
         v = GeneralXDz(f, delta, z)
-        for chi in hdelta_chars(f, delta):
+        for chi, phi in zip(chars, phi_table(f, delta, z)):
             tot += 1
-            if v.n_chi(hdelta_to_groupchar(chi)) == phi_delta(chi, z):
+            if v.n_chi(hdelta_to_groupchar(chi)) == phi:
                 ok += 1
             else:
                 wit.append({"z": z})

@@ -1530,11 +1530,16 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
     points() order, with its own images and the earlier fibers' keys, which
     gives the failure, witness and checked of a check point by point; so is
     every fiber when a lattice map does not permute or its tau pairs are
-    not a function of the source's.  Raises ValueError when sample < 1."""
+    not a function of the source's.  Raises ValueError when sample < 1, and
+    when compose_with is given for a map that no SymmetryContext built."""
     import random
 
     if sample < 1:
         raise ValueError("sample must be at least 1")
+    if compose_with is not None and not (isinstance(iso, Isomorphism)
+                                         and isinstance(iso.source_ctx, SymmetryContext)):
+        raise ValueError("composition checks need a symmetry context: compose_with takes "
+                         "an isomorphism built by SymmetryContext.build")
     pm = iso.transport if isinstance(iso, Isomorphism) else iso
     if pm.ext_r is None:
         return {"pass": False, "error": "point map unavailable (extension exceeds cap)"}
@@ -1616,7 +1621,7 @@ def verify_iso(iso, compose_with=None, sample: int = 48, seed: int = 0) -> dict:
         n_target = tgt.point_count(ext)
         if n_target != report["checked"]:
             fail("point count mismatch", source=report["checked"], target=n_target)
-    if report["pass"] and compose_with is not None and isinstance(iso, Isomorphism):
+    if report["pass"] and compose_with is not None:
         rng = random.Random(seed)
         ctx = iso.source_ctx
         iso2 = iso.target_ctx.build(compose_with)

@@ -298,6 +298,11 @@ def test_bad_input_fails_closed(runner, args):
      "parameters must be field element codes 0..3; got (9,)"),
     (["--q", "5", "--delta", "2,2", "--lams", "1,2", "--chi", "1:1;3:2"],
      "shape (2, 2) takes 1 parameter(s); got (1, 2)"),
+    # --lams is never dropped silently next to --z, not even a valid one
+    (["--q", "5", "--delta", "1,1,2", "--z", "1,0,1,0;0,1,1,1", "--lams", "99",
+      "--chi", "1;1;2:1"], "give --z or --lams, not both"),
+    (["--q", "5", "--delta", "1,1,2", "--z", "1,0,1,0;0,1,1,1", "--lams", "2",
+      "--chi", "1;1;2:1"], "give --z or --lams, not both"),
 ])
 def test_phi_lams_fail_closed(runner, args, error):
     # a code past q - 1 is not reduced mod q, and a wrong count is named
@@ -351,6 +356,8 @@ def test_verify_parallel_matches_serial(runner):
         main, ["verify", "--suite", "varieties", "--jobs", "2"]).output)
     assert serial == parallel
     assert serial["pass"] is True
+    # the number of cases each claim checks, so that no rewrite checks fewer
+    assert [rec["rhs"] for rec in serial["claims"]] == [72, 108, 4, 4, 384, 1944, 5]
 
 
 def test_verify_unknown_suite_errors(runner):
@@ -362,7 +369,32 @@ def test_verify_unknown_suite_errors(runner):
 def test_verify_symmetry_suite(runner):
     result = runner.invoke(main, ["verify", "--suite", "symmetry"])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["pass"] is True
+    data = json.loads(result.output)
+    assert data["pass"] is True
+    assert [rec["rhs"] for rec in data["claims"]] == [576, 864, 2592, 8, 16, 32]
+
+
+def test_symmetry_claim_reads_phi_from_tables(monkeypatch):
+    # one table per z and per z w, one w-action per (w, chi), no single value
+    from hgfq import genhgf
+
+    calls = {"phi_table": 0, "w_action_on_char": 0}
+
+    def counted(name):
+        fn = getattr(genhgf, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(genhgf, name, counted(name))
+    monkeypatch.setattr(genhgf, "phi_delta", None)
+    rec = suites.run_claim(("_claim_symmetry", {"q": 3, "parts": (1, 1, 2)}, 0))
+    assert rec["equal"] and rec["rhs"] == 576
+    # 4 z, 6 w and 24 characters
+    assert calls == {"phi_table": 4 + 6 * 4, "w_action_on_char": 6 * 24}
 
 
 # -- what each command imports ---------------------------------------------------

@@ -31,6 +31,7 @@ from hgfq.genhgf import (
     p_poly_list,
     phi2_from_zpp,
     phi_delta,
+    phi_table,
     reduce_to_classical,
     series_mul,
     theta,
@@ -511,6 +512,82 @@ def test_phi_reads_z_by_value():
     assert any(not _same(u, v) for u, v in zip(before, after))
     z[0][0] = z[1][0] = 0
     assert all(phi_delta(chi, z).is_zero() for chi in chars)
+
+
+# -- the batch table against the one-value path ----------------------------
+
+
+_TABLE_PARTS = [(1, 1), (1, 2), (1, 1, 2), (2, 2), (1, 3), (1, 1, 1, 1)]
+
+
+def _table_cases(f):
+    return [parts for parts in _TABLE_PARTS if parts[-1] <= f.p]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_phi_table_matches_phi_delta(q):
+    # every character of the group, in hdelta_chars order, at a z of d = 2
+    # and of d = 1
+    f = build_field_q(q)
+    for parts in _table_cases(f):
+        delta = Partition(parts)
+        rng = random.Random(10 * q + sum(parts))
+        for d in (2, 1):
+            z = _random_z(f, d, delta.n, rng)
+            want = [phi_delta(chi, z) for chi in hdelta_chars(f, delta)]
+            got = phi_table(f, delta, z)
+            assert len(got) == len(want)
+            assert all(map(_same, got, want)), (q, parts, z)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_phi_table_of_an_empty_support_is_all_zero(q):
+    # block-leading columns all zero: no point, every entry the zero of
+    # phi_delta, one per character of the group
+    f = build_field_q(q)
+    rng = random.Random(q)
+    for parts in _table_cases(f):
+        delta = Partition(parts)
+        z = _random_z(f, 2, delta.n, rng)
+        for row in z:
+            for cols in delta.column_blocks():
+                row[cols.start] = 0
+        table = phi_table(f, delta, z)
+        assert len(table) == len(list(hdelta_chars(f, delta)))
+        assert all(_same(v, Cyclo.zero()) for v in table)
+        assert all(_same(phi_delta(chi, z), Cyclo.zero()) for chi in hdelta_chars(f, delta))
+    assert _same(phi_table(f, Partition((1, 1)), [])[0], Cyclo.zero())
+
+
+def test_phi_table_rejects_what_phi_delta_rejects():
+    f = build_field(3)
+    delta = Partition((1, 2))
+    chi = next(hdelta_chars(f, delta))
+    # a wrong column count, entries outside 0..q-1, a non-matrix and an
+    # unhashable entry: the same ValueError, on every call
+    for z in ([[1]], [[5, 0, 1]], [[-1, 1, 1]], [[1, 3, 0]], [1, 2, 3], [[[1], 2, 0]]):
+        with pytest.raises(ValueError) as want:
+            phi_delta(chi, z)
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                phi_table(f, delta, z)
+            assert str(got.value) == str(want.value), z
+    with pytest.raises(ValueError, match="characteristic 3 is smaller"):
+        phi_table(f, Partition((1, 4)), [[1, 1, 0, 0, 0]])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_phi_table_matches_phi_delta_on_sampled_z(data):
+    q = data.draw(st.sampled_from([3, 4]))
+    f = build_field_q(q)
+    delta = Partition(data.draw(st.sampled_from(_table_cases(f))))
+    d = data.draw(st.integers(0, 2))
+    z = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=delta.n, max_size=delta.n),
+                           min_size=d, max_size=d))
+    got = phi_table(f, delta, z)
+    want = [phi_delta(chi, z) for chi in hdelta_chars(f, delta)]
+    assert len(got) == len(want) and all(map(_same, got, want))
 
 
 def _random_w(f, delta, rng):

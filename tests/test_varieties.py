@@ -1362,6 +1362,18 @@ def test_general_maps_over_the_cap_fail_closed(parts):
                                    "error": "point map unavailable (extension exceeds cap)"}
 
 
+def test_general_maps_refuse_composition_checks():
+    # only the six symmetry contexts can build the composite to compare with
+    f = build_field(3)
+    rng = random.Random(9)
+    v = _small_general(f, (1, 1), rng, 2)
+    w1, w2 = (_random_w(f, v.delta, rng) for _ in range(2))
+    for iso in (general_iso_fw(v, w1), general_iso_fw(v, w1).transport):
+        with pytest.raises(ValueError, match="composition checks need a symmetry context"):
+            verify_iso(iso, compose_with=w2)
+    assert verify_iso(general_iso_fw(v, w1))["pass"]
+
+
 def test_general_right_action_matches_scalar_oracle():
     # the t's scale by root(h_0) and the u's shift by r(theta)
     f = build_field(3)

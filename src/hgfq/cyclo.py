@@ -15,8 +15,10 @@ nonzero coefficients (a monomial, a character value) the product loops over
 its terms.  Otherwise both coefficient vectors are packed into Python ints,
 evaluated at x = 2^k with k wide enough for every coefficient of the product
 (Kronecker substitution), multiplied once, folded mod x^m - 1 and unpacked
-from one byte string.  The reduction mod Phi_m runs only over the nonzero
-coefficients of Phi_m.
+from one byte string.  The remainder mod Phi_m loops over the nonzero lower
+coefficients of Phi_m at small conductors.  At large ones it is one packed
+division: with Psi_m = (x^m - 1)/Phi_m, the quotient is the part of
+num * Psi_m from x^m up, so two integer products and a shift give it.
 
 Everything is exact: the package has no floating-point path.
 """
@@ -39,6 +41,24 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     mu = +1 are multiplied in first, then those with mu = -1 divided out
     exactly, each in one pass over the coefficients.
     """
+    return _moebius_product(m, cofactor=False)
+
+
+@lru_cache(maxsize=None)
+def _cofactor(m: int) -> tuple[int, tuple[int, ...]]:
+    """The height factor H = |Psi_m|_1 (|Phi_m|_1 + 1) + 1 of the packed
+    remainder, and Psi_m = (x^m - 1)/Phi_m, of degree m - deg Phi_m.
+
+    Psi_m(x) = Psi_r(x^(m/r)) and Psi_r = prod over d | r, d < r of
+    (x^d - 1)^(-mu(r/d)), built by the passes of `cyclotomic_poly`.
+    """
+    psi = _moebius_product(m, cofactor=True)
+    norm = sum(map(abs, cyclotomic_poly(m)))
+    return sum(map(abs, psi)) * (norm + 1) + 1, psi
+
+
+def _moebius_product(m: int, cofactor: bool) -> tuple[int, ...]:
+    """Phi_m, or with `cofactor` Psi_m, by the passes of `cyclotomic_poly`."""
     primes = _prime_divisors(m)
     r = 1
     for p in primes:
@@ -47,6 +67,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     divisors = [(1, len(primes) % 2)]
     for p in primes:
         divisors += [(d * p, 1 - odd) for d, odd in divisors]
+    if cofactor:  # (x^r - 1)/Phi_r: every exponent negated, x^r - 1 left out
+        divisors = [(d, 1 - odd) for d, odd in divisors if d < r]
     poly = [1]
     for d, odd in divisors:
         if not odd:  # times (x^d - 1)
@@ -300,8 +322,9 @@ def zeta(m: int, k: int = 1) -> Cyclo:
 def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """deg Phi_m and its nonzero lower coefficients as (j - deg, c_j).
 
-    x^i = -sum c_j x^(i - deg + j) mod Phi_m, so a reduction step touches
-    only these offsets: 73 of 241 coefficients at m = 930, 17 of 129 at 272.
+    x^i = -sum c_j x^(i - deg + j) mod Phi_m, so a step of the remainder loop
+    touches only these offsets: 72 lower terms at m = 930, 16 at 272.  The
+    loop makes (m - deg) such steps, which prices it against packed division.
     """
     phi = cyclotomic_poly(m)
     d = len(phi) - 1
@@ -381,6 +404,43 @@ def _unpack(x: int, n: int, kb: int) -> list[int]:
     return [int.from_bytes(buf[i:i + kb], "little") for i in range(0, kb * n, kb)]
 
 
+# The remainder mod Phi_m loops while it takes fewer than this many
+# multiply-adds per coefficient: m - deg Phi_m steps of one per lower term of
+# Phi_m.  Past it, one packed division, whose cost grows with m, is cheaper.
+_PACKED_REMAINDER = 4
+
+
+@lru_cache(maxsize=32)
+def _packed_divisors(m: int, kb: int) -> tuple[int, int, int, int]:
+    """Phi_m and Psi_m at x = 2^k, k = 8 kb, and the slot offset 2^(k-2)
+    summed over m and over deg Phi_m slots."""
+    off = 1 << (8 * kb - 2)
+    phi, psi = cyclotomic_poly(m), _cofactor(m)[1]
+    phi_off, psi_off, off_m, off_d = [
+        int.from_bytes(off.to_bytes(kb, "little") * n, "little")
+        for n in (len(phi), len(psi), m, len(phi) - 1)]
+    return _pack(phi, off, kb) - phi_off, _pack(psi, off, kb) - psi_off, off_m, off_d
+
+
+def _rem_packed(num: list[int], m: int, d: int) -> list[int]:
+    """num mod Phi_m for len(num) = m, by one packed division.
+
+    With Psi_m = (x^m - 1)/Phi_m and num = Q Phi_m + r, num Psi_m =
+    Q x^m + (r Psi_m - Q) with the second term of degree < m, so Q is the
+    part of num Psi_m from x^m up, and r = num - Q Phi_m.  Every coefficient
+    of num, num Psi_m, Q and r lies within +-A |Psi_m|_1 (|Phi_m|_1 + 1) + A
+    for A = max |num_i|, so slots of k bits with that bound below 2^(k-2)
+    hold each of them plus the offset 2^(k-2).
+    """
+    h = max(max(num), -min(num)) * _cofactor(m)[0]
+    kb = (h.bit_length() + 9) >> 3
+    off = 1 << (8 * kb - 2)
+    phi, psi, off_m, off_d = _packed_divisors(m, kb)
+    a = _pack(num, off, kb) - off_m
+    q = (a * psi + off_m) >> (8 * kb * m)
+    return [c - off for c in _unpack(a - phi * q + off_d, d, kb)] + [0] * (m - d)
+
+
 def _canonicalize(m: int, num: list[int], den: int):
     if len(num) < m:
         num = num + [0] * (m - len(num))
@@ -391,12 +451,15 @@ def _canonicalize(m: int, num: list[int], den: int):
         num = folded
     d, terms = _phi_terms(m)
     # remainder modulo the monic cyclotomic polynomial
-    for i in range(m - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            num[i] = 0
-            for s, pj in terms:
-                num[i + s] -= c * pj
+    if (m - d) * len(terms) >= _PACKED_REMAINDER * m:
+        num = _rem_packed(num, m, d)
+    else:
+        for i in range(m - 1, d - 1, -1):
+            c = num[i]
+            if c:
+                num[i] = 0
+                for s, pj in terms:
+                    num[i + s] -= c * pj
     if den < 0:
         den = -den
         num = [-c for c in num]

@@ -4,6 +4,7 @@ import cmath
 import random
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgfq import cyclo
-from hgfq.cyclo import _SPARSE_TERMS, Cyclo, _canonicalize, _mul_packed, cyclotomic_poly, zeta
+from hgfq.cyclo import (_SPARSE_TERMS, Cyclo, _canonicalize, _cofactor, _mul_packed,
+                        cyclotomic_poly, zeta)
 
 
 def test_cyclotomic_polys():
@@ -28,6 +30,20 @@ def test_cyclotomic_polys_match_sympy():
     for m in [*range(1, 106), 272, 342, 506, 812, 930, 1155]:
         expect = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
         assert cyclotomic_poly(m) == tuple(int(c) for c in reversed(expect)), m
+
+
+def test_cofactors_match_sympy():
+    x = sympy.Symbol("x")
+    for m in [*range(1, 106), 272, 342, 506, 812, 930, 1155]:
+        psi = _cofactor(m)[1]
+        expect = sympy.Poly(sympy.quo(x**m - 1, sympy.cyclotomic_poly(m, x)), x).all_coeffs()
+        assert psi == tuple(int(c) for c in reversed(expect)), m
+        phi = cyclotomic_poly(m)
+        prod = [0] * (m + 1)
+        for i, a in enumerate(phi):
+            for j, b in enumerate(psi):
+                prod[i + j] += a * b
+        assert prod == [-1] + [0] * (m - 1) + [1], m
 
 
 def test_primitive_cube_roots_sum():
@@ -282,6 +298,32 @@ def test_canonical_form_matches_schoolbook(data):
     v = data.draw(vectors(m))
     den = data.draw(st.integers(1, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
     assert _canonicalize(m, list(v), den) == schoolbook_canonical(m, v, den)
+
+
+@pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["packed", "loop"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_canonical_form_matches_schoolbook_on_both_paths(threshold, data):
+    # a threshold of 0 sends every conductor to the packed division, a huge
+    # one every conductor to the loop
+    m = data.draw(st.sampled_from(CONDUCTORS + [1155]))
+    v = data.draw(vectors(m))
+    den = data.draw(st.integers(1, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
+    with patch.object(cyclo, "_PACKED_REMAINDER", threshold):
+        assert _canonicalize(m, list(v), den) == schoolbook_canonical(m, v, den)
+
+
+def test_remainder_dispatch_boundary(monkeypatch):
+    # m = 28 and 56 make 3.4 multiply-adds per coefficient in the loop,
+    # m = 30 and 60 make 4.4: the two sides of _PACKED_REMAINDER = 4
+    packed = []
+    rem_packed = cyclo._rem_packed
+    monkeypatch.setattr(cyclo, "_rem_packed", lambda *args: packed.append(args[1]) or rem_packed(*args))
+    rng = random.Random(4)
+    for m in (28, 30, 56, 60):
+        v = [rng.randrange(-(1 << 65), 1 << 65) for _ in range(m)]
+        assert _canonicalize(m, list(v), 3) == schoolbook_canonical(m, v, 3)
+    assert packed == [30, 60]
 
 
 def test_equality_fast_paths(monkeypatch):

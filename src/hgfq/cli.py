@@ -20,7 +20,7 @@ import click
 from .chars import AddChar, MulChar, standard_psi
 from .cyclo import Cyclo
 from .ffield import Field, build_field, build_field_q
-from .hgf import hgf_eval, humbert, lauricella, mfn, params
+from .hgf import hgf, humbert, lauricella, mfn
 from .sums import gauss, gauss_circ, jacobi
 
 if TYPE_CHECKING:
@@ -42,9 +42,11 @@ _SUITES = ("gauss-sums", "symmetry", "varieties")
 
 def _get_field(q, p, e) -> Field:
     if q is not None:
+        if p is not None or e is not None:
+            raise ValueError("give --q or --p/--e, not both")
         return build_field_q(q)
     if p is not None:
-        return build_field(p, e or 1)
+        return build_field(p, 1 if e is None else e)
     raise click.UsageError("specify --q or --p (with optional --e)")
 
 
@@ -80,7 +82,7 @@ def _echo_csv(header, rows):
 
 
 def field_options(fn):
-    fn = click.option("--e", type=int, default=1, help="extension degree over F_p")(fn)
+    fn = click.option("--e", type=int, default=None, help="extension degree over F_p (default 1)")(fn)
     fn = click.option("--p", type=int, default=None, help="field characteristic")(fn)
     fn = click.option("--q", type=int, default=None, help="field size (prime power)")(fn)
     return fn
@@ -183,9 +185,7 @@ def hgf_cmd(q, p, e, as_json, upper, lower, lam, raw):
     def value(uidx, lidx, lamv):
         uch = [MulChar(f, j) for j in uidx]
         lch = [MulChar(f, j) for j in lidx]
-        if raw:
-            return hgf_eval(params(uch, lch, standard_psi(f)), lamv)
-        return mfn(uch, lch, lamv)
+        return hgf(uch, lch, lamv, standard_psi(f)) if raw else mfn(uch, lch, lamv)
 
     if lam is not None and as_json:
         _echo_json({"q": f.q, "upper": list(ups), "lower": list(los), "lam": lam,
@@ -433,9 +433,6 @@ def iso_cmd(q, p, e, family, lam, lams, lam1, lam2, sigma, c, c1, c2,
     perm = _parse_sigma(sigma, ctx.arity) if sigma else tuple(range(ctx.arity))
     n_twists = len(ctx.as_cols)
     twists = (c,) if n_twists == 1 else (c1, c2)[:n_twists]
-    non_units = [t for t in twists if t not in f.dlog]
-    if non_units:
-        raise ValueError(f"unit part {non_units[0]} is not a unit of F_{f.q}")
     sym = ctx.symmetry(perm, twists)
     iso = ctx.build(sym)
     out = {

@@ -66,35 +66,41 @@ included), else N, in both cases lcm'd with the conductors of the
 weights; a sum with no surviving term is Cyclo.zero() (m = 1).
 
 The evaluator reads each term as a member (j, c, upper), a = chi_j by its
-index, and checks no field: each caller checks that its characters live
-over psi's field and converts them to indices once.  The callers only
-build term lists and constants and call _horn; lauricella() and humbert()
-first check that their kind takes as many characters as given:
+index, and checks no field.  Each series entry point builds (character, c,
+upper) terms and calls _series, which is the one normalisation: the Horn
+sum over n = len(lambdas) variables times 1/(1 - q)^n.
 
- - the one-variable series F(a_1..a_m; b_1..b_(n+1); lambda): every a_i
-   upper and every b_j lower at c = (1,), times 1/(1-q);
+ - hgf(), the one-variable series F(a_1..a_m; b_1..b_n; lambda): every a_i
+   upper and every b_j lower at c = (1,); mfn() is hgf() with the trivial
+   character appended to the lower ones (classical notation);
  - lauricella(), the Appell-Lauricella families F_A/F_B/F_C/F_D in n
    variables: each parameter is one character at c = (1..1) or n characters
-   at e_1..e_n (`_LAURICELLA`), times 1/(1-q)^n;
+   at e_1..e_n (`_LAURICELLA`);
  - humbert(), the Humbert confluent families Phi_1/Phi_2/Phi_3 over
    (mu, nu): the upper characters as in `_HUMBERT`, gamma at (1, 1) and
-   delta at e_1, e_2, times 1/(1-q)^2;
- - the four convolution ("iteration") transforms, whose sum also carries
-   the Fourier coefficient f-hat of each character tuple, times a Jacobi
-   or Gauss sum, a sign and 1/N^n.
+   delta at e_1, e_2.
+
+These entry points and shift_parameters() share one psi rule (_psi): psi
+is the argument if given, else the standard psi of the first character's
+field, and with neither the call raises "cannot infer the field"; every
+character must live over psi's field.  lauricella() and humbert() first
+check that their kind takes as many characters as given.  The four convolution ("iteration")
+transforms call _horn themselves: their sum also carries the Fourier
+coefficient f-hat of each character tuple, times a Jacobi or Gauss sum, a
+sign and 1/N^n.
 
 The count theorems in varieties call _horn directly, with members and a
 constant read from a character's integer indices.
 
 Also here: the discrete Fourier transform on (k*)^n with its inversion,
 the right-hand sides of the iteration transforms, shift of parameters into
-classical notation, and the upper/lower inverse relation.
+classical notation, and the upper/lower inverse relation, all on plain
+tuples of characters.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm
 from operator import mul
@@ -151,12 +157,24 @@ class Const(NamedTuple):
 ONE = Const()
 
 
-def _members(terms, psi: AddChar) -> list:
-    """(character, c, upper) terms as the (index, c, upper) members _horn
-    takes, each character over psi's field."""
-    if any(a.field != psi.field for a, _, _ in terms):
+def _psi(chars, psi: AddChar | None = None) -> AddChar:
+    """The one psi rule: psi if given, else the standard psi of the first
+    character's field; every character must live over psi's field."""
+    if psi is None:
+        if not chars:
+            raise ValueError("cannot infer the field")
+        psi = standard_psi(chars[0].field)
+    if any(a.field != psi.field for a in chars):
         raise ValueError("characters over different fields")
-    return [(a.j, c, upper) for a, c, upper in terms]
+    return psi
+
+
+def _series(terms, lams, psi: AddChar | None = None) -> Cyclo:
+    """The Horn sum of (character, c, upper) terms over n = len(lams)
+    variables in Greene's normalisation, times 1/(1 - q)^n."""
+    psi, n = _psi([a for a, _, _ in terms], psi), len(lams)
+    members = [(a.j, c, upper) for a, c, upper in terms]
+    return _horn(members, lams, psi, const=Const((-1) ** n, den=(psi.field.q - 1) ** n))
 
 
 def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
@@ -317,42 +335,16 @@ def _packed_gauss(psi: AddChar, M: int, W: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HgfParams:
-    upper: tuple[MulChar, ...]
-    lower: tuple[MulChar, ...]
-    psi: AddChar
-
-    def __post_init__(self):
-        fields = {c.field for c in self.upper} | {c.field for c in self.lower} | {self.psi.field}
-        if len(fields) != 1:
-            raise ValueError("all characters must live over one field")
-
-    @property
-    def field(self) -> Field:
-        return self.psi.field
+def hgf(upper, lower, lam, psi: AddChar | None = None) -> Cyclo:
+    """The one-variable sum F(upper; lower; lam) at lam (field element code)."""
+    return _series([(a, (1,), True) for a in upper] + [(b, (1,), False) for b in lower],
+                   (lam,), psi)
 
 
-def params(upper, lower, psi=None, classical=False) -> HgfParams:
-    """Build parameters; classical=True appends the trivial lower character."""
-    chars = list(upper) + list(lower)
-    f = chars[0].field if chars else (psi.field if psi else None)
-    if f is None:
-        raise ValueError("cannot infer the field")
-    psi = psi or standard_psi(f)
-    lower = tuple(lower) + ((trivial_char(f),) if classical else ())
-    return HgfParams(tuple(upper), lower, psi)
-
-
-def hgf_eval(p: HgfParams, lam: int) -> Cyclo:
-    """The one-variable hypergeometric sum at lambda (field element code)."""
-    terms = [(a.j, (1,), True) for a in p.upper] + [(b.j, (1,), False) for b in p.lower]
-    return _horn(terms, (lam,), p.psi, const=Const(-1, den=p.field.q - 1))
-
-
-def mfn(upper, lower, lam, psi=None) -> Cyclo:
-    """Classical-notation wrapper: last lower character is trivial."""
-    return hgf_eval(params(upper, lower, psi, classical=True), lam)
+def mfn(upper, lower, lam, psi: AddChar | None = None) -> Cyclo:
+    """Classical notation: hgf with the trivial character appended to lower."""
+    psi = _psi([*upper, *lower], psi)
+    return hgf(upper, [*lower, trivial_char(psi.field)], lam, psi)
 
 
 # Per kind, whether alpha, beta (upper) and gamma, delta (lower) are one
@@ -371,7 +363,6 @@ def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
     chars, lams = (tuple(alpha), tuple(beta), tuple(gamma), tuple(delta)), tuple(lams)
     if not any(chars):
         raise ValueError("no characters given")
-    psi = psi or standard_psi(next(c for group in chars for c in group).field)
     if kind not in _LAURICELLA:
         raise ValueError(f"unknown kind {kind!r}")
     shape, n = _LAURICELLA[kind], len(chars[3])
@@ -387,8 +378,7 @@ def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
     for group, s, upper in zip(chars, shape, (True, True, False, False)):
         cs = [(1,) * n] if s == "1" else _unit_vectors(n)
         terms += [(a, c, upper) for a, c in zip(group, cs)]
-    const = Const((-1) ** n, den=(psi.field.q - 1) ** n)
-    return _horn(_members(terms, psi), lams, psi, const=const)
+    return _series(terms, lams, psi)
 
 
 # Per kind, the combinations of (mu, nu) of the upper characters; gamma sits
@@ -399,7 +389,6 @@ _HUMBERT = {1: ((1, 1), (1, 0)), 2: ((1, 0), (0, 1)), 3: ((1, 0),)}
 def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
     """Phi_kind(upper; gamma; delta; lam1, lam2): upper is (alpha, beta) for
     Phi_1, (beta, beta') for Phi_2 and (beta,) for Phi_3."""
-    psi = psi or standard_psi(gamma.field)
     if kind not in _HUMBERT:
         raise ValueError(f"unknown kind {kind}")
     cs, upper, delta = _HUMBERT[kind], tuple(upper), tuple(delta)
@@ -408,8 +397,7 @@ def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
                          f"got {len(upper)} and {len(delta)}")
     terms = ([(a, c, True) for a, c in zip(upper, cs)] + [(gamma, (1, 1), False)]
              + [(d, c, False) for d, c in zip(delta, _unit_vectors(2))])
-    const = Const(den=(psi.field.q - 1) ** 2)
-    return _horn(_members(terms, psi), (lam1, lam2), psi, const=const)
+    return _series(terms, (lam1, lam2), psi)
 
 
 # -- discrete Fourier transform -------------------------------------------
@@ -481,7 +469,9 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     const = ONE.jacobi(psi.field, *(e.j for e in etas)) if etas else Const(gauss=(-alpha.j,))
-    value = _horn(_members(terms, psi), lams, psi, fhat, const.times(sign, den=field.N**n))
+    members = [(a.j, c, upper) for a, c, upper in terms]
+    value = _horn(members, lams, _psi([a for a, _, _ in terms], psi), fhat,
+                  const.times(sign, den=field.N**n))
     if value.m == 1:  # no term survives: zero over the conductor of j(etas) or g(alpha-bar)
         N = max(field.N, 1)
         return Cyclo.zero(N if etas else field.p * N)
@@ -545,41 +535,36 @@ def _ksum(field: Field, xs) -> int:
 # -- parameter transformations ---------------------------------------------
 
 
-def shift_parameters(p: HgfParams):
+def shift_parameters(upper, lower, psi: AddChar | None = None):
     """Rewrite into classical notation (last lower character trivial).
 
-    Returns (coefficient, twist, classical_params) with
-        F(p; lam) = coefficient * twist(lam) * F(classical_params; lam).
+    Returns (coefficient, twist, upper', lower') with
+        F(upper; lower; lam) = coefficient * twist(lam) * F(upper'; lower'; lam).
     """
-    f = p.field
-    last = p.lower[-1] if p.lower else trivial_char(f)
+    psi = _psi([*upper, *lower], psi)
+    f = psi.field
+    last = lower[-1] if lower else trivial_char(f)
     if last.is_trivial():
-        return Cyclo.integer(1), trivial_char(f), p
+        return Cyclo.integer(1), trivial_char(f), tuple(upper), tuple(lower)
     s = last.inverse()
-    coef = reduce(mul, [_factor(a, s, True, p.psi) for a in p.upper]
-                  + [_factor(b, s, False, p.psi) for b in p.lower])
-    upper = tuple(a * s for a in p.upper)
-    lower = tuple(b * s for b in p.lower[:-1]) + (trivial_char(f),)
-    return coef, s, HgfParams(upper, lower, p.psi)
+    coef = reduce(mul, [_factor(a, s, True, psi) for a in upper]
+                  + [_factor(b, s, False, psi) for b in lower])
+    return (coef, s, tuple(a * s for a in upper),
+            tuple(b * s for b in lower[:-1]) + (trivial_char(f),))
 
 
-def inverse_relation(p: HgfParams) -> HgfParams:
-    """Swap conjugated lower/upper parameters; valid for more upper than lower.
+def inverse_relation(upper, lower, lam: int):
+    """Swap conjugated lower/upper parameters; valid for more upper than lower
+    and lam != 0.  Returns (lower-bar, upper-bar, lam') with
 
-    F(upper; lower; lam) = F(lower-bar; upper-bar; (-1)^(m-n)/lam).
+        F(upper; lower; lam) = F(lower-bar; upper-bar; lam'),  lam' = (-1)^(m-n)/lam.
     """
-    m, n = len(p.upper), len(p.lower)
+    m, n = len(upper), len(lower)
     if m <= n:
         raise ValueError("requires more upper than lower parameters")
-    return HgfParams(
-        tuple(b.inverse() for b in p.lower),
-        tuple(a.inverse() for a in p.upper),
-        p.psi,
-    )
-
-
-def inverse_argument(field: Field, m: int, n: int, lam: int) -> int:
     if lam == 0:
         raise ValueError("argument must be nonzero")
-    v = field.inv(lam)
-    return v if (m - n) % 2 == 0 else field.neg(v)
+    f = upper[0].field
+    inv = f.inv(lam)
+    return (tuple(b.inverse() for b in lower), tuple(a.inverse() for a in upper),
+            inv if (m - n) % 2 == 0 else f.neg(inv))

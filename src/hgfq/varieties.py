@@ -1160,8 +1160,9 @@ class SymmetryContext:
             return tuple(sym), ()
         sigma, cs = sym
         cs = (cs,) if len(self.as_cols) == 1 else tuple(cs)
-        if any(c not in self.field.dlog for c in cs):
-            raise ValueError("symmetry twists must be units")
+        for c in cs:
+            if c not in self.field.dlog:
+                raise ValueError(f"unit part {c} is not a unit of F_{self.field.q}")
         return tuple(sigma), cs
 
     def symmetries(self):

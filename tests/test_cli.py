@@ -37,6 +37,23 @@ def test_field_requires_size(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--p", "3", "--e", "0"], "e must be positive"),
+    (["--q", "9", "--p", "5"], "give --q or --p/--e, not both"),
+    (["--q", "5", "--e", "3"], "give --q or --p/--e, not both"),
+    (["--q", "9", "--e", "2"], "give --q or --p/--e, not both"),
+])
+def test_field_options_fail_closed(runner, args, error):
+    result = runner.invoke(main, ["field", *args])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output) == {"error": error}
+
+
+@pytest.mark.parametrize("args, q", [(["--p", "3", "--e", "2"], 9), (["--p", "3"], 3), (["--q", "9"], 9)])
+def test_field_options_accepted(runner, args, q):
+    assert _json(runner.invoke(main, ["field", *args]))["q"] == q
+
+
 def test_gauss_spot_value(runner):
     # g(chi_1, psi) over F_3 is zeta_3^2 - zeta_3 = 1 - 2*zeta_6.
     data = _json(runner.invoke(main, ["gauss", "--q", "3", "--chi", "1"]))
@@ -68,13 +85,13 @@ def test_gauss_circ_matches_library(runner):
 def test_hgf_raw_is_the_unwrapped_sum(runner):
     from hgfq.chars import MulChar
     from hgfq.ffield import build_field
-    from hgfq.hgf import hgf_eval, mfn, params
+    from hgfq.hgf import hgf, mfn
 
     f = build_field(5)
     args = ["hgf", "--q", "5", "--upper", "1,2", "--lower", "3", "--lam", "2"]
     raw = _json(runner.invoke(main, args + ["--raw"]))["value"]
     ups, los = [MulChar(f, 1), MulChar(f, 2)], [MulChar(f, 3)]
-    assert raw == hgf_eval(params(ups, los), 2).to_json()
+    assert raw == hgf(ups, los, 2).to_json()
     assert raw != mfn(ups, los, 2).to_json()
 
 
@@ -224,12 +241,14 @@ def test_iso_unit_part_is_a_field_code(runner):
 
 
 def test_iso_rejects_non_unit_part(runner):
-    for args in (["--family", "kummer", "--q", "4", "--lam", "2", "--c", "0"],
-                 ["--family", "phi3", "--q", "3", "--lam1", "2", "--lam2", "2",
-                  "--c2", "3"]):
+    for args, error in (
+            (["--family", "kummer", "--q", "4", "--lam", "2", "--c", "0"],
+             "unit part 0 is not a unit of F_4"),
+            (["--family", "phi3", "--q", "3", "--lam1", "2", "--lam2", "2", "--c2", "3"],
+             "unit part 3 is not a unit of F_3")):
         result = runner.invoke(main, ["iso", *args])
         assert result.exit_code == 2, result.output
-        assert "not a unit" in json.loads(result.output)["error"]
+        assert json.loads(result.output) == {"error": error}
 
 
 def test_iso_rejects_sample_below_one(runner):

@@ -12,20 +12,16 @@ from hgfq.chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivi
 from hgfq.cyclo import Cyclo, zeta
 from hgfq.ffield import build_field, build_field_q
 from hgfq.hgf import (
-    HgfParams,
     _factor,
     _packed_gauss,
     dft,
-    hgf_eval,
     humbert,
     idft,
-    inverse_argument,
     inverse_relation,
     iteration_lhs,
     iteration_rhs,
     lauricella,
     mfn,
-    params,
     shift_parameters,
 )
 from hgfq.sums import gauss, jacobi, pochhammer, pochhammer_circ
@@ -119,7 +115,7 @@ def test_lauricella_n1_matches_one_variable():
     f, chars, psi = _chars(5)
     alpha, beta, gamma, delta = chars[1], chars[2], chars[3], chars[0]
     for lam in f.units():
-        one_var = hgf_eval(HgfParams((alpha, beta), (gamma, delta), psi), lam)
+        one_var = hgf.hgf((alpha, beta), (gamma, delta), lam, psi)
         fd = lauricella("D", [alpha], [beta], [gamma], [delta], [lam], psi)
         assert fd == one_var
         fa = lauricella("A", [alpha], [beta], [gamma], [delta], [lam], psi)
@@ -227,46 +223,54 @@ def test_iteration_degenerate_rejected():
 
 def test_shift_parameters_identity_on_classical():
     f, chars, psi = _chars(5)
-    p = params([chars[1]], [chars[2]], psi, classical=True)
-    coef, twist, p2 = shift_parameters(p)
-    assert coef == Cyclo.integer(1) and twist.is_trivial() and p2 == p
+    up, lo = (chars[1],), (chars[2], trivial_char(f))
+    coef, twist, up2, lo2 = shift_parameters(up, lo, psi)
+    assert coef == Cyclo.integer(1) and twist.is_trivial() and (up2, lo2) == (up, lo)
 
 
 def test_shift_parameters_exhaustive_f5():
     f, chars, psi = _chars(5)
     for a1, a2, b1, b2 in itertools.product(chars, repeat=4):
-        p = HgfParams((a1, a2), (b1, b2), psi)
-        coef, twist, pc = shift_parameters(p)
-        assert pc.lower[-1].is_trivial()
+        up, lo = (a1, a2), (b1, b2)
+        coef, twist, upc, loc = shift_parameters(up, lo, psi)
+        assert loc[-1].is_trivial()
         for lam in f.units():
-            assert hgf_eval(p, lam) == coef * twist.eval(lam) * hgf_eval(pc, lam)
+            assert hgf.hgf(up, lo, lam, psi) == coef * twist.eval(lam) * hgf.hgf(upc, loc, lam, psi)
 
 
 def test_inverse_relation_1f0():
     f, chars, psi = _chars(3)
     alpha = chars[1]
-    p = HgfParams((alpha,), (), psi)
-    q = inverse_relation(p)
-    lam = 2
-    assert hgf_eval(p, lam) == hgf_eval(q, inverse_argument(f, 1, 0, lam))
+    up, lo, lam = inverse_relation((alpha,), (), 2)
+    assert hgf.hgf((alpha,), (), 2, psi) == hgf.hgf(up, lo, lam, psi)
 
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_inverse_relation_general(q):
     f, chars, psi = _chars(q)
     for a1, a2, b1 in itertools.product(chars[: min(4, len(chars))], repeat=3):
-        p = HgfParams((a1, a2), (b1,), psi)
-        pinv = inverse_relation(p)
         for lam in f.units():
-            assert hgf_eval(p, lam) == hgf_eval(pinv, inverse_argument(f, 2, 1, lam))
+            up, lo, lam_inv = inverse_relation((a1, a2), (b1,), lam)
+            assert hgf.hgf((a1, a2), (b1,), lam, psi) == hgf.hgf(up, lo, lam_inv, psi)
 
 
 def test_inverse_relation_validation():
     f, chars, psi = _chars(3)
-    with pytest.raises(ValueError):
-        inverse_relation(HgfParams((chars[1],), (chars[0], chars[0]), psi))
-    with pytest.raises(ValueError):
-        inverse_argument(f, 1, 0, 0)
+    with pytest.raises(ValueError, match="more upper than lower"):
+        inverse_relation((chars[1],), (chars[0], chars[0]), 1)
+    with pytest.raises(ValueError, match="more upper than lower"):
+        inverse_relation((chars[1],), (chars[0],), 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        inverse_relation((chars[1],), (), 0)
+
+
+def test_inverse_relation_argument():
+    # (-1)^(m-n)/lam: 1/lam for m - n even, -1/lam for m - n odd
+    f, chars, psi = _chars(7)
+    a = chars[1]
+    for lam in f.units():
+        assert inverse_relation((a,), (), lam)[2] == f.neg(f.inv(lam))
+        assert inverse_relation((a, a, a), (a,), lam)[2] == f.inv(lam)
 
 
 # -- the evaluators against their defining sums ------------------------------
@@ -438,7 +442,7 @@ def test_humbert_rejects_wrong_counts(kind, n_upper, n_delta):
         humbert(kind, chars[1:1 + n_upper], chars[1], chars[1:1 + n_delta], 2, 3, psi)
 
 
-@pytest.mark.parametrize("family", ["mfn", "lauricella", "humbert"])
+@pytest.mark.parametrize("family", ["mfn", "lauricella", "humbert", "hgf", "shift_parameters"])
 @pytest.mark.parametrize("stray", ["character", "psi"])
 def test_evaluators_reject_a_second_field(family, stray):
     """A character over F_7 among characters over F_5, or psi over F_7: the
@@ -450,13 +454,35 @@ def test_evaluators_reject_a_second_field(family, stray):
         c = chars7[3]
     else:
         psi = psi7
-    with pytest.raises(ValueError, match="one field|different fields"):
+    with pytest.raises(ValueError, match="different fields"):
         if family == "mfn":
             mfn([a, b], [c], 2, psi)
         elif family == "lauricella":
             lauricella("D", [a], [b, c], [a], [b, c], (2, 3), psi)
-        else:
+        elif family == "humbert":
             humbert(1, [a, b], c, [a, b], 2, 3, psi)
+        elif family == "hgf":
+            hgf.hgf([a, b], [c], 2, psi)
+        else:  # a trivial last lower character takes the early return
+            shift_parameters([a, c], [b, chars[0]], psi)
+
+
+def test_no_characters_and_no_psi_cannot_infer_the_field():
+    f, chars, psi = _chars(5)
+    for fn in (hgf.hgf, mfn):
+        with pytest.raises(ValueError, match="cannot infer the field"):
+            fn([], [], 2)
+    with pytest.raises(ValueError, match="cannot infer the field"):
+        shift_parameters([], [])
+    assert mfn([], [], 2, psi) == psi.eval(f.neg(2))
+
+
+def test_mfn_is_hgf_with_a_trivial_lower_character():
+    f, chars, psi = _chars(5)
+    tuples = [t for k in range(3) for t in itertools.product(chars, repeat=k)]
+    for up, lo in itertools.product(tuples, repeat=2):
+        for lam in f.elements():
+            assert mfn(up, lo, lam, psi) == hgf.hgf(up, [*lo, chars[0]], lam, psi)
 
 
 # -- the packed evaluator against the oracle, conductor included --------------
@@ -506,7 +532,7 @@ def test_packed_horn_matches_oracle(data):
         if data.draw(st.booleans()):
             lo.append(trivial_char(f))
         terms = [(a, (1,), True) for a in up] + [(b, (1,), False) for b in lo]
-        got = hgf_eval(HgfParams(tuple(up), tuple(lo), psi), xs[0])
+        got = hgf.hgf(up, lo, xs[0], psi)
         want = _oracle(terms, xs, psi) / (1 - q)
     elif family == "lauricella":
         kind = data.draw(st.sampled_from("ABCD"))

@@ -19,7 +19,7 @@ from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_fi
                          canonical_nth_root, extend)
 from hgfq.genhgf import (Partition, WDeltaElem, _dot, hdelta_chars, phi_delta, theta_list,
                          w_action_on_char)
-from hgfq.hgf import HgfParams, hgf_eval, humbert, lauricella
+from hgfq.hgf import hgf, humbert, lauricella
 from hgfq.monomial import (char_star, fmat_permutes, imat_det, imat_transpose, permutes_mod,
                            tau_lattice)
 from hgfq.sums import gauss, jacobi
@@ -60,6 +60,7 @@ from hgfq.varieties import (
     transport_check,
     verify_iso,
 )
+from test_genhgf import _random_w
 
 
 def _families(f, lam):
@@ -289,9 +290,8 @@ def _closed_form_by_products(v, chi, psi):
         cprod = 1
         for c in cs:
             cprod = f.mul(cprod, c)
-        params = HgfParams(tuple(alphas), tuple(b.inverse() for b in betas)
-                           + tuple(g.inverse() for g in gammas), psi)
-        return coef * hgf_eval(params, f.mul(cprod, v.lam))
+        lower = [b.inverse() for b in betas] + [g.inverse() for g in gammas]
+        return coef * hgf(alphas, lower, f.mul(cprod, v.lam), psi)
     if isinstance(v, LauricellaD):
         n = v.n
         alphas, betas = list(chi.parts[:n + 1]), list(chi.parts[n + 1:])
@@ -1278,6 +1278,17 @@ def test_non_unit_parameters_fail_closed():
             make_context(family, f, x=x)
 
 
+def test_non_unit_twists_fail_closed():
+    f = build_field_q(4)
+    for family, params, twists, bad in (("kummer", dict(lam=2), (0,), 0),
+                                        ("phi1", dict(lam1=2, lam2=2), (5,), 5),
+                                        ("phi3", dict(lam1=2, lam2=2), (1, 0), 0)):
+        ctx = make_context(family, f, **params)
+        sym = ctx.symmetry(tuple(range(ctx.arity)), twists)
+        with pytest.raises(ValueError, match=f"^unit part {bad} is not a unit of F_4$"):
+            ctx.build(sym)
+
+
 # -- general-family isomorphisms --------------------------------------------
 
 
@@ -1286,26 +1297,6 @@ def _small_general(f, parts, rng, d):
     z = [[rng.randrange(f.q) for _ in range(delta.n)] for _ in range(d)]
     z[0][0] = 1
     return GeneralXDz(f, delta, z)
-
-
-def _random_w(f, delta, rng):
-    sigmas, cs = [], []
-    for size, mult in delta.grouped():
-        perm = list(range(mult))
-        rng.shuffle(perm)
-        sigmas.append(tuple(perm))
-        cs.append(
-            tuple(
-                tuple(
-                    [rng.choice(list(f.units()))]
-                    + [rng.randrange(f.q) for _ in range(size - 2)]
-                )
-                if size > 1
-                else ()
-                for _ in range(mult)
-            )
-        )
-    return WDeltaElem(delta, tuple(sigmas), tuple(cs))
 
 
 @pytest.mark.parametrize("parts,d", [((1, 1), 2), ((1, 2), 1), ((2, 2), 1)])

@@ -20,10 +20,11 @@ the conductor of the product of the slot values.
 Each slot reads its exponents from a table of q entries, cached per
 (field, j, M) for chi_j and per (field, a, M) for psi_a in two lru_caches
 of _TABLES_KEPT (512) tables each, so a call does no O(q) set-up once its
-tables are built and each cache holds at most 512 q entries.  char_sum and
-genhgf.phi_delta share the kernel _sum_tables, one pass over the points
-with one lookup per slot; its histogram, before the one canonicalization,
-is _histogram, which varieties.transport_check reads.
+tables are built and each cache holds at most 512 q entries.  The kernel
+of char_sum is _sum_tables, one pass over the points with one lookup per
+slot; its histogram, before the one canonicalization, is _histogram, which
+varieties.transport_check reads.  genhgf reads the same slot tables into
+per-block exponent columns of its own.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ def hgf_cmd(q, p, e, as_json, upper, lower, lam, raw):
     def value(uidx, lidx, lamv):
         uch = [MulChar(f, j) for j in uidx]
         lch = [MulChar(f, j) for j in lidx]
-        return hgf(uch, lch, lamv, standard_psi(f)) if raw else mfn(uch, lch, lamv)
+        return (hgf if raw else mfn)(uch, lch, lamv, standard_psi(f))
 
     if lam is not None and as_json:
         _echo_json({"q": f.q, "upper": list(ups), "lower": list(los), "lam": lam,

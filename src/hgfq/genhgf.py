@@ -13,27 +13,31 @@ where z is a d x n matrix read in blocks of N_i columns and the block value
 is zero whenever its leading entry s.z_0 vanishes.
 
 Phi depends on chi only through the log coordinates of the blocks of [s z],
-so phi_delta enumerates k^d once per (field, parts, z) and keeps, in an
-lru_cache of _HISTOGRAMS_KEPT (64) entries keyed on z by value, the
+so k^d is enumerated once per (field, parts, z) (_phi_histogram) into the
 histogram of g = (h_0 of each block, then theta_1(h), ..., theta_(m-1)(h)
 block by block) over the points with every h_0 != 0, in the slot layout of
-GeneralXDz.support().  The characteristic and z are validated inside that
-cached builder, once per key; lru_cache keeps no exception, so a bad z
-raises on every call, and an unhashable entry raises ValueError too.  Each
-character is then one pass of the chars.char_sum kernel over the histogram,
-with the slot tables (alpha_j of each block, then psi_(a a_k)) read from the
-caches of chars, so a call costs about one lookup per slot per histogram
-key.  This enumeration is kept apart from GeneralXDz.support(), so that
-point counts checked against Phi compare two independent computations.
+GeneralXDz.support().  That histogram is kept as a frame, in an lru_cache
+of _FRAMES_KEPT (64) entries keyed on z by value: the conductor M, the keys
+transposed into one column per slot, their counts, and per block a memo of
+exponent columns.  A block's column for its option (j, twists) is the
+exponent of chi_j(h_0) prod psi_(t_k)(theta_k(h)) in zeta_M at every key,
+the twists t_k being psi.a a_k, read from the slot tables of chars and
+reduced mod M (one byte per entry when M <= 256); it is built on first
+use and then shared by every character at that z.  The characteristic and
+z are validated inside the cached frame builder, once per key; lru_cache
+keeps no exception, so a bad z raises on every call, and a non-matrix z or
+an unhashable entry raises ValueError too.  This enumeration is kept
+apart from GeneralXDz.support(), so that point counts checked against Phi
+compare two independent computations.
 
-phi_table evaluates Phi(chi; z) for the whole group at one z, in
-hdelta_chars order, from the same histogram: each block gets one exponent
-column per character option over the histogram keys, the columns of the
-blocks add up to each character's exponents, and each character's
-histogram over the powers of zeta_M is canonicalized once (equal
-histograms share one value).  The symmetry and count claims of
-hgfq.suites read Phi from it; phi_delta is the one-value path and the
-oracle the tests check the table against.
+phi_delta evaluates one character: its blocks' columns add up to the
+exponents of chi([s z]), counted once over the keys by power of zeta_M and
+canonicalized once.  phi_table evaluates the whole group at one z, in
+hdelta_chars order, from the same columns: the blocks' columns are added in
+itertools.product order, and equal histograms share one value.  The
+symmetry and count claims of hgfq.suites read Phi from the table.  The
+oracles of both are the literal sum of chi_of_sz over k^d and the
+independent n_chi of GeneralXDz.
 
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
@@ -57,11 +61,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import add, mul
 
-from .chars import (AddChar, MulChar, _add_table, _mul_table, _sum_tables, standard_psi,
-                    trivial_char)
+from .chars import AddChar, MulChar, _add_table, _mul_table, standard_psi, trivial_char
 from .cyclo import Cyclo
 from .ffield import Field
 from .hgf import humbert, lauricella, mfn
@@ -212,6 +215,13 @@ class JmChar:
         return self._hash
 
     @property
+    def twists(self) -> tuple[int, ...]:
+        """t_k = psi.a a_k for each additive coefficient a_k, so that
+        psi(a_k x) = psi_1(t_k x)."""
+        t = self.psi.a
+        return tuple(self.a) if t == 1 else tuple(self.field.mul(t, ak) for ak in self.a)
+
+    @property
     def m(self) -> int:
         return len(self.a) + 1
 
@@ -286,7 +296,7 @@ class HDeltaChar:
         """The block leads alpha, then psi_a twisted by each additive
         coefficient block by block: the slot layout of GeneralXDz."""
         f = self.field
-        adds = (AddChar(f, f.mul(b.psi.a, aj)) for b in self.blocks for aj in b.a)
+        adds = (AddChar(f, t) for b in self.blocks for t in b.twists)
         return (*(b.alpha for b in self.blocks), *adds)
 
     def eval_h(self, h_blocks) -> Cyclo:
@@ -299,9 +309,13 @@ class HDeltaChar:
 
 
 def hdelta_chars(field: Field, delta: Partition, psi: AddChar | None = None):
-    """Enumerate the full character group for the partition."""
+    """Enumerate the full character group for the partition.  Every block
+    fits delta and field by construction, so the characters are built
+    without HDeltaChar's checks; only psi's field is checked."""
     delta.check_char(field)
     psi = psi or standard_psi(field)
+    if psi.field != field:
+        raise ValueError("characters over different fields")
     per_block = []
     for size in delta.parts:
         opts = [
@@ -311,7 +325,7 @@ def hdelta_chars(field: Field, delta: Partition, psi: AddChar | None = None):
         ]
         per_block.append(opts)
     for combo in itertools.product(*per_block):
-        yield HDeltaChar(delta, tuple(combo))
+        yield HDeltaChar._of_valid(delta, combo)
 
 
 # -- the general sum -------------------------------------------------------
@@ -339,99 +353,127 @@ def _scol(field: Field, s, z, col: int) -> int:
 def phi_delta(chi: HDeltaChar, z) -> Cyclo:
     """Phi(chi; z) = sum over s in k^d of chi([s z]).
 
-    The sum runs over the cached histogram (_phi_histogram) of the points
-    g = (h_0 of each block, then the theta_i(h) block by block) of the
-    blocks h of [s z], built once per (field, parts, z) and shared by every
-    character.  Each slot of g reads a cached exponent table, alpha_j of each
-    block and psi_(a a_k) of each additive coefficient (the slots
-    chi.slots()), through the kernel of chars.char_sum.  The conductor is
+    The sum reads the cached frame of (field, parts, z) (_phi_frame).  Each
+    block adds the frame's exponent column of its option (j, twists), the
+    twists being psi.a a_k (JmChar.twists); a column is built on first use
+    and shared by every character at that z.  The sum of the columns is the
+    exponent of chi([s z]) in zeta_M at each histogram key; the keys' counts
+    are gathered by that exponent and canonicalized once.  The conductor is
     that of the product of the block values: M = N p when some part exceeds
     1, else M = N, with N = max(q - 1, 1); with no point in the support the
-    sum is Cyclo.zero().  The histogram is not GeneralXDz.support(), which
-    enumerates the same points on its own, so n_chi and Phi stay independent
-    checks of each other.  chi_of_sz remains the one-point definition.
+    sum is Cyclo.zero().  chi_of_sz remains the one-point definition.
     """
     f = chi.field
-    parts = chi.delta.parts
-    try:
-        points = _phi_histogram(f, parts, tuple(map(tuple, z)))
-    except TypeError:  # z is not a matrix, or has an unhashable entry
-        raise ValueError(f"z must be a matrix of field codes 0..{f.q - 1}") from None
-    if not points:
+    frame = _frame(f, chi.delta.parts, z)
+    if frame is None:
         return Cyclo.zero()
-    M = max(f.N, 1) * (f.p if parts[-1] > 1 else 1)
-    tables = [_mul_table(f, b.alpha.j, M) for b in chi.blocks]
-    for b in chi.blocks:
-        a = b.psi.a
-        tables += [_add_table(f, f.mul(a, ak), M) for ak in b.a]
-    return _sum_tables(tables, points, M)
+    cols = [frame.column(k, b.alpha.j, b.twists) for k, b in enumerate(chi.blocks)]
+    return Cyclo(frame.M, frame.histogram(reduce(partial(map, add), cols)))
 
 
 def phi_table(field: Field, delta: Partition, z) -> list[Cyclo]:
-    """[Phi(chi; z) for chi in hdelta_chars(field, delta)], read from one
-    cached histogram (_phi_histogram) of the points of [s z].
+    """[Phi(chi; z) for chi in hdelta_chars(field, delta)], read from the
+    cached frame of (field, parts, z) that phi_delta reads.
 
-    The exponent of chi([s z]) in zeta_M is additive over the blocks: for
-    the option (j, a) of a block it is j dlog(h_0) M/N plus the sum over k of
-    Tr(a_k theta_k) M/p, psi being the standard one.  So each block gets one exponent column per
-    option over the histogram keys (at most options x keys ints per block,
-    no list of the whole group's size times the keys), the blocks' columns
-    are added in itertools.product order, and each character's exponents are
-    counted into one histogram over the powers of zeta_M, canonicalized once.
-    The conductor, the zero of an empty support and the ValueError of a
-    rejected z are those of phi_delta, which stays the one-value path."""
+    Every option (j, a) of every block gets its exponent column from the
+    frame, under the standard psi; the blocks' columns are added in
+    itertools.product order, and each character's exponents are counted into
+    one histogram over the powers of zeta_M, canonicalized once (equal
+    histograms share one value).  Memory stays at the per-block columns,
+    never the group size times the keys.  The conductor, the zero of an
+    empty support and the ValueError of a rejected z are those of
+    phi_delta."""
     f = field
     delta.check_char(f)
     parts = delta.parts
-    try:
-        points = _phi_histogram(f, parts, tuple(map(tuple, z)))
-    except TypeError:  # z is not a matrix, or has an unhashable entry
-        raise ValueError(f"z must be a matrix of field codes 0..{f.q - 1}") from None
+    frame = _frame(f, parts, z)
     N = max(f.N, 1)
-    if not points:
+    if frame is None:
         return [Cyclo.zero()] * reduce(mul, (N * f.q ** (size - 1) for size in parts))
-    M = N * (f.p if parts[-1] > 1 else 1)
-    keys, counts = zip(*points)
-    columns, off = [], len(parts)
-    for b, size in enumerate(parts):
-        leads = [g[b] for g in keys]
-        adds = [[0] * len(keys)]
-        for k in range(off, off + size - 1):
-            thetas = [g[k] for g in keys]
-            per_a = [list(map(_add_table(f, a, M).__getitem__, thetas))
-                     for a in f.elements()]
-            adds = [list(map(add, col, new)) for col in adds for new in per_a]
-        off += size - 1
-        columns.append([list(map(add, map(_mul_table(f, j, M).__getitem__, leads), col))
-                        for j in range(N) for col in adds])
+    columns = [[frame.column(k, j, a) for j in range(N)
+                for a in itertools.product(f.elements(), repeat=size - 1)]
+               for k, size in enumerate(parts)]
     out, values = [], {}
     for head in itertools.product(*columns[:-1]):
-        base = list(map(sum, zip(*head))) if head else [0] * len(keys)
+        base = list(map(sum, zip(*head))) if head else [0] * len(frame.counts)
         for col in columns[-1]:
-            hist = [0] * M
-            for e, c in zip(map(add, base, col), counts):
-                hist[e % M] += c
-            hist = tuple(hist)
+            hist = tuple(frame.histogram(map(add, base, col)))
             value = values.get(hist)
             if value is None:
-                value = values[hist] = Cyclo(M, hist)
+                value = values[hist] = Cyclo(frame.M, hist)
             out.append(value)
     return out
 
 
-# Histograms kept for the most recent (field, parts, z); a symmetry check
+def _frame(field: Field, parts: tuple[int, ...], z) -> "_PhiFrame | None":
+    """_phi_frame of z read as a matrix, a non-matrix z or an unhashable
+    entry raising the ValueError of any other rejected z."""
+    try:
+        return _phi_frame(field, parts, tuple(map(tuple, z)))
+    except TypeError:  # z is not a matrix, or has an unhashable entry
+        raise ValueError(f"z must be a matrix of field codes 0..{field.q - 1}") from None
+
+
+class _PhiFrame:
+    """The points of [s z] as exponent columns: the conductor M, the
+    histogram keys transposed into one column per slot, their counts, and
+    per block a memo of its column for each option (j, twists) met so far."""
+
+    def __init__(self, field: Field, parts: tuple[int, ...], points):
+        self.field = field
+        self.M = max(field.N, 1) * (field.p if parts[-1] > 1 else 1)
+        keys, self.counts = zip(*points)
+        slots = list(zip(*keys))
+        starts = itertools.accumulate((size - 1 for size in parts), initial=len(parts))
+        self.blocks = [(slots[k], slots[start:start + size - 1])
+                       for k, (start, size) in enumerate(zip(starts, parts))]
+        self.memos = [{} for _ in parts]
+
+    def column(self, k: int, j: int, twists: tuple[int, ...]) -> bytes | tuple[int, ...]:
+        """Block k's exponents of chi_j(h_0) prod psi_1(t_i theta_i(h)) in
+        zeta_M over the keys, reduced mod M: bytes when M <= 256, so that a
+        frame of small conductor holds one byte per entry."""
+        memo = self.memos[k]
+        col = memo.get((j, twists))
+        if col is None:
+            f, M = self.field, self.M
+            lead, thetas = self.blocks[k]
+            col = map(_mul_table(f, j, M).__getitem__, lead)
+            for t, slot in zip(twists, thetas):
+                col = map(add, col, map(_add_table(f, t, M).__getitem__, slot))
+            col = map(M.__rmod__, col)  # each e % M
+            col = memo[j, twists] = bytes(col) if M <= 256 else tuple(col)
+        return col
+
+    def histogram(self, exps) -> list[int]:
+        """The counts of the keys gathered by exponent mod M."""
+        M = self.M
+        hist = [0] * M
+        for e, c in zip(exps, self.counts):
+            hist[e % M] += c
+        return hist
+
+
+# Frames kept for the most recent (field, parts, z); a symmetry check
 # alternates between a handful of matrices, a table walks one.
-_HISTOGRAMS_KEPT = 64
+_FRAMES_KEPT = 64
 
 
-@lru_cache(maxsize=_HISTOGRAMS_KEPT)
+@lru_cache(maxsize=_FRAMES_KEPT)
+def _phi_frame(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
+    """The _PhiFrame of the points of [s z], None when there is none.  The
+    characteristic and z are checked by _phi_histogram, once per key:
+    lru_cache keeps no exception, so a rejected z raises again on every
+    call."""
+    points = _phi_histogram(field, parts, z)
+    return _PhiFrame(field, parts, points) if points else None
+
+
 def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
     """[(g, number of s), ...] over s in k^d, with g = (h_0 of each block,
     then theta_1(h), ..., theta_(m-1)(h) block by block) for the blocks h of
-    [s z], leaving out the points where some block has h_0 = 0.
-
-    The characteristic and z are checked here, once per key: lru_cache keeps
-    no exception, so a rejected z raises again on every call."""
+    [s z], leaving out the points where some block has h_0 = 0.  The
+    characteristic and z are checked first."""
     f = field
     delta = Partition(parts)
     delta.check_char(f)

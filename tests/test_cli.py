@@ -95,6 +95,16 @@ def test_hgf_raw_is_the_unwrapped_sum(runner):
     assert raw != mfn(ups, los, 2).to_json()
 
 
+def test_hgf_without_characters_reads_psi_from_the_field(runner):
+    # 0F0 has no character to infer the field from: --q names it
+    from hgfq.chars import standard_psi
+    from hgfq.ffield import build_field
+    from hgfq.hgf import mfn
+
+    result = runner.invoke(main, ["hgf", "--q", "5", "--upper", "", "--lower", "", "--lam", "2"])
+    assert _json(result)["value"] == mfn([], [], 2, standard_psi(build_field(5))).to_json()
+
+
 def test_jacobi_spot_value(runner):
     data = _json(runner.invoke(main, ["jacobi", "--q", "3", "--chi", "1,1"]))
     assert data["value"] == {"m": 2, "num": [-1, 0], "den": 1}

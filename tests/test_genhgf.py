@@ -17,6 +17,7 @@ from hgfq.genhgf import (
     Partition,
     WDeltaElem,
     _REDUCTIONS,
+    _phi_frame,
     _phi_histogram,
     chi_of_sz,
     hdelta_chars,
@@ -338,7 +339,7 @@ def test_phi_shape_validation():
     f = build_field(3)
     psi = standard_psi(f)
     chi = HDeltaChar(Partition((1, 1)), tuple(JmChar(MulChar(f, 0), (), psi) for _ in range(2)))
-    # z is checked inside the cached histogram builder: a valid z cached
+    # z is checked inside the cached frame builder: a valid z cached
     # first must not let a bad one through, and lru_cache keeps no exception,
     # so every bad z raises on every call
     good = [[1, 2], [0, 1]]
@@ -588,6 +589,76 @@ def test_phi_table_matches_phi_delta_on_sampled_z(data):
     got = phi_table(f, delta, z)
     want = [phi_delta(chi, z) for chi in hdelta_chars(f, delta)]
     assert len(got) == len(want) and all(map(_same, got, want))
+
+
+# -- the shared exponent columns -------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_phi_table_matches_literal_sum(q):
+    # the table against the literal sum, independently of phi_delta
+    f = build_field_q(q)
+    for parts in _table_cases(f):
+        delta = Partition(parts)
+        rng = random.Random(20 * q + sum(parts))
+        for d in (1, 2):
+            z = _random_z(f, d, delta.n, rng)
+            got = phi_table(f, delta, z)
+            want = [_phi_literal(chi, z) for chi in hdelta_chars(f, delta)]
+            assert len(got) == len(want)
+            assert all(map(_same, got, want)), (q, parts, z)
+
+
+def test_phi_columns_do_not_depend_on_cache_order():
+    # one character under psi_1 and under psi_2 reads different twists
+    # psi.a a_k from one frame, whichever fills its block memo first
+    f = build_field_q(5)
+    delta = Partition((1, 2))
+    z = [[1, 2, 3], [4, 1, 2]]
+    chis = [HDeltaChar(delta, (JmChar(MulChar(f, 1), (), psi), JmChar(MulChar(f, 3), (2,), psi)))
+            for psi in (standard_psi(f), AddChar(f, 2))]
+    for order in (chis, chis[::-1]):
+        _phi_frame.cache_clear()
+        for chi in order:
+            assert _same(phi_delta(chi, z), _phi_literal(chi, z)), chi
+    assert not _same(phi_delta(chis[0], z), phi_delta(chis[1], z))
+
+
+def test_phi_table_and_phi_delta_share_one_frame():
+    f = build_field_q(4)
+    delta = Partition((1, 2))
+    z = [[1, 2, 3], [2, 0, 1]]
+    _phi_frame.cache_clear()
+    table = phi_table(f, delta, z)
+    values = [phi_delta(chi, z) for chi in hdelta_chars(f, delta)]
+    assert all(map(_same, table, values))
+    info = _phi_frame.cache_info()
+    assert info.misses == 1 and info.maxsize == 64
+
+
+def test_phi_columns_past_one_byte():
+    # at q = 17 a part of size 2 gives M = 16 * 17 = 272, past the byte
+    # columns: the columns hold plain ints there
+    f = build_field_q(17)
+    delta = Partition((1, 2))
+    z = [[3, 5, 7]]
+    rng = random.Random(17)
+    chars = list(hdelta_chars(f, delta))
+    table = phi_table(f, delta, z)
+    assert _phi_frame(f, delta.parts, tuple(map(tuple, z))).M == 272
+    for i in [0, *rng.sample(range(1, len(chars)), 8)]:
+        want = _phi_literal(chars[i], z)
+        assert _same(phi_delta(chars[i], z), want) and _same(table[i], want), chars[i]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_hdelta_chars_equal_checked_characters(q):
+    f = build_field_q(q)
+    for parts in _table_cases(f):
+        delta = Partition(parts)
+        for chi in hdelta_chars(f, delta):
+            checked = HDeltaChar(delta, tuple(chi.blocks))
+            assert chi == checked and hash(chi) == hash(checked)
 
 
 def _random_w(f, delta, rng):

@@ -142,7 +142,10 @@ class Cyclo:
             return self
         if M % self.m:
             raise ValueError("can only lift to a multiple of the conductor")
-        return Cyclo(M, _spread(self, M), self.den)
+        # Phi_M divides Phi_m(x^(M/m)), so the spread canonical form is the
+        # remainder mod Phi_M when its degree stays below deg Phi_M
+        reduced = (_phi_terms(self.m)[0] - 1) * (M // self.m) < _phi_terms(M)[0]
+        return Cyclo(M, _spread(self, M), self.den, _reduced=reduced)
 
     # -- ring operations ---------------------------------------------------
 

@@ -1,9 +1,9 @@
 """
 Hypergeometric character sums over a finite field.
 
-Every series here is one Horn-type character sum in Greene's normalisation.
-It is described by a list of terms (a, c, upper) over n summed characters
-nu_1..nu_n and the arguments lambda_1..lambda_n:
+Every series here is one Horn-type character sum in Greene's normalisation,
+given by terms (a, c, upper) over n summed characters nu_1..nu_n and the
+arguments lambda_1..lambda_n:
 
     sum over nu_1..nu_n of  prod over upper terms (a)_(nu^c)
                           * prod over lower terms 1/(a)°_(nu^c)
@@ -11,97 +11,82 @@ nu_1..nu_n and the arguments lambda_1..lambda_n:
 
 where c is an integer vector and nu^c = nu_1^c_1 ... nu_n^c_n.  With
 nu_i = chi_(j_i), nu^c is chi_(c.j), so the evaluator groups the terms by c
-(nu_i(lambda_i) joins the group of the unit vector e_i) and sums
-prod over groups of the group's entry at c.j, over j in (Z/N)^n.
+(nu_i(lambda_i) joins the group of the unit vector e_i) and sums the
+product over groups of the group's entry at c.j, over j in (Z/N)^n.
 
-Every entry is integer data over Gauss sums (Greene 1987).  By the
-reflection identity, with a(-1) = (-1)^j for a = chi_j at odd q and 1 at
-even q,
+By reflection (Greene 1987), with a(-1) = (-1)^j for a = chi_j at odd q
+and 1 at even q,
 
     (a)_nu    = g(a nu)                * a(-1) g°(a-bar) / q,
     1/(a)°_nu = g(a-bar nu-bar) nu(-1) * a(-1) g°(a) / q,
 
-and g°(eps) = q cancels the /q.  The right-hand factors do not depend on
-nu, so they multiply the whole sum once: a sign, q^-K and K Gauss sums.
-The left-hand factors give each group, at nu = chi_t, a sign and a list of
-Gauss indices (g(chi_0) = 1 is left out); nu(lambda) is zeta_N^(t dlog
-lambda), and nu(0) = 0 leaves no term.
+and g°(eps) = q cancels the /q.  The right-hand (fixed) factors multiply
+the whole sum once: a sign, q^-K and K Gauss sums.  The left-hand ones give
+each group, at nu = chi_t, a sign and Gauss indices; nu(lambda) is
+zeta_N^(t dlog lambda), and nu(0) = 0 leaves no term.  The constant and
+normalization are data too (Const): a sign, more Gauss indices, a power of
+q, zeta_N^rot and an integer denominator such as (q - 1)^n.  A Jacobi sum
+in it is j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with
+P = prod eta_i, unless every eta_i is trivial (1/g°(eps) = 1/q covers a
+trivial P); a character value chi(x) is zeta_N^(j dlog x).
 
-The value's constant and its normalization are data too (Const): a sign,
-more Gauss indices, a power of q, a root of unity zeta_N^rot and an integer
-denominator such as (q - 1)^n.  A Jacobi sum in the constant is
-j(eta_1..eta_k) = prod g(eta_i) * P(-1) g(P-bar) / q with P = prod eta_i
-(Greene 1987; 1/g°(eps) = 1/q covers a trivial P), valid unless every
-eta_i is trivial; a character value chi(x) is zeta_N^(j dlog x).
+Products of Gauss sums fold into Z[zeta_N]: for nontrivial chi_P, chi_k,
+g(chi_P) g(chi_k) = j(chi_P, chi_k) g(chi_(P+k)), or chi_P(-1) q when
+chi_(P+k) is trivial, so a product folded left to right is x g(chi_P) with
+x in Z[zeta_N], one binary Jacobi sum per factor after the first.  Group
+entries fold this way, and so do the fixed Gauss sums, with no pairing of
+g(chi_k) g(chi_-k) first.  The terms are summed per tuple of their groups'
+indices P, each tuple folds once, the sums land in A_P, and only the value
+enters conductor p N: sum_P A_P g(chi_P) = -sum over units x of psi(x)
+sum_P A_P zeta_N^(P dlog x), one block of Z[zeta_N] per zeta_p^Tr(a x).
 
-The reflection factors and the constant's Gauss sums pair off before any
-product: g(chi_k) g(chi_-k) = chi_k(-1) q for k != 0 is a sign and a
-power of q.  The constant of a count theorem (in varieties) carries g(chi)
-for every character chi its series reads, whose reflection factor is
-g(chi-bar), so there only the Jacobi sums' g(P-bar) are multiplied.
+The arithmetic is in the integers mod 2^(W Nc) - 1, Z[x]/(x^Nc - 1) at
+x = 2^W (Kronecker substitution; Harvey 2009), zeta_N = x^(Nc/N) and Nc = N
+lcm'd with the weights' conductors: Jacobi sums are packed from their raw
+histograms (sums.jacobi_histogram), roots of unity are rotations, and the
+f-hat of the iteration transforms are packed over their common denominator
+D.  Up to M = 20 (q <= 5 and q = 8) the slots span M instead, and every fold
+is taken whole, x g(chi_P) with g(chi_P) packed over M: a cached group
+entry then lies in Q(zeta_M), and a value needs no expansion.  A
+coefficient of the value is at most B = (q - 1) times the sum over
+surviving terms of q per nonzero Gauss index (a raw Jacobi histogram has l1
+norm q - 2) times the l1 norm of its weight, so slots of W >= bits(B) + 2
+bits, in whole bytes, hold every signed coefficient; the bound is exact per
+value and asserted on the result.  One signed unpack and one
+canonicalization give the numerator over q^K D den, times sign and q^qpow.
 
-The sum is taken in Z[x]/(x^M - 1) at x = 2^W, that is in the integers
-mod 2^(WM) - 1 (Kronecker substitution; Harvey 2009): each g(chi_j) is
-packed once per (psi, M, W) from its raw histogram, a group's entries are
-products of packed sums (cached per parameter set across lambda), a root
-of unity is a rotation, and the coefficients f-hat of the iteration
-transforms are packed over their common denominator D.  The constant's
-Gauss sums multiply the packed sum once, its root of unity rotates it and
-its sign negates it, so the numerator is one packed integer.  A
-coefficient of it is at most B = the sum over surviving terms of the
-product of the l1 norms of their factors, times those of the unpaired
-fixed Gauss sums (q - 1 per nontrivial Gauss sum, 1 per root of unity), so
-slots of W >= bits(B) + 2 bits, rounded to whole bytes, hold every signed
-coefficient; the bound is exact per value and asserted on the result.  One
-signed unpack and one canonicalization give the value: the numerator
-over q^K D den, times q^qpow.
+The conductor M is p N if the surviving terms carry a Pochhammer factor or
+the constant a Gauss sum (g(chi_0) = 1 included), else N, lcm'd with the
+weights' conductors; a sum with no surviving term is Cyclo.zero() (m = 1).
+The set-up no character changes (the logs of lambda, the surviving indices,
+each group's column of c . j) is cached per (field, group vectors, lambda).
 
-The set-up that no character changes (the logs of lambda, the surviving
-indices, each group's column of c . j) is built once per (field, group
-vectors, lambda) and shared by the characters of a table.
-
-The conductor M is that of the surviving terms and the constant: p N if
-they carry a Pochhammer factor or the constant a Gauss sum (g(chi_0) = 1
-included), else N, in both cases lcm'd with the conductors of the
-weights; a sum with no surviving term is Cyclo.zero() (m = 1).
-
-The evaluator reads each term as a member (j, c, upper), a = chi_j by its
-index, and checks no field.  Each series entry point builds (character, c,
-upper) terms and calls _series, which is the one normalisation: the Horn
-sum over n = len(lambdas) variables times 1/(1 - q)^n.
-
- - hgf(), the one-variable series F(a_1..a_m; b_1..b_n; lambda): every a_i
-   upper and every b_j lower at c = (1,); mfn() is hgf() with the trivial
-   character appended to the lower ones (classical notation);
- - lauricella(), the Appell-Lauricella families F_A/F_B/F_C/F_D in n
-   variables: each parameter is one character at c = (1..1) or n characters
-   at e_1..e_n (`_LAURICELLA`);
- - humbert(), the Humbert confluent families Phi_1/Phi_2/Phi_3 over
-   (mu, nu): the upper characters as in `_HUMBERT`, gamma at (1, 1) and
-   delta at e_1, e_2.
-
-These entry points and shift_parameters() share one psi rule (_psi): psi
+The evaluator reads each term as a member (j, c, upper), a = chi_j, and
+checks no field.  Each entry point builds (character, c, upper) terms and
+calls _series, the one normalisation: the Horn sum over n = len(lambdas)
+variables times 1/(1 - q)^n.  hgf() is F(a_1..a_m; b_1..b_n; lambda), each
+a_i upper and b_j lower at c = (1,), and mfn() appends the trivial
+character to the lower ones (classical notation); lauricella() gives
+F_A/F_B/F_C/F_D in n variables, each parameter one character at (1..1) or
+n at e_1..e_n (_LAURICELLA); humbert() gives Phi_1/Phi_2/Phi_3 over
+(mu, nu), the upper characters as in _HUMBERT, gamma at (1, 1) and delta
+at e_1, e_2.  They and shift_parameters() share one psi rule (_psi): psi
 is the argument if given, else the standard psi of the first character's
-field, and with neither the call raises "cannot infer the field"; every
-character must live over psi's field.  lauricella() and humbert() first
-check that their kind takes as many characters as given.  The four convolution ("iteration")
-transforms call _horn themselves: their sum also carries the Fourier
-coefficient f-hat of each character tuple, times a Jacobi or Gauss sum, a
-sign and 1/N^n.
+field (with neither, "cannot infer the field"), and every character lives
+over psi's field; lauricella() and humbert() first check their character
+counts.  The four convolution ("iteration") transforms and the count
+theorems in varieties call _horn themselves: the transforms with the
+Fourier coefficients f-hat, a Jacobi or Gauss sum, a sign and 1/N^n, the
+theorems with members and a constant read from integer indices.
 
-The count theorems in varieties call _horn directly, with members and a
-constant read from a character's integer indices.
-
-Also here: the discrete Fourier transform on (k*)^n with its inversion,
-the right-hand sides of the iteration transforms, shift of parameters into
-classical notation, and the upper/lower inverse relation, all on plain
-tuples of characters.
+Also here, on plain tuples of characters: the discrete Fourier transform on
+(k*)^n and its inverse, iteration right-hand sides, shifts, inverse relation.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -109,7 +94,7 @@ from typing import NamedTuple
 from .chars import AddChar, MulChar, enumerate_mulchars, standard_psi, trivial_char
 from .cyclo import Cyclo, _pack, _spread, _unpack
 from .ffield import Field
-from .sums import gauss_histogram, pochhammer
+from .sums import jacobi_histogram, pochhammer
 
 
 def _factor(a: MulChar, nu: MulChar, upper: bool, psi: AddChar) -> Cyclo:
@@ -182,9 +167,9 @@ def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
 
     terms: (j, combination vector c, upper) members, the character chi_j by
     its index 0 <= j < N over psi's field; weights, if given, maps each
-    tuple j of character indices to a coefficient.
-    """
+    tuple j of character indices to a coefficient."""
     f = psi.field
+    q, p = f.q, f.p
     groups = {c: [] for c in _unit_vectors(len(lams))}
     for j, c, upper in terms:
         groups.setdefault(tuple(c), []).append((j, upper))
@@ -195,144 +180,169 @@ def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
         cols = [[col[k] for k in live] for col in cols]
     if not live:
         return Cyclo.zero()
-    # the conductor of the surviving terms and of the constant, their common
-    # denominator D and the exact bound B on the coefficients of the numerator
-    M, D = lcm(N, f.p * N if terms or const.gauss else 1), 1
+    # conductors Nc (coefficients) and M (value), weights' denominator D, bound B
+    Nc, D = N, 1
     if weights is not None:
-        M, D = lcm(M, *(ws[k].m for k in live)), lcm(*(ws[k].den for k in live))
-    fixed, sign, B = [], const.sign, [1] * len(live)
+        Nc, D = lcm(N, *(ws[k].m for k in live)), lcm(*(ws[k].den for k in live))
+    M = lcm(Nc, p * N) if terms or const.gauss else Nc
+    if M <= _WHOLE:
+        Nc = M
+    fixed, sign, B = [k % N for k in const.gauss], const.sign, [1] * len(live)
     for members, idx in zip(groups.values(), cols):
         gauss_count = [len(members)] * N  # g(chi_0) = 1 is left out
         for j, upper in members:
             gauss_count[-j % N] -= 1
             if j:
                 fixed.append((-j if upper else j) % N)
-                sign *= -1 if f.p != 2 and j % 2 else 1
-        l1 = [(f.q - 1) ** k for k in gauss_count]
+                sign *= -1 if p != 2 and j % 2 else 1
+        l1 = [q**k for k in gauss_count]
         B = [b * l1[i] for b, i in zip(B, idx)]
-    qpow = const.qpow - len(fixed)  # each reflection factor carries a 1/q
-    # the fixed Gauss factors, less the pairs g(chi_k) g(chi_-k) = chi_k(-1) q
-    count = [0] * N
-    for k in fixed + [k % N for k in const.gauss]:
-        count[k] += 1
-    for k in range(1, N // 2 + 1):
-        pairs = count[k] // 2 if 2 * k == N else min(count[k], count[N - k])
-        count[k] -= pairs
-        count[N - k] -= pairs
-        qpow += pairs
-        sign *= -1 if f.p != 2 and k * pairs % 2 else 1
-    fixed = [k for k in range(1, N) for _ in range(count[k])]
+    qpow = const.qpow + len(const.gauss) - len(fixed)  # each reflection factor carries a 1/q
     if weights is not None:
         B = [b * D // ws[k].den * sum(map(abs, ws[k].num)) for b, k in zip(B, live)]
-    B = sum(B) * (f.q - 1) ** len(fixed)
+    B = sum(B) * q ** (len(fixed) - fixed.count(0)) * (q - 1)
     W = (B.bit_length() + 9) // 8 * 8  # |coefficient| <= B < 2^(W - 2)
-    WM = W * M
-    R = (1 << WM) - 1
-    ones = int.from_bytes((1).to_bytes(W // 8, "little") * M, "little")
-    # the columns of entries the surviving terms read, nu(lambda) as a rotation
-    terms_at = []
-    for (c, members), log, idx in zip(groups.items(), logs, cols):
-        row = _packed_rows(psi, M, W, tuple(sorted(members)))
-        if log:  # times nu(lambda) = zeta_M^(t dlog(lambda) M/N) at nu = chi_t
-            step = W * log * (M // N)
-            row = [((x << b) & R) + (x >> (WM - b))
-                   for x, b in zip(row, (t * step % WM for t in range(N)))]
-        terms_at.append([row[i] for i in idx])
-    if weights is not None:
-        terms_at.append([_pack_signed(ws[k], M, W, D, ones) % R for k in live])
-    acc = 0
-    for xs in zip(*terms_at):
-        x = xs[0]
-        for y in xs[1:]:
-            x *= y
-            x = (x & R) + (x >> WM)
-        acc += x
-    acc = _reduce(acc, WM)
-    g = _packed_gauss(psi, M, W) if fixed else None
-    for k in fixed:
-        acc *= g[k]
-        acc = (acc & R) + (acc >> WM)
-    b = W * (const.rot % N * (M // N))  # times zeta_N^rot
-    acc = _reduce(acc, WM)
-    acc = ((acc << b) & R) + (acc >> (WM - b))
-    if sign < 0:
-        acc = R - acc
-    off = 1 << (W - 1)
-    digits = [d - off for d in _unpack(_reduce(acc + off * ones, WM) % R, M, W // 8)]
-    assert max(map(abs, digits)) <= B, "slot width too small"
-    if qpow > 0:
-        digits = [d * f.q**qpow for d in digits]
-    return Cyclo(M, digits, f.q ** max(-qpow, 0) * D * const.den)
+    pk = _packing(psi, Nc, W)
+    R, WN, off, kb = pk.R, W * Nc, 1 << (W - 1), W // 8
+    # the fixed Gauss sums fold to F g(chi_Pf), times zeta_N^rot
+    F, Pf = pk.folds[tuple(sorted(fixed))]
+    b = W * (const.rot % N * (Nc // N))
+    F = ((F << b) & R) + (F >> (WN - b))
+    # per term, the product of its groups' coefficients and their Gauss indices
+    xs, keys = None, []
+    for members, log, idx in zip(groups.values(), logs, cols):
+        row, ks = pk.rows[tuple(sorted(members))]
+        if log:  # times nu(lambda) = zeta_N^(t dlog lambda) at nu = chi_t
+            row = [((x << b) & R) + (x >> (WN - b)) for x, b in zip(row, pk.turns[log])]
+        ys = [row[i] for i in idx]
+        xs = ys if xs is None else [((z := x * y) & R) + (z >> WN) for x, y in zip(xs, ys)]
+        keys.append([ks[i] for i in idx])
+    if weights is not None:  # D w over Nc, signed digits
+        ys = [_pack([c * (D // ws[k].den) for c in _spread(ws[k], Nc)], off, kb) - off * pk.ones
+              for k in live]
+        xs = [((z := x * (y % R)) & R) + (z >> WN) for x, y in zip(xs, ys)]
+    A = [0] * N
+    if pk.whole:  # every fold is whole, P = 0
+        A[0] = sum(xs)
+    else:  # the terms summed per tuple (Pf, P_1..), each tuple folded once
+        sums = {}
+        for x, key in zip(xs, zip(itertools.repeat(Pf), *keys)):
+            sums[key] = sums.get(key, 0) + x
+        for key, x in sums.items():
+            y, P = pk.folds[key]
+            A[P] += ((x & R) + (x >> WN)) * y
+    # sum_P A_P g(chi_P) as blocks over Z[zeta_Nc], block s at zeta_p^s
+    blocks = [sum(map(mul, A, col)) for col in pk.blocks] if any(A[1:]) else A[:1]
+    if F != 1:
+        blocks = [((x & R) + (x >> WN)) * F for x in blocks]
+    packed = [(((x & R) + (x >> WN) + off * pk.ones) % R).to_bytes(kb * Nc, "little")
+              for x in blocks]
+    digits = _unpack(int.from_bytes(b"".join(packed), "little"), Nc * len(blocks), kb)
+    assert off - B <= min(digits) and max(digits) <= off + B, "slot width too small"
+    scale, den = sign * q ** max(qpow, 0), q ** max(-qpow, 0) * D * const.den
+    if len(blocks) == 1:  # in Z[zeta_Nc]
+        return Cyclo(Nc, [(d - off) * scale for d in digits], den).lift(M)
+    return Cyclo(M, [(digits[k] - off) * scale for k in pk.places], den)
 
 
 @lru_cache(maxsize=256)
 def _frame(f: Field, cs: tuple, lams: tuple):
     """The part of a Horn sum's set-up that no character changes, per field,
     group vectors cs (the unit vectors first, one per lambda) and arguments:
-    N, dlog(lambda_i) per group (None past the unit vectors), the surviving
+    N, dlog(lambda_i) per group (0 past the unit vectors), the surviving
     indices j (none if some lambda_i = 0) and each group's column of c . j."""
     if not all(lam in f.elements() for lam in lams):
         raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {lams}")
     N, n = max(f.N, 1), len(lams)
     logs = tuple(f.dlog.get(lam) for lam in lams)
     live = range(N**n) if None not in logs else range(0)
-    return N, logs + (None,) * (len(cs) - n), live, [_indices(c, N) for c in cs]
+    js = list(itertools.product(range(N), repeat=n))
+    cols = [tuple(sum(map(mul, c, j)) % N for j in js) for c in cs]
+    return N, logs + (0,) * (len(cs) - n), live, cols
 
 
-def _reduce(x: int, WM: int) -> int:
-    """x mod 2^WM - 1 into [0, 2^WM - 1], for x >= 0."""
-    while x >> WM:
-        x = (x & ((1 << WM) - 1)) + (x >> WM)
-    return x
+class _Table(dict):
+    """A dict that fills a missing key with fill(key), cleared at cap entries."""
+
+    def __init__(self, fill, cap: int):
+        self.fill, self.cap = fill, cap
+
+    def __missing__(self, key):
+        if len(self) >= self.cap:
+            self.clear()
+        self[key] = value = self.fill(key)
+        return value
 
 
-def _pack_signed(w: Cyclo, M: int, W: int, D: int, ones: int) -> int:
-    """D w, over conductor M, at x = 2^W: signed digits of |.| < 2^(W - 1)."""
-    off, scale = 1 << (W - 1), D // w.den
-    return _pack([c * scale for c in _spread(w, M)], off, W // 8) - off * ones
+class _Packing:
+    """Z[x]/(x^Nc - 1) mod R = 2^(W Nc) - 1 at x = 2^W, zeta_N = x^(Nc/N), for
+    one (psi, Nc, W).  Filled on first use: jacobi[P N + k] = g(chi_P) g(chi_k)
+    / g(chi_(P+k)) for 0 < P, k < N; folds[ks] = (x, P) with prod g(chi_k) =
+    x g(chi_P), or (x g(chi_P), 0) when p | Nc (whole); rows[members] = the
+    tuples of x and P of a group's entries at nu = chi_t, the folds of g(a nu)
+    over upper and g(a-bar nu-bar) nu(-1) over lower members (j, upper);
+    turns[L] = the shifts by which entry t times zeta_N^(t L); blocks[s][P] =
+    G_(P,s) with g(chi_P) = sum_s zeta_p^s G_(P,s) (one block when p | Nc);
+    places[k] = s Nc + i for zeta_(p Nc)^k = zeta_p^s zeta_Nc^i.  A count
+    table walks up to N^k member sets of a group of k members, about 250 rows
+    at q = 5 (folds and rows keep 1024 each)."""
+
+    def __init__(self, psi: AddChar, Nc: int, W: int):
+        self.psi, self.N, self.Nc, self.W = psi, max(psi.field.N, 1), Nc, W
+        self.R, self.whole = (1 << W * Nc) - 1, Nc % psi.field.p == 0
+        self.ones = int.from_bytes((1).to_bytes(W // 8, "little") * Nc, "little")
+        self.jacobi = _Table(self._jacobi, self.N**2)
+        self.folds, self.rows = _Table(self._fold, 1024), _Table(self._row, 1024)
+        self.turns = _Table(lambda L: [W * (t * L % self.N * (Nc // self.N)) for t in range(self.N)],
+                            self.N)
+
+    def _jacobi(self, key: int) -> int:
+        f, (P, k) = self.psi.field, divmod(key, self.N)
+        if P + k == self.N:
+            return (-f.q if f.p != 2 and P % 2 else f.q) % self.R
+        step = self.W * (self.Nc // self.N)
+        return sum(h << step * e for e, h in enumerate(jacobi_histogram(f, P, k))) % self.R
+
+    def _fold(self, ks: tuple) -> tuple[int, int]:
+        N, x, P = self.N, 1, 0
+        for k in ks:
+            if k % N and P:
+                x = x * self.jacobi[P * N + k % N] % self.R
+            P = (P + k) % N
+        if self.whole and P:
+            return x * self.blocks[0][P] % self.R, 0
+        return x, P
+
+    def _row(self, members: tuple) -> tuple[tuple, tuple]:
+        lowers = sum(not upper for _, upper in members) if self.psi.field.p != 2 else 0
+        folds = [self._fold([j + t if upper else -j - t for j, upper in members])
+                 for t in range(self.N)]
+        return (tuple([self.R - x if t * lowers % 2 else x for t, (x, _) in enumerate(folds)]),
+                tuple([P for _, P in folds]))
+
+    @cached_property
+    def blocks(self) -> tuple:
+        f, a, N, Nc, W = self.psi.field, self.psi.a, self.N, self.Nc, self.W
+        cols = [[0] * N for _ in range(1 if self.whole else f.p)]
+        for L in range(N):  # -psi(g^L) zeta_N^(P L) at s = Tr(a g^L)
+            s = f.trace_to_prime(f.mul(a, f.exp[L]))
+            col, e = (cols[0], s * Nc // f.p) if self.whole else (cols[s], 0)
+            for P in range(N):
+                col[P] += 1 << W * ((P * L * (Nc // N) + e) % Nc)
+        return tuple(tuple(self.R - x for x in col) for col in cols)
+
+    @cached_property
+    def places(self) -> tuple[int, ...]:
+        p, Nc = self.psi.field.p, self.Nc
+        u, v = pow(Nc, -1, p), pow(p, -1, Nc)
+        return tuple(k * u % p * Nc + k * v % Nc for k in range(p * Nc))
 
 
-@lru_cache(maxsize=64)
-def _indices(c: tuple, N: int) -> tuple:
-    """c . j mod N for j over (Z/N)^n in itertools.product order."""
-    return tuple(sum(map(mul, c, js)) % N for js in itertools.product(range(N), repeat=len(c)))
+_packing = lru_cache(maxsize=32)(_Packing)
 
-
-# Rows kept: a table of count theorems walks up to N^k member sets of a
-# group of k members, about 250 with the slot widths they take at q = 5, and
-# shares them between its arguments lambda.
-@lru_cache(maxsize=256)
-def _packed_rows(psi: AddChar, M: int, W: int, members: tuple) -> tuple[int, ...]:
-    """A group's nu-dependent part at each nu = chi_t, mod 2^(WM) - 1: the
-    product of g(a nu) over upper and g(a-bar nu-bar) nu(-1) over lower
-    members (j, upper) of a = chi_j."""
-    f, WM = psi.field, W * M
-    N, g = max(f.N, 1), _packed_gauss(psi, M, W) if members else None
-    lowers = sum(not upper for _, upper in members) if f.p != 2 else 0
-    out = []
-    for t in range(N):
-        x = 1
-        for j, upper in members:
-            k = (j + t if upper else -j - t) % N
-            if k:
-                x = _reduce(x * g[k], WM)
-        out.append((1 << WM) - 1 - x if t * lowers % 2 else x)
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _packed_gauss(psi: AddChar, M: int, W: int) -> tuple[int, ...]:
-    """g(chi_j) for every j at x = 2^W over conductor M, as residues mod
-    2^(WM) - 1, from the raw histogram (index 0: g = 1)."""
-    f = psi.field
-    N = max(f.N, 1)
-    stride, R = M // (f.p * N), (1 << W * M) - 1
-    out = [1]
-    for j in range(1, N):
-        v = [0] * M
-        v[::stride] = [-h for h in gauss_histogram(MulChar(f, j), psi)]
-        out.append(R - _pack(v, 0, W // 8))
-    return tuple(out)
+# Up to this conductor M every fold is taken whole (module docstring): small
+# sums are overhead-bound, and whole rows spare each value its p blocks.
+_WHOLE = 20
 
 
 def hgf(upper, lower, lam, psi: AddChar | None = None) -> Cyclo:
@@ -349,12 +359,8 @@ def mfn(upper, lower, lam, psi: AddChar | None = None) -> Cyclo:
 
 # Per kind, whether alpha, beta (upper) and gamma, delta (lower) are one
 # character at c = (1..1) ("1") or n characters at c = e_1..e_n ("n").
-_LAURICELLA = {
-    "A": ("1", "n", "n", "n"),
-    "B": ("n", "n", "1", "n"),
-    "C": ("1", "1", "n", "n"),
-    "D": ("1", "n", "1", "n"),
-}
+_LAURICELLA = {"A": ("1", "n", "n", "n"), "B": ("n", "n", "1", "n"),
+               "C": ("1", "1", "n", "n"), "D": ("1", "n", "1", "n")}
 
 
 def lauricella(kind, alpha, beta, gamma, delta, lams, psi=None) -> Cyclo:
@@ -404,11 +410,8 @@ def humbert(kind, upper, gamma, delta, lam1, lam2, psi=None) -> Cyclo:
 
 
 def dft(f_map: dict, field: Field, n: int) -> dict:
-    """f on (k*)^n  ->  f-hat on n-tuples of characters.
-
-    f_hat(nus) = sum over unit tuples t of f(t) prod nu_i-bar(t_i).
-    Keys of the output are tuples of character indices.
-    """
+    """f on (k*)^n -> f-hat on n-tuples of characters, keyed by their indices:
+    f_hat(nus) = sum over unit tuples t of f(t) prod nu_i-bar(t_i)."""
     out = {}
     chars = enumerate_mulchars(field)
     for nus in itertools.product(chars, repeat=n):
@@ -449,9 +452,7 @@ def iteration_lhs(kind, fhat, field, n, i, alpha, betas, lams, psi=None):
     firsts = list(zip(betas[:i], _unit_vectors(n)))
     if kind in ("i", "ii"):  # kind ii: kind i with upper and lower swapped, etas conjugated
         terms = [(alpha, prod_i, kind == "i")] + [(b, c, kind == "ii") for b, c in firsts]
-        comp = alpha.inverse()
-        for b in betas[:i]:
-            comp = comp * b
+        comp = reduce(mul, betas[:i], alpha.inverse())
         if comp.is_trivial():
             raise ValueError("degenerate: alpha-bar beta_1..beta_i is trivial")
         etas, sign = (comp, *[b.inverse() for b in betas[:i]]), (-1) ** i
@@ -486,16 +487,12 @@ def iteration_rhs(kind, f_map, field, n, i, alpha, betas, lams, psi=None):
         comp = alpha.inverse() if kind == "i" else alpha
         for b in betas[:i]:
             comp = comp * (b if kind == "i" else b.inverse())
+        op = field.div if kind == "i" else field.mul
         for us in itertools.product(field.units(), repeat=i):
-            if kind == "i":
-                args = tuple(field.div(lam, u) for lam, u in zip(lams[:i], us))
-            else:
-                args = tuple(field.mul(lam, u) for lam, u in zip(lams[:i], us))
-            args = args + tuple(lams[i:])
-            v = f_map.get(args)
+            v = f_map.get(tuple(op(lam, u) for lam, u in zip(lams[:i], us)) + tuple(lams[i:]))
             if v is None or v.is_zero():
                 continue
-            s = field.sub(1, _ksum(field, us))
+            s = field.sub(1, reduce(field.add, us, 0))
             w = comp.eval(s)
             if w.is_zero():
                 continue
@@ -504,43 +501,29 @@ def iteration_rhs(kind, f_map, field, n, i, alpha, betas, lams, psi=None):
             total = total + v * w
         return total
     if kind == "iii":
-        beta = betas[0]
         for u in field.units():
-            args = tuple(field.mul(lam, u) for lam in lams[:i]) + tuple(lams[i:])
-            v = f_map.get(args)
-            if v is None or v.is_zero():
-                continue
-            w = alpha.eval(u) * (alpha.inverse() * beta).eval(field.sub(1, u))
-            total = total + v * w
+            v = f_map.get(tuple(field.mul(lam, u) for lam in lams[:i]) + tuple(lams[i:]))
+            if v is not None and not v.is_zero():
+                w = alpha.eval(u) * (alpha.inverse() * betas[0]).eval(field.sub(1, u))
+                total = total + v * w
         return total
     if kind == "iv":
         for u in field.units():
             nu_inv = field.neg(field.inv(u))
-            args = tuple(field.mul(lam, nu_inv) for lam in lams[:i]) + tuple(lams[i:])
-            v = f_map.get(args)
-            if v is None or v.is_zero():
-                continue
-            total = total + v * alpha.inverse().eval(u) * psi.eval(u)
+            v = f_map.get(tuple(field.mul(lam, nu_inv) for lam in lams[:i]) + tuple(lams[i:]))
+            if v is not None and not v.is_zero():
+                total = total + v * alpha.inverse().eval(u) * psi.eval(u)
         return total
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _ksum(field: Field, xs) -> int:
-    s = 0
-    for x in xs:
-        s = field.add(s, x)
-    return s
 
 
 # -- parameter transformations ---------------------------------------------
 
 
 def shift_parameters(upper, lower, psi: AddChar | None = None):
-    """Rewrite into classical notation (last lower character trivial).
-
-    Returns (coefficient, twist, upper', lower') with
-        F(upper; lower; lam) = coefficient * twist(lam) * F(upper'; lower'; lam).
-    """
+    """Rewrite into classical notation (last lower character trivial):
+    (coefficient, twist, upper', lower') with
+    F(upper; lower; lam) = coefficient * twist(lam) * F(upper'; lower'; lam)."""
     psi = _psi([*upper, *lower], psi)
     f = psi.field
     last = lower[-1] if lower else trivial_char(f)
@@ -555,10 +538,8 @@ def shift_parameters(upper, lower, psi: AddChar | None = None):
 
 def inverse_relation(upper, lower, lam: int):
     """Swap conjugated lower/upper parameters; valid for more upper than lower
-    and lam != 0.  Returns (lower-bar, upper-bar, lam') with
-
-        F(upper; lower; lam) = F(lower-bar; upper-bar; lam'),  lam' = (-1)^(m-n)/lam.
-    """
+    and lam != 0: (lower-bar, upper-bar, lam') with F(upper; lower; lam) =
+    F(lower-bar; upper-bar; lam') and lam' = (-1)^(m-n)/lam."""
     m, n = len(upper), len(lower)
     if m <= n:
         raise ValueError("requires more upper than lower parameters")

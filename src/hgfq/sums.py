@@ -18,9 +18,9 @@ so a sum is one integer vector indexed by the term's exponent, reduced to
 canonical form once.  For g(eta) with eta = chi_j and psi = psi_a over F_q
 (q = p^e, N = q - 1) the term at x is zeta_(pN)^(Tr(a x) N + j dlog(x) p);
 for a Jacobi sum the term at (x_1..x_n) is zeta_N^(sum j_i dlog(x_i)).
-The Gauss-sum histogram is written once, in gauss_histogram: gauss
-canonicalizes it, and the Horn evaluator in hgf packs it unreduced (its l1
-norm is exactly q - 1, which bounds the packed slot width there).
+A binary Jacobi sum is written once, in jacobi_histogram (bounded cache):
+jacobi_direct canonicalizes it, and the Horn evaluator in hgf packs it
+unreduced to fold products of Gauss sums (its l1 norm is q - 2).
 """
 
 from __future__ import annotations
@@ -29,18 +29,12 @@ from functools import lru_cache
 
 from .chars import AddChar, MulChar, standard_psi
 from .cyclo import Cyclo
+from .ffield import Field
 
 
 @lru_cache(maxsize=None)
 def gauss(eta: MulChar, psi: AddChar) -> Cyclo:
     """g(eta) = -sum over x in k* of psi(x) eta(x); g(trivial) = 1."""
-    hist = gauss_histogram(eta, psi)
-    return Cyclo(len(hist), hist)
-
-
-def gauss_histogram(eta: MulChar, psi: AddChar) -> list[int]:
-    """The terms -psi(x) eta(x) of g(eta) counted by exponent of zeta_(pN):
-    every entry is <= 0 and their sum is -(q - 1)."""
     if psi.is_trivial():
         raise ValueError("psi must be nontrivial")
     if eta.field != psi.field:
@@ -52,7 +46,7 @@ def gauss_histogram(eta: MulChar, psi: AddChar) -> list[int]:
     hist = [0] * M
     for x in f.units():
         hist[(f.trace_to_prime(f.mul(a, x)) * N + jp * dlog[x]) % M] -= 1
-    return hist
+    return Cyclo(M, hist)
 
 
 def gauss_circ(eta: MulChar, psi: AddChar) -> Cyclo:
@@ -83,6 +77,8 @@ def jacobi_direct(*etas: MulChar) -> Cyclo:
     if any(e.field != f for e in etas):
         raise ValueError("characters over different fields")
     N = max(f.N, 1)
+    if n == 2:
+        return Cyclo(N, jacobi_histogram(f, etas[0].j, etas[1].j))
     js, dlog, units = [e.j for e in etas], f.dlog, list(f.units())
     sign = 1 if n % 2 else -1
     hist = [0] * N
@@ -115,6 +111,18 @@ def jacobi_product_formula(*etas: MulChar, psi: AddChar | None = None) -> Cyclo:
         value = value * gauss(e, psi)
         prod_char = prod_char * e
     return (value * gauss_circ_inverse(prod_char, psi)).descend(N)
+
+
+@lru_cache(maxsize=4096)  # every pair (j, k) of a field up to q = 64
+def jacobi_histogram(f: Field, j: int, k: int) -> tuple[int, ...]:
+    """The terms -chi_j(x) chi_k(1 - x) of j(chi_j, chi_k) counted by exponent
+    of zeta_N (0 <= j, k < N): every entry is <= 0 and their sum is -(q - 2)."""
+    N, dlog = max(f.N, 1), f.dlog
+    hist = [0] * N
+    for x in f.units():
+        if x != 1:
+            hist[(j * dlog[x] + k * dlog[f.sub(1, x)]) % N] -= 1
+    return tuple(hist)
 
 
 @lru_cache(maxsize=None)

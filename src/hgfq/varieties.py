@@ -172,18 +172,24 @@ def hdelta_to_groupchar(chi: HDeltaChar) -> GroupChar:
 
 
 def groupchar_to_hdelta(delta: Partition, gc: GroupChar, psi: AddChar) -> HDeltaChar:
+    """The character whose slots (HDeltaChar.slots) are gc's under the
+    reference psi: block i leads with slot i and reads a_k = t_k / psi.a from
+    its additive slots psi_(t_k).  The blocks fit delta by construction, so
+    only the arity and the fields are checked."""
     if psi.is_trivial():
         raise ValueError("reference additive character must be nontrivial")
-    f = psi.field
-    l = delta.l
-    blocks, idx = [], l
-    for bi, size in enumerate(delta.parts):
-        a = []
-        for _ in range(size - 1):
-            a.append(f.div(gc.parts[idx].a, psi.a))
-            idx += 1
-        blocks.append(JmChar(gc.parts[bi], tuple(a), psi))
-    return HDeltaChar(delta, tuple(blocks))
+    f, parts, a, k = psi.field, gc.parts, psi.a, delta.l
+    if len(parts) != delta.n:
+        raise ValueError("character arity mismatch")
+    for x in parts:
+        if x.field is not f and x.field != f:
+            raise ValueError("characters over different fields")
+    blocks = []
+    for lead, size in zip(parts, delta.parts):
+        ts = [x.a for x in parts[k:k + size - 1]] if size > 1 else ()
+        blocks.append(JmChar(lead, tuple(ts if a == 1 else [f.div(t, a) for t in ts]), psi))
+        k += size - 1
+    return HDeltaChar._of_valid(delta, tuple(blocks))
 
 
 # -- enumeration tables -----------------------------------------------------

@@ -144,6 +144,19 @@ def test_in_subfield():
         zeta(6).in_subfield(4)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16])
+def test_lift_is_the_canonical_spread(m):
+    """lift keeps the spread canonical form where its degree stays below
+    deg Phi_M and canonicalizes it elsewhere: both are the spread
+    canonicalized over M."""
+    rng = random.Random(m)
+    for k in (2, 3, 4, 5, 6, 17):
+        for _ in range(5):
+            x = Cyclo(m, [rng.randrange(-4, 5) for _ in range(m)], rng.randrange(1, 4))
+            want = Cyclo(m * k, cyclo._spread(x, m * k), x.den)
+            assert x.lift(m * k).to_json() == want.to_json(), (m, k)
+
+
 @pytest.mark.parametrize("n,k", [(1, 2), (4, 3), (6, 5), (8, 3), (3, 4), (10, 9)])
 def test_descend_inverts_lift(n, k):
     rng = random.Random(n * 100 + k)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hgfq.cyclo import Cyclo, zeta
 from hgfq.ffield import build_field, build_field_q
 from hgfq.hgf import (
     _factor,
-    _packed_gauss,
+    _packing,
     dft,
     humbert,
     idft,
@@ -619,6 +620,50 @@ def test_packed_wide_slots_match_reflection_sum(q, js_up, js_lo):
         assert mfn(up, lo, lam, psi).to_json() == want.to_json(), lam
 
 
+@pytest.mark.parametrize("lam", [2, 16, 1, 0])
+def test_non_classical_2f1_at_q17_matches_reflection_sum(lam):
+    """2F1 with a nontrivial lower character: its Gauss indices sum to t + c at
+    nu = chi_t, so the folded terms land on every P and the last Gauss sum is
+    expanded for all N of them (conductor 272)."""
+    f, chars, psi = _chars(17)
+    up, lo = [chars[1], chars[3]], [chars[6]]
+    terms = [(a, (1,), True) for a in up] + [(b, (1,), False) for b in lo]
+    want = _reflection_sum(terms, lam, psi) / (1 - 17)
+    assert hgf.hgf(up, lo, lam, psi).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("lams", [(2, 7), (10, 3), (1, 1)])
+def test_lauricella_fd_at_q11_matches_oracle(lams):
+    """F_D in two variables at q = 11 (conductor 110), the slowest
+    two-variable value of the benchmark: three groups join per term."""
+    f, chars, psi = _chars(11)
+    args = [[chars[j] for j in js] for js in ((5,), (2, 3), (3,), (5, 9))]
+    want = _oracle(_lauricella_oracle_terms("D", *args), lams, psi) / (1 - 11) ** 2
+    assert lauricella("D", *args, lams, psi).to_json() == want.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fold_is_the_gauss_product(data):
+    """A fold of Gauss indices, x g(chi_P), times g(chi_P) against the Cyclo
+    product of the Gauss sums; index 0 and pairs k, -k forced a quarter of
+    the time each.  Over p N slots the fold is whole: (x g(chi_P), 0)."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 13, 17]), label="q")
+    f, psi = _field_choice(q, data.draw(st.booleans(), label="alternate"))
+    N, ks = max(f.N, 1), []
+    for _ in range(data.draw(st.integers(0, 5), label="length")):
+        kind, k = data.draw(st.integers(0, 3)), data.draw(st.integers(0, N - 1))
+        ks += [0] if kind == 0 else [k, -k % N] if kind == 1 else [k]
+    Nc = data.draw(st.sampled_from([N, f.p * N]), label="Nc")
+    W = ((q ** len(ks)).bit_length() + 9) // 8 * 8  # as _horn sizes its slots
+    x, P = _packing(psi, Nc, W).folds[tuple(ks)]
+    want = Cyclo.integer(1)
+    for k in ks:
+        want = want * gauss(MulChar(f, k), psi)
+    assert P == (0 if Nc % f.p == 0 else sum(ks) % N)
+    assert Cyclo(Nc, _unpack_residue(x, Nc, W)) * gauss(MulChar(f, P), psi) == want, ks
+
+
 def _unpack_residue(x, M, W):
     """The signed base-2^W digits of x mod 2^(WM) - 1 (each below 2^(W-2))."""
     R, off = (1 << W * M) - 1, 1 << (W - 1)
@@ -626,15 +671,17 @@ def _unpack_residue(x, M, W):
     return [((y >> W * i) & ((1 << W) - 1)) - off for i in range(M)]
 
 
-def test_every_packed_gauss_sum_is_the_gauss_sum(monkeypatch):
-    seen = set()
+def test_every_packed_jacobi_sum_is_the_jacobi_sum(monkeypatch):
+    """Every factor the fold reads, g(chi_P) g(chi_k) / g(chi_(P+k)), is
+    j(chi_P, chi_k), times q where chi_(P+k) is trivial; every Gauss sum it
+    expands, sum_s zeta_p^s G_(P,s), is g(chi_P)."""
+    seen = {}
 
-    def recording(psi, M, W):
-        seen.add((psi, M, W))
-        return _packed_gauss(psi, M, W)
+    def recording(psi, Nc, W):
+        return seen.setdefault((psi, Nc, W), _packing(psi, Nc, W))
 
-    monkeypatch.setattr(hgf, "_packed_gauss", recording)
-    hgf._packed_rows.cache_clear()
+    _packing.cache_clear()
+    monkeypatch.setattr(hgf, "_packing", recording)
     for q in (2, 3, 4, 5, 7, 8, 9, 13):
         for alternate in (False, True):
             f, psi = _field_choice(q, alternate)
@@ -645,9 +692,19 @@ def test_every_packed_gauss_sum_is_the_gauss_sum(monkeypatch):
             humbert(1, [a, b], b, [a, b], 1, 1, psi)
             fhat = _random_weights(f, random.Random(q))
             iteration_lhs("iv", fhat, f, 2, 1, a, [b, b], (1, 1), psi)
-    hgf._packed_rows.cache_clear()
     assert len(seen) >= 16
-    for psi, M, W in seen:
-        for j, x in enumerate(_packed_gauss(psi, M, W)):
-            want = gauss(MulChar(psi.field, j), psi).lift(M)
-            assert Cyclo(M, _unpack_residue(x, M, W)).to_json() == want.to_json(), (psi, M, W, j)
+    assert sum(len(pk.jacobi) for pk in seen.values()) >= 100
+    assert sum("blocks" in vars(pk) for pk in seen.values()) >= 16
+    for (psi, Nc, W), pk in seen.items():
+        f = psi.field
+        for key, x in pk.jacobi.items():
+            P, k = divmod(key, f.N)
+            want = jacobi(MulChar(f, P), MulChar(f, k)) * (f.q if (P + k) % f.N == 0 else 1)
+            assert Cyclo(Nc, _unpack_residue(x, Nc, W)) == want, (psi, Nc, W, P, k)
+        if "blocks" in vars(pk):
+            M = lcm(Nc, f.p * pk.N)
+            zs = [zeta(f.p) ** s for s in range(len(pk.blocks))] if len(pk.blocks) > 1 else [1]
+            for P in range(pk.N):
+                got = sum((Cyclo(Nc, _unpack_residue(col[P], Nc, W)) * z
+                           for col, z in zip(pk.blocks, zs)), Cyclo.zero(M))
+                assert got.lift(M) == gauss(MulChar(f, P), psi).lift(M), (psi, Nc, W, P)

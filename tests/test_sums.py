@@ -14,6 +14,7 @@ from hgfq.sums import (
     gauss_inverse,
     jacobi,
     jacobi_direct,
+    jacobi_histogram,
     jacobi_product_formula,
     pochhammer,
     pochhammer_circ,
@@ -216,6 +217,20 @@ def test_jacobi_histogram_matches_definition(q):
         triples = random.Random(q).sample(triples, 125)
     for triple in triples:
         assert _same(jacobi_direct(*triple), _jacobi_by_definition(*triple)), triple
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_jacobi_histograms_are_the_jacobi_sums(q):
+    """Every binary histogram is j(chi_j, chi_k) unreduced: its terms count
+    q - 2, and it canonicalizes to the sum by definition (jacobi_direct reads
+    it for two characters)."""
+    f = build_field_q(q)
+    N = max(f.N, 1)
+    for j, k in itertools.product(range(N), repeat=2):
+        hist = jacobi_histogram(f, j, k)
+        assert sum(hist) == -(q - 2) and max(hist) <= 0
+        want = _jacobi_by_definition(MulChar(f, j), MulChar(f, k))
+        assert _same(Cyclo(N, hist), want) and _same(jacobi_direct(MulChar(f, j), MulChar(f, k)), want)
 
 
 # -- Hasse-Davenport lifting (Ireland-Rosen, ch. 11.4) ---------------------------

@@ -17,8 +17,8 @@ from hgfq.chars import AddChar, MulChar, standard_psi
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_field_q,
                          canonical_nth_root, extend)
-from hgfq.genhgf import (Partition, WDeltaElem, _dot, hdelta_chars, phi_delta, theta_list,
-                         w_action_on_char)
+from hgfq.genhgf import (HDeltaChar, JmChar, Partition, WDeltaElem, _dot, hdelta_chars, phi_delta,
+                         theta_list, w_action_on_char)
 from hgfq.hgf import hgf, humbert, lauricella
 from hgfq.monomial import (char_star, fmat_permutes, imat_det, imat_transpose, permutes_mod,
                            tau_lattice)
@@ -136,6 +136,53 @@ def test_general_family_count_is_phi(q, parts):
         for gc in enumerate_groupchars(v):
             total = total + v.n_chi(gc)
         assert total == Cyclo.integer(v.naive_count(1))
+
+
+def _checked_hdelta(delta, gc, psi):
+    """gc's H_Delta character through the checking constructor, with one
+    Field.div per additive slot."""
+    f, adds = psi.field, iter(gc.parts[delta.l:])
+    blocks = [JmChar(gc.parts[i], tuple(f.div(next(adds).a, psi.a) for _ in range(size - 1)), psi)
+              for i, size in enumerate(delta.parts)]
+    return HDeltaChar(delta, tuple(blocks))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("parts", [(1, 2), (1, 1, 2)])
+def test_general_closed_form_is_phi_of_every_character(q, parts):
+    """The closed form reads each character without the checking constructor:
+    it is Phi_Delta of the checked character, for every character, under psi_1
+    and another psi."""
+    f = build_field_q(q)
+    rng, delta = random.Random(q * 100 + len(parts)), Partition(parts)
+    while True:
+        z = [[rng.randrange(q) for _ in range(delta.n)] for _ in range(2)]
+        try:
+            v = GeneralXDz(f, delta, z)
+            break
+        except ValueError:
+            continue
+    for psi in (standard_psi(f), AddChar(f, f.neg(1))):
+        for gc in enumerate_groupchars(v):
+            chi = _checked_hdelta(delta, gc, psi)
+            got = groupchar_to_hdelta(delta, gc, psi)
+            assert got == chi and hash(got) == hash(chi)
+            assert n_chi_closed_form(v, gc, psi) == phi_delta(chi, z), (psi, gc)
+
+
+def test_groupchar_to_hdelta_checks_arity_fields_and_psi():
+    """The slots are read without the checking constructor; a wrong arity, a
+    slot over another field and a trivial psi still raise."""
+    f, f5 = build_field_q(3), build_field_q(5)
+    delta, psi = Partition((1, 2)), standard_psi(f)
+    good = GroupChar((MulChar(f, 1), MulChar(f, 1), AddChar(f, 2)))
+    assert groupchar_to_hdelta(delta, good, psi) == _checked_hdelta(delta, good, psi)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        groupchar_to_hdelta(delta, GroupChar(good.parts[:2]), psi)
+    with pytest.raises(ValueError, match="different fields"):
+        groupchar_to_hdelta(delta, GroupChar(good.parts[:2] + (AddChar(f5, 2),)), psi)
+    with pytest.raises(ValueError, match="nontrivial"):
+        groupchar_to_hdelta(delta, good, AddChar(f, 0))
 
 
 def _n_chi_literal(v, chi):

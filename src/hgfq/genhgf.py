@@ -16,28 +16,27 @@ Phi depends on chi only through the log coordinates of the blocks of [s z],
 so k^d is enumerated once per (field, parts, z) (_phi_histogram) into the
 histogram of g = (h_0 of each block, then theta_1(h), ..., theta_(m-1)(h)
 block by block) over the points with every h_0 != 0, in the slot layout of
-GeneralXDz.support().  That histogram is kept as a frame, in an lru_cache
-of _FRAMES_KEPT (64) entries keyed on z by value: the conductor M, the keys
-transposed into one column per slot, their counts, and per block a memo of
-exponent columns.  A block's column for its option (j, twists) is the
-exponent of chi_j(h_0) prod psi_(t_k)(theta_k(h)) in zeta_M at every key,
-the twists t_k being psi.a a_k, read from the slot tables of chars and
-reduced mod M (one byte per entry when M <= 256); it is built on first
-use and then shared by every character at that z.  The characteristic and
-z are validated inside the cached frame builder, once per key; lru_cache
-keeps no exception, so a bad z raises on every call, and a non-matrix z or
-an unhashable entry raises ValueError too.  This enumeration is kept
-apart from GeneralXDz.support(), so that point counts checked against Phi
+GeneralXDz.support().  That histogram is kept as a chars._Frame, the one
+kernel of every character sum, in an lru_cache of _FRAMES_KEPT (64)
+entries keyed on z by value, with one group of slots per block: its lead
+h_0, then its theta slots.  A block's column at its option (j, *twists) is
+the exponent of chi_j(h_0) prod psi_(t_k)(theta_k(h)) in zeta_M at every
+key, the twists t_k being psi.a a_k; it is built on first use and then
+shared by every character at that z.  The characteristic and z are
+validated inside the cached frame builder, once per key; lru_cache keeps
+no exception, so a bad z raises on every call, and a non-matrix z or an
+unhashable entry raises ValueError too.  This enumeration is kept apart
+from GeneralXDz.support(), so that point counts checked against Phi
 compare two independent computations.
 
 phi_delta evaluates one character: its blocks' columns add up to the
 exponents of chi([s z]), counted once over the keys by power of zeta_M and
 canonicalized once.  phi_table evaluates the whole group at one z, in
 hdelta_chars order, from the same columns: the blocks' columns are added in
-itertools.product order, and equal histograms share one value.  The
-symmetry and count claims of hgfq.suites read Phi from the table.  The
-oracles of both are the literal sum of chi_of_sz over k^d and the
-independent n_chi of GeneralXDz.
+itertools.product order, and equal histograms share one value; the
+general closed form reads the frame too.  The symmetry and count claims of
+hgfq.suites read Phi from the table.  The oracles of both are the literal
+sum of chi_of_sz over k^d and the independent n_chi of GeneralXDz.
 
 The symmetry group W combines per-block power-series substitutions mu(c)
 with permutations of equal-size blocks; its contragredient action on
@@ -61,10 +60,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
-from operator import add, mul
+from functools import cached_property, lru_cache, reduce
+from operator import add, attrgetter, mul
 
-from .chars import AddChar, MulChar, _add_table, _mul_table, standard_psi, trivial_char
+from .chars import AddChar, MulChar, _conductor, _Frame, enumerate_mulchars, standard_psi, trivial_char
 from .cyclo import Cyclo
 from .ffield import Field
 from .hgf import humbert, lauricella, mfn
@@ -215,11 +214,11 @@ class JmChar:
         return self._hash
 
     @property
-    def twists(self) -> tuple[int, ...]:
-        """t_k = psi.a a_k for each additive coefficient a_k, so that
-        psi(a_k x) = psi_1(t_k x)."""
+    def _option(self) -> tuple[int, ...]:
+        """(j, t_1, ..): alpha's index and the twists t_k = psi.a a_k, so that
+        psi(a_k x) = psi_1(t_k x): the block's option in the Phi frame."""
         t = self.psi.a
-        return tuple(self.a) if t == 1 else tuple(self.field.mul(t, ak) for ak in self.a)
+        return (self.alpha.j, *(self.a if t == 1 else [self.field.mul(t, ak) for ak in self.a]))
 
     @property
     def m(self) -> int:
@@ -296,7 +295,7 @@ class HDeltaChar:
         """The block leads alpha, then psi_a twisted by each additive
         coefficient block by block: the slot layout of GeneralXDz."""
         f = self.field
-        adds = (AddChar(f, t) for b in self.blocks for t in b.twists)
+        adds = (AddChar(f, t) for b in self.blocks for t in b._option[1:])
         return (*(b.alpha for b in self.blocks), *adds)
 
     def eval_h(self, h_blocks) -> Cyclo:
@@ -316,14 +315,9 @@ def hdelta_chars(field: Field, delta: Partition, psi: AddChar | None = None):
     psi = psi or standard_psi(field)
     if psi.field != field:
         raise ValueError("characters over different fields")
-    per_block = []
-    for size in delta.parts:
-        opts = [
-            JmChar(MulChar(field, j), a, psi)
-            for j in range(max(field.N, 1))
-            for a in itertools.product(field.elements(), repeat=size - 1)
-        ]
-        per_block.append(opts)
+    per_block = [[JmChar(alpha, a, psi) for alpha in enumerate_mulchars(field)
+                  for a in itertools.product(field.elements(), repeat=size - 1)]
+                 for size in delta.parts]
     for combo in itertools.product(*per_block):
         yield HDeltaChar._of_valid(delta, combo)
 
@@ -350,32 +344,28 @@ def _scol(field: Field, s, z, col: int) -> int:
     return acc
 
 
+_OPTION = attrgetter("_option")  # a block's option, read in C
+
+
 def phi_delta(chi: HDeltaChar, z) -> Cyclo:
     """Phi(chi; z) = sum over s in k^d of chi([s z]).
 
-    The sum reads the cached frame of (field, parts, z) (_phi_frame).  Each
-    block adds the frame's exponent column of its option (j, twists), the
-    twists being psi.a a_k (JmChar.twists); a column is built on first use
-    and shared by every character at that z.  The sum of the columns is the
-    exponent of chi([s z]) in zeta_M at each histogram key; the keys' counts
-    are gathered by that exponent and canonicalized once.  The conductor is
+    The sum reads the cached frame of (field, parts, z) (_phi_frame): each
+    block adds its group's exponent column at its option (JmChar._option:
+    its index and its twists psi.a a_k), and the keys' counts are gathered
+    by the sum's power of zeta_M and canonicalized once.  The conductor is
     that of the product of the block values: M = N p when some part exceeds
     1, else M = N, with N = max(q - 1, 1); with no point in the support the
     sum is Cyclo.zero().  chi_of_sz remains the one-point definition.
     """
-    f = chi.field
-    frame = _frame(f, chi.delta.parts, z)
-    if frame is None:
-        return Cyclo.zero()
-    cols = [frame.column(k, b.alpha.j, b.twists) for k, b in enumerate(chi.blocks)]
-    return Cyclo(frame.M, frame.histogram(reduce(partial(map, add), cols)))
+    return _frame(chi.field, chi.delta.parts, z).value(map(_OPTION, chi.blocks))
 
 
 def phi_table(field: Field, delta: Partition, z) -> list[Cyclo]:
     """[Phi(chi; z) for chi in hdelta_chars(field, delta)], read from the
     cached frame of (field, parts, z) that phi_delta reads.
 
-    Every option (j, a) of every block gets its exponent column from the
+    Every option (j, *a) of every block gets its exponent column from the
     frame, under the standard psi; the blocks' columns are added in
     itertools.product order, and each character's exponents are counted into
     one histogram over the powers of zeta_M, canonicalized once (equal
@@ -383,16 +373,10 @@ def phi_table(field: Field, delta: Partition, z) -> list[Cyclo]:
     never the group size times the keys.  The conductor, the zero of an
     empty support and the ValueError of a rejected z are those of
     phi_delta."""
-    f = field
-    delta.check_char(f)
-    parts = delta.parts
-    frame = _frame(f, parts, z)
-    N = max(f.N, 1)
-    if frame is None:
-        return [Cyclo.zero()] * reduce(mul, (N * f.q ** (size - 1) for size in parts))
-    columns = [[frame.column(k, j, a) for j in range(N)
-                for a in itertools.product(f.elements(), repeat=size - 1)]
-               for k, size in enumerate(parts)]
+    frame = _frame(field, delta.parts, z)
+    columns = [[frame.column(k, (j, *a)) for j in range(max(field.N, 1))
+                for a in itertools.product(field.elements(), repeat=size - 1)]
+               for k, size in enumerate(delta.parts)]
     out, values = [], {}
     for head in itertools.product(*columns[:-1]):
         base = list(map(sum, zip(*head))) if head else [0] * len(frame.counts)
@@ -400,12 +384,12 @@ def phi_table(field: Field, delta: Partition, z) -> list[Cyclo]:
             hist = tuple(frame.histogram(map(add, base, col)))
             value = values.get(hist)
             if value is None:
-                value = values[hist] = Cyclo(frame.M, hist)
+                value = values[hist] = Cyclo(frame.M, hist) if frame.counts else Cyclo.zero()
             out.append(value)
     return out
 
 
-def _frame(field: Field, parts: tuple[int, ...], z) -> "_PhiFrame | None":
+def _frame(field: Field, parts: tuple[int, ...], z) -> _Frame:
     """_phi_frame of z read as a matrix, a non-matrix z or an unhashable
     entry raising the ValueError of any other rejected z."""
     try:
@@ -414,59 +398,22 @@ def _frame(field: Field, parts: tuple[int, ...], z) -> "_PhiFrame | None":
         raise ValueError(f"z must be a matrix of field codes 0..{field.q - 1}") from None
 
 
-class _PhiFrame:
-    """The points of [s z] as exponent columns: the conductor M, the
-    histogram keys transposed into one column per slot, their counts, and
-    per block a memo of its column for each option (j, twists) met so far."""
-
-    def __init__(self, field: Field, parts: tuple[int, ...], points):
-        self.field = field
-        self.M = max(field.N, 1) * (field.p if parts[-1] > 1 else 1)
-        keys, self.counts = zip(*points)
-        slots = list(zip(*keys))
-        starts = itertools.accumulate((size - 1 for size in parts), initial=len(parts))
-        self.blocks = [(slots[k], slots[start:start + size - 1])
-                       for k, (start, size) in enumerate(zip(starts, parts))]
-        self.memos = [{} for _ in parts]
-
-    def column(self, k: int, j: int, twists: tuple[int, ...]) -> bytes | tuple[int, ...]:
-        """Block k's exponents of chi_j(h_0) prod psi_1(t_i theta_i(h)) in
-        zeta_M over the keys, reduced mod M: bytes when M <= 256, so that a
-        frame of small conductor holds one byte per entry."""
-        memo = self.memos[k]
-        col = memo.get((j, twists))
-        if col is None:
-            f, M = self.field, self.M
-            lead, thetas = self.blocks[k]
-            col = map(_mul_table(f, j, M).__getitem__, lead)
-            for t, slot in zip(twists, thetas):
-                col = map(add, col, map(_add_table(f, t, M).__getitem__, slot))
-            col = map(M.__rmod__, col)  # each e % M
-            col = memo[j, twists] = bytes(col) if M <= 256 else tuple(col)
-        return col
-
-    def histogram(self, exps) -> list[int]:
-        """The counts of the keys gathered by exponent mod M."""
-        M = self.M
-        hist = [0] * M
-        for e, c in zip(exps, self.counts):
-            hist[e % M] += c
-        return hist
-
-
 # Frames kept for the most recent (field, parts, z); a symmetry check
 # alternates between a handful of matrices, a table walks one.
 _FRAMES_KEPT = 64
 
 
 @lru_cache(maxsize=_FRAMES_KEPT)
-def _phi_frame(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):
-    """The _PhiFrame of the points of [s z], None when there is none.  The
-    characteristic and z are checked by _phi_histogram, once per key:
-    lru_cache keeps no exception, so a rejected z raises again on every
-    call."""
-    points = _phi_histogram(field, parts, z)
-    return _PhiFrame(field, parts, points) if points else None
+def _phi_frame(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]) -> _Frame:
+    """The chars._Frame of the points of [s z], one group of slots per
+    block: its lead h_0, then its theta slots.  The characteristic and z
+    are checked by _phi_histogram, once per key: lru_cache keeps no
+    exception, so a rejected z raises again on every call."""
+    l = len(parts)
+    adds = iter(range(l, sum(parts)))
+    shape = "u" * l + "a" * (sum(parts) - l)
+    return _Frame(field, _conductor(field, shape), shape, _phi_histogram(field, parts, z),
+                  [(k, *itertools.islice(adds, size - 1)) for k, size in enumerate(parts)])
 
 
 def _phi_histogram(field: Field, parts: tuple[int, ...], z: tuple[tuple[int, ...], ...]):

@@ -12,9 +12,10 @@ so that
     n_chi(X; chi) = (1/#G) sum_g chi(g) Lambda_g = sum_g chi(g) reduced(g)
 
 and sum over all chi of n_chi equals the number of rational points #X(k).
-n_chi is one chars.char_sum of chi's slots over support(), the pairs
-(g, reduced(g)) with reduced(g) != 0; chi must be a character of G over
-the variety's own field.
+n_chi is one sum over support(), the pairs (g, reduced(g)) with
+reduced(g) != 0, read from a chars._Frame with one group per slot, kept on
+the variety per conductor; chi must be a character of G over the variety's
+own field.
 
 Relation systems.  The eight classical families (FermatStar, ASStar,
 MXnLambda, LauricellaD/A/C, Humbert1/3) are data on RelationVariety: three
@@ -64,7 +65,7 @@ every Jacobi group's sum of indices nonzero mod N and every argument a
 unit.  FermatStar (a Jacobi sum), ASStar (a Gauss sum) and GeneralXDz
 (Phi_Delta) declare theirs as methods.  n_chi_closed_form checks chi as
 n_chi does (check_char) and calls the declaration, which reads chi's
-slots as integers once and hands hgf._horn integer members.
+slots as integers once for hgf._horn (integer members) or the Phi frame.
 
 Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
 in the unit coordinates, x -> (x . Q) * root_N(d_u), that is
@@ -84,11 +85,12 @@ through the transposes of its matrices, the map sends characters so that
 which transport_check checks on integers: chi's indices j go to j . Q^T
 mod N and its additive coefficients a to add_mat . a, chi(d) is one
 exponent e of zeta_M, and the identity holds when the source's histogram
-(char_sum's counts by exponent, before reduction) rotated by e minus the
-target's is zero in Q(zeta_M).  The histograms are kept per variety and
-indices, and a SymmetryContext shares one variety per parameter values
-with the targets it builds, so their checks share supports and
-histograms.  transform and factor read the same integers.  A reducible
+(its frame's counts by exponent at M, N p once either side has an
+additive slot) rotated by e minus the target's is zero in Q(zeta_M).  The
+histograms are kept per variety and indices, and a SymmetryContext shares
+one variety per parameter values with the targets it builds, so their
+checks share supports, frames and histograms.  transform and factor read
+the same integers.  A reducible
 decomposition is one map from a smaller variety whose images, times each
 tuple of N-th roots of one, partition the big variety's points; its
 transport gives the count identity.
@@ -103,7 +105,8 @@ from functools import lru_cache, reduce
 from math import prod
 from typing import NamedTuple
 
-from .chars import AddChar, MulChar, _add_table, _histogram, _mul_table, char_sum, standard_psi
+from .chars import (AddChar, MulChar, _add_table, _conductor, _Frame, _index, _mul_table,
+                    enumerate_addchars, enumerate_mulchars, standard_psi)
 from .cyclo import Cyclo, zeta
 from .ffield import (DEFAULT_CAP, ExtensionField, Field, artin_schreier_root, canonical_nth_root,
                      extend)
@@ -113,8 +116,8 @@ from .genhgf import (
     Partition,
     WDeltaElem,
     _dot,
+    _frame,
     mat_mul,
-    phi_delta,
     theta_list,
     w_to_matrix,
 )
@@ -156,14 +159,9 @@ class GroupChar:
 def enumerate_groupchars(v: "Variety"):
     """All characters of the variety's acting group, slot by slot."""
     f = v.field
-    options = []
-    for kind in v.shape:
-        if kind == "u":
-            options.append([MulChar(f, j) for j in range(max(f.N, 1))])
-        else:
-            options.append([AddChar(f, a) for a in f.elements()])
+    options = [enumerate_mulchars(f) if kind == "u" else enumerate_addchars(f) for kind in v.shape]
     for combo in itertools.product(*options):
-        yield GroupChar(tuple(combo))
+        yield GroupChar(combo)
 
 
 def hdelta_to_groupchar(chi: HDeltaChar) -> GroupChar:
@@ -234,6 +232,7 @@ class Variety:
         self.field = field
         self.shape = shape
         self._support = None
+        self._frames = {}  # conductor -> the frame of support() there
 
     # group -----------------------------------------------------------------
 
@@ -269,7 +268,14 @@ class Variety:
 
     def n_chi(self, chi: GroupChar) -> Cyclo:
         self.check_char(chi)
-        return char_sum(chi.parts, self.support())
+        return self._frame(_conductor(self.field, self.shape)).value((_index(p),) for p in chi.parts)
+
+    def _frame(self, M: int) -> _Frame:
+        """support() as a chars._Frame at the conductor M, one group per
+        slot; built once per conductor and kept on the variety."""
+        if M not in self._frames:
+            self._frames[M] = _Frame(self.field, M, self.shape, self.support())
+        return self._frames[M]
 
     # points -----------------------------------------------------------------
 
@@ -818,8 +824,11 @@ class GeneralXDz(Variety):
                 yield tchoices + uchoices + [(v,) for v in s]
 
     def theorem(self, chi: GroupChar, psi: AddChar) -> Cyclo:
-        """Phi_Delta(chi; z)."""
-        return phi_delta(groupchar_to_hdelta(self.delta, chi, psi), self.z)
+        """Phi_Delta(chi; z) from the Phi frame of z at chi's slot indices:
+        each block's lead j, and its additive codes, which are its twists
+        psi.a a_k under any psi, so psi is not read."""
+        frame = _frame(self.field, self.delta.parts, self.z)
+        return frame.value([tuple([_index(chi.parts[i]) for i in group]) for group in frame.groups])
 
     def point_ok(self, ext, pt):
         f = ext.field
@@ -931,17 +940,14 @@ class MonomialMap:
         Raises the ValueError of target.n_chi on a malformed chi."""
         tgt = self.target
         tgt.check_char(chi)
-        f, n = tgt.field, tgt.shape.count("u")
-        N, p = max(f.N, 1), f.p
-        shapes = self.source.shape + tgt.shape
-        M = (N if "u" in shapes else 1) * (p if "a" in shapes else 1)
-        js = [part.j for part in chi.parts[:n]]
-        adds = [part.a for part in chi.parts[n:]]
+        f, n, N = tgt.field, tgt.shape.count("u"), max(tgt.field.N, 1)
+        M = _conductor(f, self.source.shape + tgt.shape)
+        key = tuple(map(_index, chi.parts))
+        js, adds = key[:n], key[n:]
         d, e = self.d_elem, None
-        if 0 not in d[:n]:
-            e = (sum([j * f.dlog[x] for j, x in zip(js, d)]) * (M // N) + sum(
-                [f.trace_to_prime(f.mul(a, x)) for a, x in zip(adds, d[n:])]) * (M // p)) % M
-        key = (*js, *adds)
+        if 0 not in d[:n]:  # the exponent of chi(d), from the slot tables of chars
+            e = sum([(_mul_table if kind == "u" else _add_table)(f, k, M)[x]
+                     for kind, k, x in zip(tgt.shape, key, d)]) % M
         if self.Q is not None:
             js = [sum([r * j for r, j in zip(row, js)]) % N for row in self.Q]
         if self.add_mat is not None:
@@ -1006,13 +1012,12 @@ _HISTOGRAMS_KEPT = 4096
 @lru_cache(maxsize=_HISTOGRAMS_KEPT)
 def _char_histogram(v: Variety, key: tuple, M: int) -> list[int]:
     """n_chi(v; chi) counted by exponent of zeta_M, unreduced, for chi read
-    as key (MonomialMap.indices); shared between calls, only ever read.
-    Raises n_chi's ValueError when key does not fit v's group."""
+    as key (MonomialMap.indices), from v's frame at M; shared between calls,
+    only ever read.  Raises n_chi's ValueError when key does not fit v's
+    group."""
     if len(key) != len(v.shape):
         raise ValueError("character arity mismatch")
-    f = v.field
-    return _histogram([_mul_table(f, k, M) if kind == "u" else _add_table(f, k, M)
-                       for kind, k in zip(v.shape, key)], v.support(), M)
+    return v._frame(M).count([(k,) for k in key])
 
 
 def transport_check(transport: MonomialMap, chi: GroupChar) -> bool:

@@ -136,3 +136,29 @@ def test_char_sum_zero_values_and_empty_sum():
 def test_char_sum_rejects_mixed_fields():
     with pytest.raises(ValueError):
         char_sum((MulChar(build_field(3), 1), AddChar(build_field(5), 1)), [((1, 1), 1)])
+
+
+def test_char_sum_rejects_a_code_past_the_field():
+    f = build_field(5)
+    with pytest.raises(ValueError, match="codes in 0..4"):
+        char_sum((MulChar(f, 1),), [((7,), 1)])
+
+
+def test_char_sum_rejects_a_negative_code():
+    # -1 would read the table's last entry, the code 4
+    f = build_field(5)
+    with pytest.raises(ValueError, match="codes in 0..4"):
+        char_sum((MulChar(f, 1),), [((-1,), 1)])
+
+
+def test_char_sum_rejects_points_of_another_length():
+    f = build_field(5)
+    parts = (MulChar(f, 1), AddChar(f, 2))
+    for g in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match="needs 2 codes"):
+            char_sum(parts, [((1, 1), 1), (g, 1)])
+
+
+def test_char_sum_rejects_no_characters():
+    with pytest.raises(ValueError, match="at least one character"):
+        char_sum((), [((), 3)])

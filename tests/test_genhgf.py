@@ -40,6 +40,7 @@ from hgfq.genhgf import (
     w_action_on_char,
     w_to_matrix,
 )
+from hgfq.suites import _w_samples
 from hgfq.varieties import GeneralXDz
 from test_chars import _char_sum_literal
 
@@ -662,6 +663,11 @@ def test_hdelta_chars_equal_checked_characters(q):
 
 
 def _random_w(f, delta, rng):
+    return _w_samples(f, delta, rng, 1)[0]
+
+
+def _random_w_literal(f, delta, rng):
+    """The draws _random_w made before it read suites._w_samples."""
     sigmas, cs = [], []
     for size, mult in delta.grouped():
         perm = list(range(mult))
@@ -679,6 +685,28 @@ def _random_w(f, delta, rng):
             )
         )
     return WDeltaElem(delta, tuple(sigmas), tuple(cs))
+
+
+# (q, parts, seed) of every Random that the tests here and in
+# test_varieties.py hand to _random_w
+_W_SEEDS = ([(q, parts, q * 100 + sum(parts)) for q in (3, 5)
+             for parts in ((1, 1, 2), (2, 2), (1, 2, 2))]
+            + [(3, (1, 2, 2), 3), (4, (2, 2), 4), (5, (1, 1, 2), 5)]
+            + [(3, parts, 9 + sum(parts)) for parts in ((1, 1), (2, 2), (1, 1, 2))]
+            + [(5, parts, 7) for parts in ((1, 2), (2, 2), (1, 1, 2))]
+            + [(3, (1, 1), 9), (3, (1, 1, 2), 5), (3, (1, 2), 5)])
+
+
+@pytest.mark.parametrize("q,parts,seed", _W_SEEDS)
+def test_random_w_is_the_suites_sampler(q, parts, seed):
+    """_random_w reads suites._w_samples: the same steps over the same
+    ascending unit list, so the same elements and the same generator state
+    after every draw."""
+    f, delta = build_field_q(q), Partition(parts)
+    old, new = random.Random(seed), random.Random(seed)
+    for _ in range(6):
+        assert _random_w(f, delta, new) == _random_w_literal(f, delta, old)
+        assert new.getstate() == old.getstate()
 
 
 def _random_z(f, d, n, rng):

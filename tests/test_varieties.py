@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgfq import varieties
-from hgfq.chars import AddChar, MulChar, standard_psi
+from hgfq.chars import AddChar, MulChar, _conductor, _index, standard_psi
 from hgfq.cyclo import Cyclo
 from hgfq.ffield import (DEFAULT_CAP, artin_schreier_root, build_field, build_field_q,
                          canonical_nth_root, extend)
-from hgfq.genhgf import (HDeltaChar, JmChar, Partition, WDeltaElem, _dot, hdelta_chars, phi_delta,
-                         theta_list, w_action_on_char)
+from hgfq.genhgf import (HDeltaChar, JmChar, Partition, WDeltaElem, _dot, _phi_frame, hdelta_chars,
+                         phi_delta, theta_list, w_action_on_char)
 from hgfq.hgf import hgf, humbert, lauricella
 from hgfq.monomial import (char_star, fmat_permutes, imat_det, imat_transpose, permutes_mod,
                            tau_lattice)
@@ -60,6 +60,7 @@ from hgfq.varieties import (
     transport_check,
     verify_iso,
 )
+from test_chars import _char_sum_literal
 from test_genhgf import _random_w
 
 
@@ -217,6 +218,98 @@ def test_n_chi_rejects_characters_over_another_field():
     f5 = build_field(5)
     with pytest.raises(ValueError, match="another field"):
         v.n_chi(GroupChar((MulChar(f5, 1), MulChar(f5, 0))))
+
+
+def _frame_varieties(f):
+    """Every RelationVariety family and two general ones, over f."""
+    rng = random.Random(f.q)
+    general = [GeneralXDz(f, parts, [[rng.randrange(1, f.q) for _ in range(sum(parts))]
+                                     for _ in range(2)]) for parts in ((1, 1, 2), (2, 2))]
+    return _families(f, 2) + general
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_n_chi_is_the_literal_char_sum_of_the_support(q):
+    """n_chi reads the variety's frame; the oracle is the product of the slot
+    values at every point of support()."""
+    f = build_field_q(q)
+    for v in _frame_varieties(f):
+        support = v.support()
+        for chi in enumerate_groupchars(v):
+            got, want = v.n_chi(chi), _char_sum_literal(chi.parts, support)
+            assert got.to_json() == want.to_json(), (q, type(v).__name__, chi)
+
+
+def _literal_histogram(v, key, M):
+    """n_chi at the indices key counted by exponent of zeta_M, from the
+    discrete logs and traces of the support's codes."""
+    f = v.field
+    hist = [0] * M
+    for g, c in v.support():
+        e = sum(k * f.dlog[x] * (M // f.N) if kind == "u" else
+                f.trace_to_prime(f.mul(k, x)) * (M // f.p) for kind, k, x in zip(v.shape, key, g))
+        hist[e % M] += c
+    return hist
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("first", ["own", "N p"])
+def test_char_histogram_at_both_conductors(q, first):
+    """A variety is read at its own conductor (n_chi) and at N p (a transport
+    with an additive slot on either side), one frame each; either order of
+    first use gives the literal histograms at both."""
+    f = build_field_q(q)
+    for v in _frame_varieties(f):
+        own = _conductor(f, v.shape)
+        conductors = [own, f.N * f.p] if first == "own" else [f.N * f.p, own]
+        varieties._char_histogram.cache_clear()
+        keys = [tuple(map(_index, chi.parts)) for chi in enumerate_groupchars(v)]
+        for M in conductors:
+            for key in keys:
+                assert varieties._char_histogram(v, key, M) == _literal_histogram(v, key, M), (v, M)
+            frame = v._frame(M)
+            assert v._frame(M) is frame
+        assert sorted(v._frames) == sorted(set(conductors)), type(v).__name__
+        chi = next(enumerate_groupchars(v))
+        assert v.n_chi(chi) == _char_sum_literal(chi.parts, v.support())
+        assert sorted(v._frames) == sorted(set(conductors)), type(v).__name__
+
+
+def test_frame_caches_are_bounded():
+    """The Phi frames stay in an LRU of 64; a variety keeps one frame per
+    conductor however often it is read."""
+    assert _phi_frame.cache_info().maxsize == 64
+    f = build_field_q(4)
+    v = Humbert1(f, 2, 2)
+    assert v.support()
+    for _ in range(2):
+        for chi in enumerate_groupchars(v):
+            v.n_chi(chi)
+            varieties._char_histogram(v, tuple(map(_index, chi.parts)), f.N * f.p)
+    assert list(v._frames) == [f.N * f.p]
+    v = FermatStar(f, 2)
+    for chi in enumerate_groupchars(v):
+        v.n_chi(chi)
+        varieties._char_histogram(v, tuple(map(_index, chi.parts)), f.N * f.p)
+    assert sorted(v._frames) == [f.N, f.N * f.p]
+
+
+def test_general_closed_form_reads_the_phi_frame_from_slot_indices(monkeypatch):
+    """GeneralXDz.theorem builds no H_Delta character: it reads the Phi frame
+    at the slot indices, which are the twists under every psi."""
+    f = build_field_q(5)
+    v = GeneralXDz(f, (1, 1, 2), [[1, 0, 1, 2], [0, 1, 1, 3]])
+    chars = list(enumerate_groupchars(v))[::37]
+    want = {chi: phi_delta(groupchar_to_hdelta(v.delta, chi, standard_psi(f)), v.z) for chi in chars}
+
+    def refuse(*args):
+        raise AssertionError("the closed form built an H_Delta character")
+
+    monkeypatch.setattr(varieties, "groupchar_to_hdelta", refuse)
+    monkeypatch.setattr(varieties, "JmChar", refuse)
+    for chi in chars:
+        for psi in (standard_psi(f), AddChar(f, 2), AddChar(f, 4)):
+            assert n_chi_closed_form(v, chi, psi).to_json() == want[chi].to_json(), (chi, psi)
 
 
 def test_general_family_rejects_z_outside_the_field():

@@ -125,15 +125,19 @@ def char_sum(parts, points) -> Cyclo:
     a sequence of (tuple of field codes, one per part, integer count).  A
     point where a MulChar slot reads 0 adds nothing; an empty sum is
     Cyclo.zero(), and Cyclo.zero(M) when every point is left out.  Raises
-    ValueError for no parts, parts over different fields, and a point of
-    another length or with a code outside 0..q-1."""
+    ValueError for no parts, parts over different fields, a point of another
+    length or with a code that is not an integer in 0..q-1, and a count that
+    is not an integer."""
     if not parts:
         raise ValueError("a character sum needs at least one character")
     f, n = parts[0].field, len(parts)
     if any(part.field != f for part in parts):
         raise ValueError("characters over different fields")
-    if any(len(g) != n or not all(x in f.elements() for x in g) for g, _ in points):
+    if any(len(g) != n or not all(isinstance(x, int) and x in f.elements() for x in g)
+           for g, _ in points):
         raise ValueError(f"every point needs {n} codes in 0..{f.q - 1}, one per character")
+    if not all(isinstance(c, int) for _, c in points):
+        raise ValueError("every count must be an integer")
     shape = "".join("u" if type(part) is MulChar else "a" for part in parts)
     frame = _Frame(f, _conductor(f, shape), shape,
                    [(g, c) for g, c in points if all(x or kind == "a" for x, kind in zip(g, shape))])
@@ -228,7 +232,9 @@ def trivial_char(field: Field) -> MulChar:
     return MulChar(field, 0)
 
 
+@lru_cache(maxsize=64)
 def standard_psi(field: Field) -> AddChar:
+    """psi_1, the same object for every call on one field."""
     return AddChar(field, 1)
 
 

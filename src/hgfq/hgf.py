@@ -52,14 +52,32 @@ coefficient of the value is at most B = (q - 1) times the sum over
 surviving terms of q per nonzero Gauss index (a raw Jacobi histogram has l1
 norm q - 2) times the l1 norm of its weight, so slots of W >= bits(B) + 2
 bits, in whole bytes, hold every signed coefficient; the bound is exact per
-value and asserted on the result.  One signed unpack and one
-canonicalization give the numerator over q^K D den, times sign and q^qpow.
+value and asserted on the result.  Where every fold is whole the bytes are
+rounded up to 1, 2, 4 or 8, so that one cast unpacks them: there values are
+small and many (a count table), and the unpack is a large share of each;
+at larger conductors the products and blocks dominate and the width stays
+as the bound gives it.  One signed unpack and one canonicalization give the
+numerator over q^K D den, times sign and q^qpow.
 
 The conductor M is p N if the surviving terms carry a Pochhammer factor or
 the constant a Gauss sum (g(chi_0) = 1 included), else N, lcm'd with the
 weights' conductors; a sum with no surviving term is Cyclo.zero() (m = 1).
-The set-up no character changes (the logs of lambda, the surviving indices,
-each group's column of c . j) is cached per (field, group vectors, lambda).
+
+The evaluator is a cached set-up and a per-value step.  The set-up
+(_Setup, per psi and group vectors, in an lru_cache of 256) holds what no
+character changes: N and each group's column of c . j over j in (Z/N)^n,
+and, filled on first use per tuple of the groups' member sets (each the
+sorted j of its upper members and the sorted -j of its lower ones), the
+Gauss indices and sign of the reflection factors and the sum over j of the
+product of the groups' l1 norms.  The per-value step (_Setup.value) takes
+the member sets, the discrete logs of the arguments and the constant: it
+sizes the slots from the exact bound, reads the fold of the fixed Gauss
+sums and each group's cached row at its argument (_Packing.turned, the
+rotation by zeta_N^(t dlog lambda) included), multiplies the rows entry by
+entry (N^n packed products per group past the first), and makes one unpack,
+with the assert on its digits, and one canonicalization.  The arguments'
+logs are per value, not set-up: a count theorem's arguments lambda prod c_k
+change with the character.
 
 The evaluator reads each term as a member (j, c, upper), a = chi_j, and
 checks no field.  Each entry point builds (character, c, upper) terms and
@@ -74,10 +92,12 @@ at e_1, e_2.  They and shift_parameters() share one psi rule (_psi): psi
 is the argument if given, else the standard psi of the first character's
 field (with neither, "cannot infer the field"), and every character lives
 over psi's field; lauricella() and humbert() first check their character
-counts.  The four convolution ("iteration") transforms and the count
-theorems in varieties call _horn themselves: the transforms with the
-Fourier coefficients f-hat, a Jacobi or Gauss sum, a sign and 1/N^n, the
-theorems with members and a constant read from integer indices.
+counts.  The four convolution ("iteration") transforms call _horn
+themselves, with the Fourier coefficients f-hat, a Jacobi or Gauss sum, a
+sign and 1/N^n.  _horn reads (j, c, upper) members and argument codes into
+the member sets and logs of the per-value step; the count theorems in
+varieties, compiled once per (field, psi), compute both from a character's
+slot indices and call the per-value step of their set-up directly.
 
 Also here, on plain tuples of characters: the discrete Fourier transform on
 (k*)^n and its inverse, iteration right-hand sides, shifts, inverse relation.
@@ -169,96 +189,119 @@ def _horn(terms, lams, psi: AddChar, weights=None, const: Const = ONE) -> Cyclo:
     its index 0 <= j < N over psi's field; weights, if given, maps each
     tuple j of character indices to a coefficient."""
     f = psi.field
-    q, p = f.q, f.p
-    groups = {c: [] for c in _unit_vectors(len(lams))}
-    for j, c, upper in terms:
-        groups.setdefault(tuple(c), []).append((j, upper))
-    N, logs, live, cols = _frame(f, tuple(groups), tuple(lams))
-    if weights is not None and live:
-        ws = [weights[js] for js in itertools.product(range(N), repeat=len(lams))]
-        live = [k for k in live if not ws[k].is_zero()]
-        cols = [[col[k] for k in live] for col in cols]
-    if not live:
-        return Cyclo.zero()
-    # conductors Nc (coefficients) and M (value), weights' denominator D, bound B
-    Nc, D = N, 1
-    if weights is not None:
-        Nc, D = lcm(N, *(ws[k].m for k in live)), lcm(*(ws[k].den for k in live))
-    M = lcm(Nc, p * N) if terms or const.gauss else Nc
-    if M <= _WHOLE:
-        Nc = M
-    fixed, sign, B = [k % N for k in const.gauss], const.sign, [1] * len(live)
-    for members, idx in zip(groups.values(), cols):
-        gauss_count = [len(members)] * N  # g(chi_0) = 1 is left out
-        for j, upper in members:
-            gauss_count[-j % N] -= 1
-            if j:
-                fixed.append((-j if upper else j) % N)
-                sign *= -1 if p != 2 and j % 2 else 1
-        l1 = [q**k for k in gauss_count]
-        B = [b * l1[i] for b, i in zip(B, idx)]
-    qpow = const.qpow + len(const.gauss) - len(fixed)  # each reflection factor carries a 1/q
-    if weights is not None:
-        B = [b * D // ws[k].den * sum(map(abs, ws[k].num)) for b, k in zip(B, live)]
-    B = sum(B) * q ** (len(fixed) - fixed.count(0)) * (q - 1)
-    W = (B.bit_length() + 9) // 8 * 8  # |coefficient| <= B < 2^(W - 2)
-    pk = _packing(psi, Nc, W)
-    R, WN, off, kb = pk.R, W * Nc, 1 << (W - 1), W // 8
-    # the fixed Gauss sums fold to F g(chi_Pf), times zeta_N^rot
-    F, Pf = pk.folds[tuple(sorted(fixed))]
-    b = W * (const.rot % N * (Nc // N))
-    F = ((F << b) & R) + (F >> (WN - b))
-    # per term, the product of its groups' coefficients and their Gauss indices
-    xs, keys = None, []
-    for members, log, idx in zip(groups.values(), logs, cols):
-        row, ks = pk.rows[tuple(sorted(members))]
-        if log:  # times nu(lambda) = zeta_N^(t dlog lambda) at nu = chi_t
-            row = [((x << b) & R) + (x >> (WN - b)) for x, b in zip(row, pk.turns[log])]
-        ys = [row[i] for i in idx]
-        xs = ys if xs is None else [((z := x * y) & R) + (z >> WN) for x, y in zip(xs, ys)]
-        keys.append([ks[i] for i in idx])
-    if weights is not None:  # D w over Nc, signed digits
-        ys = [_pack([c * (D // ws[k].den) for c in _spread(ws[k], Nc)], off, kb) - off * pk.ones
-              for k in live]
-        xs = [((z := x * (y % R)) & R) + (z >> WN) for x, y in zip(xs, ys)]
-    A = [0] * N
-    if pk.whole:  # every fold is whole, P = 0
-        A[0] = sum(xs)
-    else:  # the terms summed per tuple (Pf, P_1..), each tuple folded once
-        sums = {}
-        for x, key in zip(xs, zip(itertools.repeat(Pf), *keys)):
-            sums[key] = sums.get(key, 0) + x
-        for key, x in sums.items():
-            y, P = pk.folds[key]
-            A[P] += ((x & R) + (x >> WN)) * y
-    # sum_P A_P g(chi_P) as blocks over Z[zeta_Nc], block s at zeta_p^s
-    blocks = [sum(map(mul, A, col)) for col in pk.blocks] if any(A[1:]) else A[:1]
-    if F != 1:
-        blocks = [((x & R) + (x >> WN)) * F for x in blocks]
-    packed = [(((x & R) + (x >> WN) + off * pk.ones) % R).to_bytes(kb * Nc, "little")
-              for x in blocks]
-    digits = _unpack(int.from_bytes(b"".join(packed), "little"), Nc * len(blocks), kb)
-    assert off - B <= min(digits) and max(digits) <= off + B, "slot width too small"
-    scale, den = sign * q ** max(qpow, 0), q ** max(-qpow, 0) * D * const.den
-    if len(blocks) == 1:  # in Z[zeta_Nc]
-        return Cyclo(Nc, [(d - off) * scale for d in digits], den).lift(M)
-    return Cyclo(M, [(digits[k] - off) * scale for k in pk.places], den)
-
-
-@lru_cache(maxsize=256)
-def _frame(f: Field, cs: tuple, lams: tuple):
-    """The part of a Horn sum's set-up that no character changes, per field,
-    group vectors cs (the unit vectors first, one per lambda) and arguments:
-    N, dlog(lambda_i) per group (0 past the unit vectors), the surviving
-    indices j (none if some lambda_i = 0) and each group's column of c . j."""
     if not all(lam in f.elements() for lam in lams):
-        raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {lams}")
-    N, n = max(f.N, 1), len(lams)
-    logs = tuple(f.dlog.get(lam) for lam in lams)
-    live = range(N**n) if None not in logs else range(0)
-    js = list(itertools.product(range(N), repeat=n))
-    cols = [tuple(sum(map(mul, c, j)) % N for j in js) for c in cs]
-    return N, logs + (0,) * (len(cs) - n), live, cols
+        raise ValueError(f"arguments must be field element codes 0..{f.q - 1}; got {tuple(lams)}")
+    N, groups = max(f.N, 1), {c: ([], []) for c in _unit_vectors(len(lams))}
+    for j, c, upper in terms:
+        groups.setdefault(tuple(c), ([], []))[not upper].append(j if upper else -j % N)
+    logs = [f.dlog.get(lam) for lam in lams]
+    if None in logs:  # some lambda_i = 0: no term survives
+        return Cyclo.zero()
+    keys = tuple([(tuple(sorted(ups)), tuple(sorted(bars))) for ups, bars in groups.values()])
+    return _setup(psi, tuple(groups)).value(keys, logs, const, weights)
+
+
+class _Setup:
+    """The part of a Horn sum that no character changes, per (psi, group
+    vectors cs), the unit vectors first (module docstring): N, each group's
+    column of c . j over j in (Z/N)^n, and shapes[keys], filled on first use
+    per tuple of the groups' member sets (each the sorted indices j of its
+    upper members and the sorted -j of its lower ones): the Gauss indices
+    and sign of the reflection factors, the sum over j of the product of
+    the groups' l1 norms, and whether any group has a member (keeps 1024)."""
+
+    def __init__(self, psi: AddChar, cs: tuple):
+        f = psi.field
+        self.psi, self.q, self.p, self.n = psi, f.q, f.p, len(cs[0])
+        self.N = N = max(f.N, 1)
+        js = list(itertools.product(range(N), repeat=self.n))
+        self.cols = [tuple(sum(map(mul, c, j)) % N for j in js) for c in cs]
+        self.shapes, self.zeros = _Table(self._shape, 1024), [0] * (len(cs) - self.n)
+
+    def _shape(self, keys: tuple) -> tuple[list, int, int, bool]:
+        N, odd, fixed, sign = self.N, self.p != 2, [], 1
+        for ups, bars in keys:
+            fixed += [-j % N for j in ups if j] + [-b % N for b in bars if b]
+            sign *= -1 if odd and sum(ups + bars) % 2 else 1
+        return fixed, sign, sum(self._norms(keys)), any(map(any, keys))
+
+    def _norms(self, keys: tuple) -> list[int]:
+        """Per index j, the product of the groups' l1 norms q^(Gauss sums)."""
+        N, q, norms = self.N, self.q, [1] * len(self.cols[0])
+        for (ups, bars), col in zip(keys, self.cols):
+            gauss_count = [len(ups) + len(bars)] * N  # g(chi_0) = 1 is left out
+            for k in [-j % N for j in ups] + [b % N for b in bars]:
+                gauss_count[k] -= 1
+            l1 = [q**k for k in gauss_count]
+            norms = [b * l1[i] for b, i in zip(norms, col)]
+        return norms
+
+    def value(self, keys, logs, const: Const = ONE, weights=None) -> Cyclo:
+        """const times the sum with the member sets keys, one per group, at
+        arguments of discrete logs logs (a list, one per unit vector);
+        weights as for _horn."""
+        N, q, p, cols = self.N, self.q, self.p, self.cols
+        fixed, sign, B, terms = self.shapes[keys]
+        Nc, D = N, 1  # conductors Nc (coefficients), weights' denominator D
+        if weights is not None:
+            ws = [weights[js] for js in itertools.product(range(N), repeat=self.n)]
+            live = [k for k in range(len(ws)) if not ws[k].is_zero()]
+            if not live:
+                return Cyclo.zero()
+            ws, cols = [ws[k] for k in live], [[col[k] for k in live] for col in cols]
+            Nc, D = lcm(N, *(w.m for w in ws)), lcm(*(w.den for w in ws))
+            norms = self._norms(keys)
+            B = sum(norms[k] * D // w.den * sum(map(abs, w.num)) for k, w in zip(live, ws))
+        M = lcm(Nc, p * N) if terms or const.gauss else Nc
+        if M <= _WHOLE:
+            Nc = M
+        fixed, sign = [k % N for k in const.gauss] + fixed, sign * const.sign
+        qpow = const.qpow + len(const.gauss) - len(fixed)  # each reflection factor carries a 1/q
+        B = B * q ** (len(fixed) - fixed.count(0)) * (q - 1)
+        kb = (B.bit_length() + 9) // 8  # |coefficient| <= B < 2^(W - 2), W = 8 kb
+        if kb < 8 and M <= _WHOLE:  # a machine word unpacks in one cast (module docstring)
+            kb = 1 << (kb - 1).bit_length()
+        W = 8 * kb
+        pk = _packing(self.psi, Nc, W)
+        R, WN, off = pk.R, W * Nc, 1 << (W - 1)
+        # the fixed Gauss sums fold to F g(chi_Pf), times zeta_N^rot
+        F, Pf = pk.folds[tuple(sorted(fixed))]
+        b = W * (const.rot % N * (Nc // N))
+        F = ((F << b) & R) + (F >> (WN - b))
+        # per term, the product of its groups' coefficients and their Gauss indices
+        xs, Ps = None, []
+        for key, log, idx in zip(keys, logs + self.zeros, cols):
+            row, ks = pk.turned[key, log]
+            ys = [row[i] for i in idx]
+            xs = ys if xs is None else [((z := x * y) & R) + (z >> WN) for x, y in zip(xs, ys)]
+            if not pk.whole:
+                Ps.append([ks[i] for i in idx])
+        if weights is not None:  # D w over Nc, signed digits
+            ys = [_pack([c * (D // w.den) for c in _spread(w, Nc)], off, kb) - pk.offs for w in ws]
+            xs = [((z := x * (y % R)) & R) + (z >> WN) for x, y in zip(xs, ys)]
+        if pk.whole:  # every fold is whole, P = 0
+            blocks = [sum(xs)]
+        else:  # the terms summed per tuple (Pf, P_1..), each tuple folded once
+            sums, A = {}, [0] * N
+            for x, key in zip(xs, zip(itertools.repeat(Pf), *Ps)):
+                sums[key] = sums.get(key, 0) + x
+            for key, x in sums.items():
+                y, P = pk.folds[key]
+                A[P] += ((x & R) + (x >> WN)) * y
+            # sum_P A_P g(chi_P) as blocks over Z[zeta_Nc], block s at zeta_p^s
+            blocks = [sum(map(mul, A, col)) for col in pk.blocks] if any(A[1:]) else A[:1]
+        if F != 1:
+            blocks = [((x & R) + (x >> WN)) * F for x in blocks]
+        y = sum([((x & R) + (x >> WN) + pk.offs) % R << WN * s for s, x in enumerate(blocks)])
+        digits = _unpack(y, Nc * len(blocks), kb)
+        assert off - B <= min(digits) and max(digits) <= off + B, "slot width too small"
+        scale, den = sign * q ** max(qpow, 0), q ** max(-qpow, 0) * D * const.den
+        if len(blocks) == 1:  # in Z[zeta_Nc]
+            return Cyclo(Nc, [(d - off) * scale for d in digits], den).lift(M)
+        return Cyclo(M, [(digits[k] - off) * scale for k in pk.places], den)
+
+
+_setup = lru_cache(maxsize=256)(_Setup)
 
 
 class _Table(dict):
@@ -280,21 +323,23 @@ class _Packing:
     / g(chi_(P+k)) for 0 < P, k < N; folds[ks] = (x, P) with prod g(chi_k) =
     x g(chi_P), or (x g(chi_P), 0) when p | Nc (whole); rows[members] = the
     tuples of x and P of a group's entries at nu = chi_t, the folds of g(a nu)
-    over upper and g(a-bar nu-bar) nu(-1) over lower members (j, upper);
-    turns[L] = the shifts by which entry t times zeta_N^(t L); blocks[s][P] =
-    G_(P,s) with g(chi_P) = sum_s zeta_p^s G_(P,s) (one block when p | Nc);
-    places[k] = s Nc + i for zeta_(p Nc)^k = zeta_p^s zeta_Nc^i.  A count
-    table walks up to N^k member sets of a group of k members, about 250 rows
-    at q = 5 (folds and rows keep 1024 each)."""
+    over upper and g(a-bar nu-bar) nu(-1) over lower members, from a member
+    set (sorted j of the upper ones, sorted -j of the lower ones);
+    turned[members, L] = that row with entry t times zeta_N^(t L);
+    blocks[s][P] = G_(P,s) with g(chi_P) = sum_s zeta_p^s G_(P,s) (one block
+    when p | Nc); places[k] = s Nc + i for zeta_(p Nc)^k = zeta_p^s
+    zeta_Nc^i.  A count table walks up to N^k member sets of a group of k
+    members, about 250 rows at q = 5 (folds, rows and turned keep 1024
+    each)."""
 
     def __init__(self, psi: AddChar, Nc: int, W: int):
         self.psi, self.N, self.Nc, self.W = psi, max(psi.field.N, 1), Nc, W
         self.R, self.whole = (1 << W * Nc) - 1, Nc % psi.field.p == 0
         self.ones = int.from_bytes((1).to_bytes(W // 8, "little") * Nc, "little")
+        self.offs = (1 << W - 1) * self.ones  # the offset 2^(W - 1) in every slot
         self.jacobi = _Table(self._jacobi, self.N**2)
         self.folds, self.rows = _Table(self._fold, 1024), _Table(self._row, 1024)
-        self.turns = _Table(lambda L: [W * (t * L % self.N * (Nc // self.N)) for t in range(self.N)],
-                            self.N)
+        self.turned = _Table(self._turned, 1024)
 
     def _jacobi(self, key: int) -> int:
         f, (P, k) = self.psi.field, divmod(key, self.N)
@@ -314,11 +359,23 @@ class _Packing:
         return x, P
 
     def _row(self, members: tuple) -> tuple[tuple, tuple]:
-        lowers = sum(not upper for _, upper in members) if self.psi.field.p != 2 else 0
+        ups, bars = members
+        lowers = len(bars) if self.psi.field.p != 2 else 0
+        # folded in (j, upper) order, lower before upper at equal j
+        members = sorted([(j, True) for j in ups] + [(-b % self.N, False) for b in bars])
         folds = [self._fold([j + t if upper else -j - t for j, upper in members])
                  for t in range(self.N)]
         return (tuple([self.R - x if t * lowers % 2 else x for t, (x, _) in enumerate(folds)]),
                 tuple([P for _, P in folds]))
+
+    def _turned(self, key: tuple) -> tuple[tuple, tuple]:
+        (members, L), N = key, self.N
+        row, Ps = self.rows[members]
+        if L:  # entry t times nu(lambda) = zeta_N^(t L) at nu = chi_t
+            R, WN, step = self.R, self.W * self.Nc, self.W * (self.Nc // N)
+            shifts = [step * (t * L % N) for t in range(N)]
+            row = tuple([((x << b) & R) + (x >> (WN - b)) for x, b in zip(row, shifts)])
+        return row, Ps
 
     @cached_property
     def blocks(self) -> tuple:

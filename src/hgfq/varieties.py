@@ -65,7 +65,10 @@ every Jacobi group's sum of indices nonzero mod N and every argument a
 unit.  FermatStar (a Jacobi sum), ASStar (a Gauss sum) and GeneralXDz
 (Phi_Delta) declare theirs as methods.  n_chi_closed_form checks chi as
 n_chi does (check_char) and calls the declaration, which reads chi's
-slots as integers once for hgf._horn (integer members) or the Phi frame.
+slots as integers once: a HornTheorem, compiled once per (field, psi),
+turns them into the member sets, argument logs and constant of the Horn
+evaluator's per-value step (hgf._Setup.value); GeneralXDz reads the Phi
+frame.
 
 Isomorphisms.  Each isomorphism is one MonomialMap (Q, add_mat, d): monomial
 in the unit coordinates, x -> (x . Q) * root_N(d_u), that is
@@ -101,9 +104,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial
 from math import prod
-from typing import NamedTuple
 
 from .chars import (AddChar, MulChar, _add_table, _conductor, _Frame, _index, _mul_table,
                     enumerate_addchars, enumerate_mulchars, standard_psi)
@@ -121,7 +123,7 @@ from .genhgf import (
     theta_list,
     w_to_matrix,
 )
-from .hgf import Const, _horn, _unit_vectors
+from .hgf import Const, _setup, _Table, _unit_vectors
 from .monomial import (_fa_matrices, _fa_swaps, _fd_matrices, _gauss_matrices, _kummer_matrices,
                        _pair_perm_q, _phi1_matrices, compose_perms, fmat_inv, fmat_permutes,
                        imat_add, imat_identity, imat_inverse, imat_mul, imat_zero, invert_perm,
@@ -219,6 +221,10 @@ def _as_preimages_table(ext: ExtensionField):
 # -- variety base -----------------------------------------------------------
 
 
+# Point counts kept per variety, one per extension field.
+_COUNTS_KEPT = 8
+
+
 class Variety:
     """Base: a family member over a fixed field with its acting group.
 
@@ -233,6 +239,7 @@ class Variety:
         self.shape = shape
         self._support = None
         self._frames = {}  # conductor -> the frame of support() there
+        self._counts = _Table(self._count_points, _COUNTS_KEPT)  # ext -> point_count(ext)
 
     # group -----------------------------------------------------------------
 
@@ -285,7 +292,11 @@ class Variety:
             yield from itertools.product(*lists)
 
     def point_count(self, ext: ExtensionField) -> int:
-        """The number of points over ext, from the fibers' sizes alone."""
+        """The number of points over ext, from the fibers' sizes alone; kept
+        per ext, so the maps of a context that share a target count it once."""
+        return self._counts[ext]
+
+    def _count_points(self, ext: ExtensionField) -> int:
         return sum(prod(map(len, lists)) for lists in self._fibers(ext))
 
     def to_codes(self, ext: ExtensionField, pt):
@@ -524,10 +535,10 @@ class RelationVariety(Variety):
 # -- count theorems ---------------------------------------------------------
 
 
-class HornTheorem(NamedTuple):
-    """A count theorem n_chi = constant * Horn series (hgf._horn), as data
-    over the slots of chi: j_k is the index of the multiplicative slot k and
-    c_k = a / psi.a the coefficient of the additive slot k, psi_a.
+class HornTheorem:
+    """A count theorem n_chi = constant * Horn series (hgf's evaluator), as
+    data over the slots of chi: j_k is the index of the multiplicative slot
+    k and c_k = a / psi.a the coefficient of the additive slot k, psi_a.
 
       terms    (k, c, upper): chi_k at the vector c, upper, or chi_k-bar,
                lower (every lower parameter is a conjugate);
@@ -539,32 +550,75 @@ class HornTheorem(NamedTuple):
       jacobis  slot groups of Jacobi sums j(chi_k, ..).
 
     The hypotheses are tests on those integers: every argument is a unit
-    (each c_k it reads is nonzero) and every group's sum of j_k is nonzero
-    mod N (each Jacobi sum has the product formula).  The series'
-    1/(q - 1)^n joins the constant."""
+    (lam is, and so is each c_k that an argument or a character value
+    reads) and every group's sum of j_k is nonzero mod N (each Jacobi sum
+    has the product formula).  The series' 1/(q - 1)^n joins the constant.
 
-    terms: tuple
-    args: tuple
-    sign: int
-    gauss: tuple = ()
-    values: tuple = ()
-    jacobis: tuple = ()
+    A theorem compiles once per psi, that is per field with its generator
+    and per a (AddChar compares both, so f.with_generator(g) and psi_a with
+    a != 1 each get their own), into a _Compiled: the slot lists, each
+    argument as dlog lam plus its slots' dlog c_k, the hypotheses as integer
+    tests, the rotation, the Gauss-index list and the series' set-up.  The
+    compiled forms live on the theorem in a table of _COMPILED_KEPT
+    entries, cleared when full."""
+
+    def __init__(self, terms, args, sign, gauss=(), values=(), jacobis=()):
+        self.terms, self.args, self.sign = tuple(terms), tuple(args), sign
+        self.gauss, self.values, self.jacobis = tuple(gauss), tuple(values), tuple(jacobis)
+        self._compiled = _Table(partial(_Compiled, self), _COMPILED_KEPT)
 
     def __call__(self, chi: GroupChar, psi: AddChar) -> Cyclo:
+        return self._compiled[psi](chi)
+
+
+_COMPILED_KEPT = 4
+
+
+class _Compiled:
+    """A HornTheorem over one psi, as integer index arithmetic on the slot
+    indices x (j_k, or a_k for an additive slot): the additive slots read,
+    whose a_k must be nonzero, turned into dlog c_k = dlog a_k - dlog psi.a
+    mod N; the Jacobi groups, whose sums must be nonzero mod N; the Gauss
+    slots, each Jacobi group's slots among them; each argument as dlog lam
+    plus its slots' dlog c_k; the character values as the rotation -sum j_k
+    dlog c_s; and each group of the series as its upper and lower slots,
+    whose member sets are the sorted j_k of both (a lower member chi_k-bar
+    has -j = j_k), with the series' set-up (hgf._setup)."""
+
+    def __init__(self, theorem: HornTheorem, psi: AddChar):
         f = psi.field
-        N = max(f.N, 1)
-        x = [p.j if type(p) is MulChar else f.div(p.a, psi.a) for p in chi.parts]
-        lams = [reduce(f.mul, [x[k] for k in ks], lam) for lam, ks in self.args]
-        groups = [[x[k] for k in g] for g in self.jacobis]
-        if 0 in lams or any(sum(js) % N == 0 for js in groups):
+        self.N, self.odd, self.dlog, self.la = max(f.N, 1), f.p != 2, f.dlog, f.dlog[psi.a]
+        self.sign, self.values, self.jacobis = theorem.sign, theorem.values, theorem.jacobis
+        self.gauss = theorem.gauss + tuple(k for group in theorem.jacobis for k in group)
+        self.units = sorted({k for _, ks in theorem.args for k in ks} | {s for _, s in theorem.values})
+        self.args = [(f.dlog.get(lam), ks) for lam, ks in theorem.args]
+        self.met = all(lam is not None for lam, _ in self.args)  # lam = 0 meets no character
+        groups = {c: ([], []) for c in _unit_vectors(len(theorem.args))}
+        for k, c, upper in theorem.terms:
+            groups.setdefault(c, ([], []))[not upper].append(k)
+        self.groups = list(groups.values())
+        self.horn = _setup(psi, tuple(groups))
+        self.den = (f.q - 1) ** len(theorem.args)
+
+    def __call__(self, chi: GroupChar) -> Cyclo:
+        N = self.N
+        x = [p.j if type(p) is MulChar else p.a for p in chi.parts]
+        for k in self.units:
+            if not x[k]:
+                raise ValueError("theorem hypothesis not met")
+            x[k] = (self.dlog[x[k]] - self.la) % N
+        at = x.__getitem__
+        Ps = [sum(map(at, group)) % N for group in self.jacobis]
+        if 0 in Ps or not self.met:
             raise ValueError("theorem hypothesis not met")
-        rot = -sum([x[k] * f.dlog[x[s]] for k, s in self.values])  # zeta_N^rot
-        const = Const(self.sign, tuple([x[k] for k in self.gauss]), 0, rot,
-                      (f.q - 1) ** len(self.args))
-        for js in groups:
-            const = const.jacobi(f, *js)
-        terms = [(x[k] if upper else -x[k] % N, c, upper) for k, c, upper in self.terms]
-        return _horn(terms, lams, psi, const=const)
+        # each j(eta..) = prod g(eta_i) P(-1) g(P-bar) / q
+        gauss = list(map(at, self.gauss)) + [-P % N for P in Ps]
+        sign = -self.sign if self.odd and sum([P & 1 for P in Ps]) & 1 else self.sign
+        logs = [(lam + sum(map(at, ks))) % N for lam, ks in self.args]
+        rot = -sum([x[k] * x[s] for k, s in self.values])  # zeta_N^rot
+        keys = tuple([(tuple(sorted(map(at, ups))), tuple(sorted(map(at, lows))))
+                      for ups, lows in self.groups])
+        return self.horn.value(keys, logs, Const(sign, tuple(gauss), -len(self.jacobis), rot, self.den))
 
 
 def _at(k, upper, n):

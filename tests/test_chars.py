@@ -151,6 +151,19 @@ def test_char_sum_rejects_a_negative_code():
         char_sum((MulChar(f, 1),), [((-1,), 1)])
 
 
+def test_char_sum_rejects_a_code_that_is_not_an_integer():
+    # 1.0 equals the code 1 but cannot index a table
+    f = build_field(5)
+    with pytest.raises(ValueError, match="codes in 0..4"):
+        char_sum((MulChar(f, 1),), [((1.0,), 1)])
+
+
+def test_char_sum_rejects_a_count_that_is_not_an_integer():
+    f = build_field(5)
+    with pytest.raises(ValueError, match="every count must be an integer"):
+        char_sum((MulChar(f, 1),), [((1,), 1.5)])
+
+
 def test_char_sum_rejects_points_of_another_length():
     f = build_field(5)
     parts = (MulChar(f, 1), AddChar(f, 2))

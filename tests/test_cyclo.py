@@ -326,6 +326,19 @@ def test_canonical_form_matches_schoolbook_on_both_paths(threshold, data):
         assert _canonicalize(m, list(v), den) == schoolbook_canonical(m, v, den)
 
 
+@pytest.mark.parametrize("fold", [0, 1 << 60], ids=["fold", "no-fold"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_loop_remainder_matches_schoolbook_with_and_without_the_fold(fold, data):
+    # on the loop path, every even conductor first folds x^(m/2) = -1 at a
+    # threshold of 0 and none does at a huge one
+    m = data.draw(st.sampled_from(CONDUCTORS + [6, 8, 10, 14, 20, 24]))
+    v = data.draw(vectors(m))
+    den = data.draw(st.integers(1, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
+    with patch.object(cyclo, "_PACKED_REMAINDER", 1 << 60), patch.object(cyclo, "_FOLD_SAVES", fold):
+        assert _canonicalize(m, list(v), den) == schoolbook_canonical(m, v, den)
+
+
 def test_remainder_dispatch_boundary(monkeypatch):
     # m = 28 and 56 make 3.4 multiply-adds per coefficient in the loop,
     # m = 30 and 60 make 4.4: the two sides of _PACKED_REMAINDER = 4

@@ -655,7 +655,7 @@ def test_fold_is_the_gauss_product(data):
         kind, k = data.draw(st.integers(0, 3)), data.draw(st.integers(0, N - 1))
         ks += [0] if kind == 0 else [k, -k % N] if kind == 1 else [k]
     Nc = data.draw(st.sampled_from([N, f.p * N]), label="Nc")
-    W = ((q ** len(ks)).bit_length() + 9) // 8 * 8  # as _horn sizes its slots
+    W = ((q ** len(ks)).bit_length() + 9) // 8 * 8  # whole bytes, at least bits + 2 as every slot
     x, P = _packing(psi, Nc, W).folds[tuple(ks)]
     want = Cyclo.integer(1)
     for k in ks:

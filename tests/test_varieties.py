@@ -551,6 +551,72 @@ def test_n2_closed_forms_match_canonical_products(q, alternate):
         assert met > 0, v
 
 
+def _field_and_psi(q, alternate):
+    """F_q with psi_1, or (alternate) with its second-smallest generator,
+    where there is one, and psi_a for the least unit a != 1, where there is one."""
+    f = build_field_q(q)
+    if not alternate:
+        return f, standard_psi(f)
+    gens = f.generators()
+    f = f.with_generator(gens[1]) if len(gens) > 1 else f
+    return f, AddChar(f, next((u for u in sorted(f.dlog) if u != 1), 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_closed_forms_match_canonical_products(data):
+    """A closed form compiled once per (field, psi), at a random character of
+    a random Horn-type family member, against the canonical products; a
+    character outside the hypotheses raises "theorem hypothesis not met" on
+    both sides."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]), label="q")
+    f, psi = _field_and_psi(q, data.draw(st.booleans(), label="alternate"))
+    families = _horn_families(f) + (_n2_horn_families(f) if q <= 5 else [])
+    v = families[data.draw(st.integers(0, len(families) - 1), label="family")]
+    parts = tuple(MulChar(f, data.draw(st.integers(0, max(f.N, 1) - 1))) if kind == "u"
+                  else AddChar(f, data.draw(st.integers(0, q - 1))) for kind in v.shape)
+    chi = GroupChar(parts)
+    assert (_closed_form_json(n_chi_closed_form, v, chi, psi)
+            == _closed_form_json(_closed_form_by_products, v, chi, psi)), (v, chi)
+
+
+def test_compiled_closed_forms_keep_each_field_and_psi_apart(monkeypatch):
+    """Each (field with its generator, psi_a) compiles its own theorem and
+    reads only its own set-up and packings: interleaved on one theorem, every
+    value equals the value computed alone from empty caches, and every
+    packing read during it belongs to its psi."""
+    from hgfq import hgf as hgf_mod
+
+    base = build_field_q(7)
+    other = base.with_generator(base.generators()[1])
+    settings_ = [(base, standard_psi(base)), (base, AddChar(base, 3)),
+                 (other, standard_psi(other)), (other, AddChar(other, 3))]
+    rng = random.Random(7)
+
+    def chars(v):
+        return rng.sample(list(enumerate_groupchars(v)), 40)
+
+    samples, alone = {}, {}
+    for f, psi in settings_:
+        hgf_mod._setup.cache_clear()
+        hgf_mod._packing.cache_clear()
+        v = MXnLambda(f, 1, 2, 3)
+        samples.setdefault(f, chars(v))
+        alone[f, psi] = [_closed_form_json(n_chi_closed_form, v, chi, psi) for chi in samples[f]]
+    reads, real = [], hgf_mod._packing
+    monkeypatch.setattr(hgf_mod, "_packing", lambda psi, Nc, W: reads.append(psi) or real(psi, Nc, W))
+    varieties_ = {f: MXnLambda(f, 1, 2, 3) for f in (base, other)}
+    for _ in range(2):
+        for f, psi in settings_:
+            reads.clear()
+            got = [_closed_form_json(n_chi_closed_form, varieties_[f], chi, psi) for chi in samples[f]]
+            assert got == alone[f, psi], (f.generator, psi.a)
+            assert reads and all(r == psi and r.field.generator == f.generator for r in reads)
+    for f, v in varieties_.items():
+        assert {(p.field.generator, p.a) for p in v.theorem._compiled} == {
+            (f.generator, 1), (f.generator, 3)}
+
+
 # -- the relation solver against the defining equations ---------------------
 
 
@@ -2018,6 +2084,24 @@ def test_verify_iso_reads_a_mutated_map_afresh(how):
     got = verify_iso(iso)
     assert not got["pass"]
     assert _as_json(got) == _as_json(verify_iso(fresh)) == _as_json(_oracle_verify_iso(fresh))
+
+
+@pytest.mark.parametrize("family,q,params", [("gauss", 4, dict(lam=2)), ("phi1", 3, dict(lam1=2, lam2=2))])
+def test_verify_iso_counts_each_shared_target_once(monkeypatch, family, q, params):
+    """The maps of one context share their targets: each target's points
+    over the extension are counted once, and every report (pass, checked,
+    failures) is the report of the same map built in a context of its own."""
+    f = build_field_q(q)
+    syms = make_context(family, f, **params).symmetries()
+    alone = [verify_iso(make_context(family, f, **params).build(sym)) for sym in syms]
+    counted, real = [], varieties.Variety._count_points
+    monkeypatch.setattr(varieties.Variety, "_count_points",
+                        lambda self, ext: counted.append((id(self), ext)) or real(self, ext))
+    ctx = make_context(family, f, **params)
+    shared = [verify_iso(ctx.build(sym)) for sym in syms]
+    assert shared == alone
+    assert all(report["pass"] and report["checked"] > 0 for report in shared)
+    assert len(counted) == len(set(counted)) < len(syms)
 
 
 @pytest.mark.parametrize("sample", [0, -3])
